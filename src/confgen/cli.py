@@ -1,10 +1,12 @@
 """Command-line pipeline driver.
 
 Subcommands: make-data, train, generate, evaluate, estimate. Every command is
-deterministic under a fixed --seed and a fixed --threads count; per-task RNG
-streams are derived from the root seed and reduced in input order, so the
-thread count changes wall time only. Exit codes: 0 success, 1 domain failure,
-2 usage or IO error.
+deterministic under a fixed --seed. `generate` samples each molecule with
+`edg.generate`, rooted at SeedSequence(seed, spawn_key=(i,)) for the i-th
+molecule name in sorted order, so sample k of that molecule draws from
+SeedSequence(seed, spawn_key=(i, k)); --threads spreads molecules over a
+thread pool and changes wall time only. Exit codes: 0 success, 1 domain
+failure, 2 usage or IO error.
 """
 
 from __future__ import annotations
@@ -148,66 +150,41 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     params, _ = cvae.load_model(args.checkpoint)
     records = dataio.read_dataset(args.data)
     if not records:
         raise UsageError(f"{args.data}: dataset is empty")
     grouped = dataio.group_records(records)
     graphs = dataio.extended_graphs(records)
-
-    tasks = []
-    for mol_index, mol in enumerate(sorted(grouped)):
-        for k in range(args.n):
-            tasks.append((mol_index, mol, k))
+    molecules = sorted(grouped)
 
     def run_one(task):
-        mol_index, mol, k = task
-        eg = graphs[mol]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(args.seed, spawn_key=(mol_index, k))
-        )
-        ged = cvae.decode(params, eg, rng.standard_normal(eg.n_nodes))
-        try:
-            result = edg.embed_conformation(eg, ged, rng, tol=args.tol)
-        except edg.InconsistentBoundsError:
-            return mol, None
-        return mol, result
+        mol_index, mol = task
+        seed = np.random.SeedSequence(args.seed, spawn_key=(mol_index,))
+        return edg.generate(params, graphs[mol], args.n, seed, tol=args.tol)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run_one, tasks))
+            outcomes = list(pool.map(run_one, enumerate(molecules)))
     else:
-        outcomes = [run_one(t) for t in tasks]
+        outcomes = [run_one(task) for task in enumerate(molecules)]
 
-    out_records = []
-    per_molecule: dict[str, list] = {mol: [] for mol in grouped}
-    for (mol, result) in outcomes:
-        per_molecule[mol].append(result)
-        if result is not None:
-            graph, build_seed, _ = grouped[mol]
-            out_records.append(
-                dataio.DatasetRecord(mol, graph, build_seed, result.conformation)
-            )
+    out_records = [
+        dataio.DatasetRecord(mol, grouped[mol][0], grouped[mol][1], r.conformation)
+        for mol, (results, _) in zip(molecules, outcomes)
+        for r in results
+    ]
     dataio.write_dataset(args.out, out_records)
 
-    embedded = [r for results in per_molecule.values() for r in results if r is not None]
-    violations = [r.max_violation for r in embedded]
+    # records follow the sorted stream order, the report the data file's order
+    reports = {mol: report for mol, (_, report) in zip(molecules, outcomes)}
     report = {
         "molecules": len(grouped),
         "requested_per_molecule": args.n,
-        "n_samples": len(tasks),
-        "n_smoothing_ok": len(embedded),
-        "n_converged": sum(1 for r in embedded if r.converged),
-        "smoothing_rate": len(embedded) / len(tasks) if tasks else 0.0,
-        "convergence_rate": (
-            sum(1 for r in embedded if r.converged) / len(tasks) if tasks else 0.0
-        ),
-        "mean_max_violation": float(np.mean(violations)) if violations else 0.0,
-        "worst_violation": float(np.max(violations)) if violations else 0.0,
-        "per_molecule_success": {
-            mol: sum(1 for r in results if r is not None and r.converged)
-            for mol, results in per_molecule.items()
-        },
+        **edg.EmbedBatchReport.merged(reports[mol] for mol in grouped).as_dict(),
+        "per_molecule_success": {mol: reports[mol].n_converged for mol in grouped},
     }
     report_path = args.report or f"{args.out}.report.json"
     Path(report_path).write_text(json.dumps(report, indent=2), encoding="utf-8")

@@ -384,14 +384,6 @@ def kl_standard_normal(mean, var) -> float:
     return float(0.5 * np.sum(mean**2 + var - np.log(var) - 1.0))
 
 
-def sample_prior(p: ModelParams, eg: ExtendedGraph, n: int,
-                 rng: np.random.Generator) -> list[GaussianEdgeDist]:
-    """Decode `n` latent codes drawn from the standard-normal prior."""
-    if n < 1:
-        raise ShapeError("need at least one sample")
-    return [decode(p, eg, rng.standard_normal(eg.n_nodes)) for _ in range(n)]
-
-
 # --- training -------------------------------------------------------------
 
 def _stack_batch(items):
@@ -541,34 +533,19 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
 
 # --- checkpoint io ---------------------------------------------------------
 
-def _arrays_to_lists(arrays: dict) -> dict:
-    return {k: {"shape": list(np.asarray(v).shape),
-                "data": np.asarray(v, dtype=np.float64).ravel().tolist()}
-            for k, v in arrays.items()}
-
-
-def _lists_to_arrays(doc: dict) -> dict:
-    return {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
-            for k, v in doc.items()}
-
-
 def save_model(path, params: ModelParams, train_state: dict | None = None) -> None:
     """Write best parameters plus optional resumable training state."""
     extra = {"config": params.config.to_dict()}
     if train_state is not None:
         extra["train_state"] = {
-            "epoch": train_state["epoch"],
-            "current": _arrays_to_lists(train_state["current"]),
+            **train_state,
+            "current": nnet.encode_arrays(train_state["current"]),
             "adam": {
                 "t": train_state["adam"]["t"],
                 "m": [m.tolist() for m in train_state["adam"]["m"]],
                 "v": [v.tolist() for v in train_state["adam"]["v"]],
             },
-            "rng": train_state["rng"],
-            "history": train_state["history"],
-            "best": _arrays_to_lists(train_state["best"]),
-            "best_val_elbo": train_state["best_val_elbo"],
-            "best_epoch": train_state["best_epoch"],
+            "best": nnet.encode_arrays(train_state["best"]),
         }
     nnet.save_checkpoint(path, params.values(), extra=extra)
 
@@ -581,21 +558,17 @@ def load_model(path) -> tuple[ModelParams, dict | None]:
     params.set_values(arrays)
     state = extra.get("train_state")
     if state is not None:
-        named = params.named_parameters()
+        shapes = [t.data.shape for t in params.parameters()]
         state = {
-            "epoch": state["epoch"],
-            "current": _lists_to_arrays(state["current"]),
+            **state,
+            "current": nnet.decode_arrays(state["current"]),
             "adam": {
                 "t": state["adam"]["t"],
-                "m": [np.asarray(m, dtype=np.float64).reshape(t.data.shape)
-                      for m, t in zip(state["adam"]["m"], named.values())],
-                "v": [np.asarray(v, dtype=np.float64).reshape(t.data.shape)
-                      for v, t in zip(state["adam"]["v"], named.values())],
+                "m": [np.asarray(m, dtype=np.float64).reshape(shape)
+                      for m, shape in zip(state["adam"]["m"], shapes)],
+                "v": [np.asarray(v, dtype=np.float64).reshape(shape)
+                      for v, shape in zip(state["adam"]["v"], shapes)],
             },
-            "rng": state["rng"],
-            "history": state["history"],
-            "best": _lists_to_arrays(state["best"]),
-            "best_val_elbo": state["best_val_elbo"],
-            "best_epoch": state["best_epoch"],
+            "best": nnet.decode_arrays(state["best"]),
         }
     return params, state

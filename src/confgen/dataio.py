@@ -161,7 +161,8 @@ def read_dataset(path) -> list[DatasetRecord]:
                 continue
             try:
                 records.append(_record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    DomainError) as e:
                 raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
     return records
 
@@ -431,11 +432,8 @@ def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conf
     np.fill_diagonal(lower, 0.0)
     np.fill_diagonal(upper, 0.0)
 
-    rng = np.random.default_rng(seed)
-    bounds = edg.smooth_bounds(edg.BoundsMatrix(lower, upper))
-    coords, _, _, _ = edg.refine(edg.gram_embed(edg.metrize(bounds, rng)), bounds,
-                                 tol=1e-2)
-    return Conformation(graph.elements, coords)
+    return edg.embed_bounds(graph.elements, edg.BoundsMatrix(lower, upper),
+                            np.random.default_rng(seed), tol=1e-2).conformation
 
 
 def make_synthetic_benchmark(spec: dict, seed: int) -> list[DatasetRecord]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnet
+from . import cvae, nnet
 from .cvae import GaussianEdgeDist
 from .errors import DomainError, NumericalError
 from .molgraph import Conformation, ExtendedGraph
@@ -22,6 +22,8 @@ from .molgraph import Conformation, ExtendedGraph
 STERIC_FLOOR = 1.0
 DISTANCE_CEILING = 1000.0
 EDGE_LOWER_FLOOR = 0.5
+REFINE_MAX_ITER = 2000
+REFINE_LR = 0.05
 
 
 class InconsistentBoundsError(DomainError):
@@ -193,15 +195,14 @@ def _pair_violation(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return max(worst, 0.0)
 
 
-def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3,
-           max_iter: int = 2000, lr: float = 0.05):
+def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3):
     """Minimize the squared-hinge violation energy with Adam.
 
     E = sum over pairs of max(0, |ri-rj|^2 - upper^2)^2
                        + max(0, lower^2 - |ri-rj|^2)^2.
     Only steps that do not increase E (beyond 1e-12) are accepted; the best
     iterate is returned. Stops once its largest per-pair distance violation
-    drops to `tol`, or after `max_iter` steps.
+    drops to `tol`, or after REFINE_MAX_ITER steps of rate REFINE_LR.
 
     Returns (coords, converged, max_violation, iterations).
     """
@@ -233,9 +234,9 @@ def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3,
         return best, True, violation, 0
 
     x = nnet.param(coords)
-    adam = nnet.Adam([x], lr=lr)
+    adam = nnet.Adam([x], lr=REFINE_LR)
     iterations = 0
-    for step in range(1, max_iter + 1):
+    for step in range(1, REFINE_MAX_ITER + 1):
         e, g = energy_grad(x.data)
         if not np.isfinite(e):
             raise NumericalError("violation energy is not finite", term="refine")
@@ -248,25 +249,28 @@ def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3,
         adam.step(grads=[g])
         iterations = step
     violation = _pair_violation(best, b.lower, b.upper, iu)
-    return best, violation <= tol, violation, iterations
+    return best, bool(violation <= tol), violation, iterations
 
 
-def embed_conformation(eg: ExtendedGraph, ged: GaussianEdgeDist,
-                       rng: np.random.Generator, tol: float = 1e-3, *,
-                       max_iter: int = 2000, lr: float = 0.05) -> EmbedResult:
-    """Full pipeline from predicted edge Gaussians to one conformation.
+def embed_bounds(elements, b: BoundsMatrix, rng: np.random.Generator,
+                 tol: float = 1e-3) -> EmbedResult:
+    """Smooth, metrize, embed and refine one set of bounds into a conformation.
 
     Bound smoothing failures raise InconsistentBoundsError; refinement that
     stops short of `tol` is reported through the `converged` flag instead.
-    One conformation is produced per set of bounds.
     """
-    bounds = smooth_bounds(make_bounds(eg, ged))
-    d = metrize(bounds, rng)
+    bounds = smooth_bounds(b)
     coords, converged, violation, iterations = refine(
-        gram_embed(d), bounds, tol=tol, max_iter=max_iter, lr=lr
+        gram_embed(metrize(bounds, rng)), bounds, tol=tol
     )
-    conf = Conformation(eg.source_graph.elements, coords)
-    return EmbedResult(conf, converged, violation, iterations)
+    return EmbedResult(Conformation(elements, coords), converged, violation,
+                       iterations)
+
+
+def embed_conformation(eg: ExtendedGraph, ged: GaussianEdgeDist,
+                       rng: np.random.Generator, tol: float = 1e-3) -> EmbedResult:
+    """Full pipeline from predicted edge Gaussians to one conformation."""
+    return embed_bounds(eg.source_graph.elements, make_bounds(eg, ged), rng, tol)
 
 
 @dataclass
@@ -277,6 +281,17 @@ class EmbedBatchReport:
     n_smoothing_ok: int
     n_converged: int
     violations: list
+
+    @classmethod
+    def merged(cls, reports) -> "EmbedBatchReport":
+        """One report over several batches; violations keep the given order."""
+        reports = list(reports)
+        return cls(
+            n_samples=sum(r.n_samples for r in reports),
+            n_smoothing_ok=sum(r.n_smoothing_ok for r in reports),
+            n_converged=sum(r.n_converged for r in reports),
+            violations=[v for r in reports for v in r.violations],
+        )
 
     @property
     def smoothing_rate(self) -> float:
@@ -299,27 +314,32 @@ class EmbedBatchReport:
         }
 
 
-def embed_batch(eg: ExtendedGraph, geds, seed: int, tol: float = 1e-3) -> tuple:
-    """Embed many sampled edge distributions with independent RNG streams.
+def generate(params: cvae.ModelParams, eg: ExtendedGraph, n: int,
+             seed: np.random.SeedSequence, tol: float = 1e-3) -> tuple:
+    """Draw `n` independent conformations from the model's prior.
+
+    Sample k draws from its own stream,
+    SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k)): first a
+    standard-normal latent per node, which is decoded into edge Gaussians,
+    then the metrization of their bounds. `seed` itself is left untouched, so
+    output does not depend on how samples are grouped or scheduled.
 
     Returns (results, report) where `results` holds an EmbedResult for every
-    sample that passed smoothing, in input order.
+    sample that passed smoothing, in sample order.
     """
-    geds = list(geds)
     results = []
-    violations = []
-    for k, ged in enumerate(geds):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    for k in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, k)))
+        ged = cvae.decode(params, eg, rng.standard_normal(eg.n_nodes))
         try:
-            result = embed_conformation(eg, ged, rng, tol=tol)
+            results.append(embed_conformation(eg, ged, rng, tol))
         except InconsistentBoundsError:
             continue
-        violations.append(result.max_violation)
-        results.append(result)
     report = EmbedBatchReport(
-        n_samples=len(geds),
+        n_samples=n,
         n_smoothing_ok=len(results),
-        n_converged=sum(1 for r in results if r.converged),
-        violations=violations,
+        n_converged=sum(r.converged for r in results),
+        violations=[r.max_violation for r in results],
     )
     return results, report

@@ -307,6 +307,8 @@ class Conformation:
                 f"positions shape {self.positions.shape} does not match "
                 f"{len(self.elements)} atoms"
             )
+        if not np.isfinite(self.positions).all():
+            raise GraphStructureError("conformation has non-finite positions")
         n = len(self.elements)
         if n > 1:
             diff = self.positions[:, None, :] - self.positions[None, :, :]

@@ -418,22 +418,35 @@ CHECKPOINT_FORMAT = "confgen-params"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
-    """Write named parameter arrays (plus free-form metadata) as JSON.
+def encode_arrays(arrays: dict) -> dict:
+    """Named arrays as JSON-ready {name: {shape, data}} entries.
 
-    Floats are serialized with shortest round-trip precision, so a load
+    Floats keep shortest round-trip precision through JSON, so decode_arrays
     reproduces every value bit for bit.
     """
+    return {
+        name: {
+            "shape": list(np.asarray(a).shape),
+            "data": np.asarray(a, dtype=np.float64).ravel().tolist(),
+        }
+        for name, a in arrays.items()
+    }
+
+
+def decode_arrays(doc: dict) -> dict:
+    """Inverse of encode_arrays."""
+    return {
+        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        for name, entry in doc.items()
+    }
+
+
+def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
+    """Write named parameter arrays (plus free-form metadata) as JSON."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "params": {
-            name: {
-                "shape": list(np.asarray(a).shape),
-                "data": np.asarray(a, dtype=np.float64).ravel().tolist(),
-            }
-            for name, a in arrays.items()
-        },
+        "params": encode_arrays(arrays),
         "extra": extra or {},
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -445,8 +458,4 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    arrays = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
-    return arrays, doc.get("extra", {})
+    return decode_arrays(doc["params"]), doc.get("extra", {})

@@ -221,16 +221,9 @@ def _idealized_baseline_means(train_pairs, eg):
 
 
 def _generate_distance_rows(params, eg, n, seed):
-    rows = []
-    for k in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        ged = cvae.decode(params, eg, rng.standard_normal(eg.n_nodes))
-        try:
-            result = edg.embed_conformation(eg, ged, rng)
-        except edg.InconsistentBoundsError:
-            continue
-        rows.append(molgraph.extract_distances(eg, result.conformation).values)
-    return np.stack(rows)
+    results, _ = edg.generate(params, eg, n, np.random.SeedSequence(seed))
+    return np.stack([molgraph.extract_distances(eg, r.conformation).values
+                     for r in results])
 
 
 def _embed_fixed_distance_rows(means, eg, n, seed):
@@ -308,11 +301,9 @@ def test_criterion_8_importance_sampling(single_bond_system, single_bond_model,
                                 proposals_any, model, cfg)
     assert one.value == 1.0
 
-    proposals = []
-    for k in range(50):
-        rng = np.random.default_rng(np.random.SeedSequence(800, spawn_key=(k,)))
-        ged = cvae.decode(params, eg, rng.standard_normal(eg.n_nodes))
-        proposals.append(edg.embed_conformation(eg, ged, rng).conformation)
+    results, report = edg.generate(params, eg, 50, np.random.SeedSequence(800))
+    assert report.n_smoothing_ok == 50
+    proposals = [r.conformation for r in results]
     obs = boltzmann.observable_by_name("distance:0-1")
     estimate = boltzmann.is_estimate(obs, proposals, model, cfg)
 

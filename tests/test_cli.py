@@ -124,6 +124,17 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() == c.read_bytes()
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_is_usage_error(self, workspace, tmp_path, capsys, n):
+        _, _, data_path, _, _ = workspace
+        out = tmp_path / "gen.jsonl"
+        # the check comes before the checkpoint is opened
+        code = main(["generate", str(tmp_path / "missing.json"), str(data_path),
+                     str(out), "--n", n])
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generated_records_reuse_molecule_graphs(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace
         out = tmp_path / "gen.jsonl"
@@ -225,6 +236,17 @@ class TestEstimate:
         doc = json.loads(out.read_text())
         assert doc["observable"] == "rgyr"
         assert set(doc["molecules"]) == {"methanol", "ethanol", "oxirane"}
+
+    def test_invalid_record_exits_2(self, workspace, tmp_path, capsys):
+        _, spec_path, data_path, _, _ = workspace
+        lines = data_path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["positions"] = [[0.0, 0.0, 0.0]] * len(doc["positions"])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:2] + [json.dumps(doc)] + lines[3:]) + "\n")
+        code = main(["estimate", str(bad), "--energy-model", str(spec_path)])
+        assert code == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
 
     def test_missing_energy_model_exits_2(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confgen import cvae, molgraph, nnet
 from confgen.errors import NumericalError
@@ -336,31 +339,6 @@ class TestTrain:
         assert batched == pytest.approx(sum(parts), rel=1e-12)
 
 
-class TestSamplePrior:
-    def test_reproducible_and_valid(self, small_instance):
-        p, eg, _ = small_instance
-        a = cvae.sample_prior(p, eg, 3, np.random.default_rng(1))
-        b = cvae.sample_prior(p, eg, 3, np.random.default_rng(1))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.mean, y.mean)
-            assert len(x) == eg.n_edges
-            assert (x.var > 0).all()
-
-    def test_trained_model_samples_near_training_support(self):
-        rng = np.random.default_rng(12)
-        g = MolGraph.from_elements(["O", "H"], [(0, 1)])
-        eg = build_extended_graph(g, seed=0)
-        lengths = rng.normal(0.96, 0.03, size=300)
-        records = [("bond", eg, np.array([abs(l)])) for l in lengths]
-        config = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5,
-                                 edge_state=5, epochs=20, batch_size=32)
-        result = cvae.train(records, config, seed=2)
-        sampled = cvae.sample_prior(result.params, eg, 20, np.random.default_rng(3))
-        mus = np.array([s.mean[0] for s in sampled])
-        assert mus.min() > lengths.min() - 0.2
-        assert mus.max() < lengths.max() + 0.2
-
-
 class TestModelParams:
     def test_checkpoint_roundtrip(self, tmp_path, small_instance):
         p, eg, d = small_instance
@@ -373,6 +351,74 @@ class TestModelParams:
         ng_a = cvae.encode(p, eg, d)
         ng_b = cvae.encode(loaded, eg, d)
         assert np.array_equal(ng_a.mean, ng_b.mean)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), with_state=st.booleans())
+    def test_save_load_property(self, data, with_state):
+        config = cvae.CvaeConfig(
+            message_passes=data.draw(st.integers(0, 2)),
+            node_state=data.draw(st.integers(1, 3)),
+            edge_state=data.draw(st.integers(1, 3)),
+            hidden=data.draw(st.integers(1, 4)),
+            readout_hidden=data.draw(st.integers(1, 4)),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        scale = data.draw(st.floats(1e-300, 1e300))
+        rng = np.random.default_rng(seed)
+        params = cvae.ModelParams(config, seed=seed)
+        params.set_values({k: v * scale for k, v in params.values().items()})
+
+        def random_values():
+            return {k: rng.standard_normal(v.shape) * scale
+                    for k, v in params.values().items()}
+
+        state = None
+        if with_state:
+            adam = nnet.Adam(params.parameters())
+            adam.load_state_dict({
+                "t": data.draw(st.integers(0, 10**6)),
+                "m": [rng.standard_normal(t.data.shape) for t in params.parameters()],
+                "v": [rng.random(t.data.shape) for t in params.parameters()],
+            })
+            elbos = st.floats(allow_nan=False)
+            state = {
+                "epoch": data.draw(st.integers(0, 10**4)),
+                "current": random_values(),
+                "adam": adam.state_dict(),
+                "rng": rng.bit_generator.state,
+                "history": [{"epoch": i + 1, "train_elbo": data.draw(elbos),
+                             "val_elbo": data.draw(elbos)}
+                            for i in range(data.draw(st.integers(0, 3)))],
+                "best": random_values(),
+                "best_val_elbo": data.draw(elbos),
+                "best_epoch": data.draw(st.integers(0, 10**4)),
+            }
+
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.json"
+            again = Path(root) / "again.json"
+            cvae.save_model(path, params, train_state=state)
+            loaded, loaded_state = cvae.load_model(path)
+            cvae.save_model(again, loaded, train_state=loaded_state)
+            assert again.read_bytes() == path.read_bytes()
+
+        assert loaded.config == config
+        for name, t in params.named_parameters().items():
+            assert loaded.named_parameters()[name].data.tobytes() == t.data.tobytes()
+        if state is None:
+            assert loaded_state is None
+            return
+        assert loaded_state.keys() == state.keys()
+        for key in ("current", "best"):
+            assert loaded_state[key].keys() == state[key].keys()
+            for name, a in state[key].items():
+                assert loaded_state[key][name].tobytes() == a.tobytes()
+        assert loaded_state["adam"]["t"] == state["adam"]["t"]
+        for key in ("m", "v"):
+            for a, b in zip(state["adam"][key], loaded_state["adam"][key]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for key in ("epoch", "rng", "history", "best_val_elbo", "best_epoch"):
+            assert loaded_state[key] == state[key]
 
     def test_copy_is_independent(self, small_instance):
         p, _, _ = small_instance

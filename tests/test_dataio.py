@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confgen import dataio
 from confgen.dataio import (
@@ -13,9 +17,56 @@ from confgen.dataio import (
     split_disjoint,
     write_dataset,
 )
-
+from confgen.molgraph import (
+    BOND_TYPES,
+    CHIRAL_TAGS,
+    RING_SIZES,
+    STEREO_TAGS,
+    Bond,
+    Conformation,
+    GraphStructureError,
+    MolGraph,
+)
 
 from conftest import random_conformation, random_tree, single_bond_quadrature
+
+
+@st.composite
+def dataset_records(draw):
+    """A few molecules (random trees with random attributes), each with a
+    few conformations holding arbitrary finite, pairwise distinct positions.
+    """
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 5))
+        nodes = tuple(
+            (draw(st.sampled_from(["H", "C", "N", "O", "F"])),
+             draw(st.sampled_from(CHIRAL_TAGS)))
+            for _ in range(n)
+        )
+        bonds = tuple(
+            Bond(draw(st.integers(0, i - 1)), i,
+                 bond_type=draw(st.sampled_from(BOND_TYPES[:-1])),
+                 stereo=draw(st.sampled_from(STEREO_TAGS)),
+                 is_aromatic=draw(st.booleans()),
+                 is_conjugated=draw(st.booleans()),
+                 ring_sizes=tuple(draw(st.lists(st.sampled_from(RING_SIZES),
+                                                max_size=2))))
+            for i in range(1, n)
+        )
+        graph = MolGraph(nodes, bonds)
+        molecule = draw(st.text(max_size=6))
+        build_seed = draw(st.integers(0, 2**63))
+        for _ in range(draw(st.integers(1, 3))):
+            positions = draw(hnp.arrays(
+                np.float64, (n, 3),
+                elements=st.floats(-1e100, 1e100), unique=True))
+            try:
+                conformation = Conformation(graph.elements, positions)
+            except GraphStructureError:
+                reject()
+            records.append(DatasetRecord(molecule, graph, build_seed, conformation))
+    return records
 
 
 def build_records(n_molecules=4, n_conf=5, seed=0):
@@ -59,6 +110,38 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as info:
             read_dataset(path)
         assert ":3:" in str(info.value)
+
+    @pytest.mark.parametrize("positions", [
+        [[0.0, 0.0, 0.0]] * 5,  # coincident atoms
+        [[float("nan"), 0.0, 0.0]] + [[float(i), 0.0, 0.0] for i in range(1, 5)],
+    ])
+    def test_invalid_record_names_the_line(self, tmp_path, positions):
+        records = build_records(n_molecules=1, n_conf=2)
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, records)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["positions"] = positions
+        lines[2] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_dataset(path)
+        assert ":3:" in str(info.value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(records=dataset_records())
+    def test_write_read_property(self, records):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "data.jsonl"
+            write_dataset(path, records)
+            loaded = read_dataset(path)
+        assert len(loaded) == len(records)
+        for a, b in zip(records, loaded):
+            assert (a.molecule, a.graph, a.build_seed) == \
+                   (b.molecule, b.graph, b.build_seed)
+            assert a.conformation.elements == b.conformation.elements
+            assert a.conformation.positions.tobytes() == \
+                   b.conformation.positions.tobytes()
 
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"

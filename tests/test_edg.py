@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from confgen import edg
+from confgen import cvae, edg
 from confgen.cvae import GaussianEdgeDist
 from confgen.edg import (
     BoundsMatrix,
@@ -20,6 +20,10 @@ from confgen.molgraph import (
     build_extended_graph,
     extract_distances,
 )
+
+from conftest import random_tree
+
+SMALL = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5, edge_state=5)
 
 
 def point_distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -291,15 +295,64 @@ class TestEmbedConformation:
         with pytest.raises(InconsistentBoundsError):
             embed_conformation(triangle_graph, ged, np.random.default_rng(0))
 
-    def test_batch_report_counts(self):
-        rng = np.random.default_rng(12)
+    def test_batch_report_counts(self, monkeypatch):
         g = MolGraph.from_elements("CCC", [(0, 1), (1, 2)])
         eg = build_extended_graph(g, seed=0)
         good = GaussianEdgeDist(np.array([1.5, 1.5, 2.4]), np.full(3, 1e-4))
         bad = GaussianEdgeDist(np.array([0.9, 0.9, 5.0]), np.full(3, 1e-6))
-        results, report = edg.embed_batch(eg, [good, bad, good], seed=1)
+        decoded = iter([good, bad, good])
+        monkeypatch.setattr(cvae, "decode", lambda p, eg, z: next(decoded))
+        results, report = edg.generate(None, eg, 3, np.random.SeedSequence(1))
         assert report.n_samples == 3
         assert report.n_smoothing_ok == 2
         assert report.smoothing_rate == pytest.approx(2 / 3)
         assert len(results) == 2
         assert report.as_dict()["n_converged"] == 2
+        assert type(report.n_converged) is int
+        both = edg.EmbedBatchReport.merged([report, report])
+        assert (both.n_samples, both.n_smoothing_ok, both.n_converged) == (6, 4, 4)
+        assert both.violations == report.violations * 2
+
+
+class TestGenerate:
+    def test_reproducible_and_valid(self):
+        rng = np.random.default_rng(42)
+        eg = build_extended_graph(random_tree(5, rng), seed=1)
+        params = cvae.ModelParams(SMALL, seed=2)
+        seed = np.random.SeedSequence(9, spawn_key=(2,))
+        a, report = edg.generate(params, eg, 4, seed)
+        b, _ = edg.generate(params, eg, 4, seed)
+        assert seed.n_children_spawned == 0
+        assert 0 < len(a) == report.n_smoothing_ok
+        for x, y in zip(a, b):
+            assert x.conformation.elements == eg.source_graph.elements
+            assert np.array_equal(x.conformation.positions, y.conformation.positions)
+
+        # sample k follows the stream SeedSequence(9, spawn_key=(2, k))
+        expected = []
+        for k in range(4):
+            stream = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, k)))
+            ged = cvae.decode(params, eg, stream.standard_normal(eg.n_nodes))
+            try:
+                expected.append(embed_conformation(eg, ged, stream))
+            except InconsistentBoundsError:
+                continue
+        assert [r.conformation.positions.tobytes() for r in a] == \
+               [r.conformation.positions.tobytes() for r in expected]
+
+    def test_trained_model_samples_near_training_support(self):
+        rng = np.random.default_rng(12)
+        g = MolGraph.from_elements(["O", "H"], [(0, 1)])
+        eg = build_extended_graph(g, seed=0)
+        lengths = rng.normal(0.96, 0.03, size=300)
+        records = [("bond", eg, np.array([abs(l)])) for l in lengths]
+        config = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5,
+                                 edge_state=5, epochs=20, batch_size=32)
+        result = cvae.train(records, config, seed=2)
+        sampled, report = edg.generate(result.params, eg, 20,
+                                       np.random.SeedSequence(3))
+        assert report.n_smoothing_ok == 20
+        bond = np.array([extract_distances(eg, r.conformation).values[0]
+                         for r in sampled])
+        assert bond.min() > lengths.min() - 0.2
+        assert bond.max() < lengths.max() + 0.2

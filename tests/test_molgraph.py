@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,13 @@ class TestExtractDistances:
     def test_coincident_atoms_rejected(self):
         with pytest.raises(GraphStructureError):
             Conformation(("C", "C"), [[0, 0, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_positions_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphStructureError, match="non-finite"):
+                Conformation(("C", "O"), [[0, 0, 0], [bad, 0, 0]])
 
 
 def test_hop_distances_match_oracle(propane_graph):
