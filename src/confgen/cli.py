@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -152,6 +153,8 @@ def _cmd_train(args) -> int:
 def _cmd_generate(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
     params, _ = cvae.load_model(args.checkpoint)
     records = dataio.read_dataset(args.data)
     if not records:

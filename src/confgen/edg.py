@@ -17,7 +17,7 @@ import numpy as np
 from . import cvae, nnet
 from .cvae import GaussianEdgeDist
 from .errors import DomainError, NumericalError
-from .molgraph import Conformation, ExtendedGraph
+from .molgraph import Conformation, ExtendedGraph, GraphStructureError
 
 STERIC_FLOOR = 1.0
 DISTANCE_CEILING = 1000.0
@@ -185,14 +185,96 @@ class EmbedResult:
     iterations: int
 
 
-def _pair_violation(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                    iu: tuple) -> float:
-    diff = coords[iu[0]] - coords[iu[1]]
-    dist = np.sqrt((diff**2).sum(axis=1))
-    over = dist - upper[iu]
-    under = lower[iu] - dist
-    worst = max(over.max(initial=0.0), under.max(initial=0.0))
-    return max(worst, 0.0)
+def _gradient_slots(iu: tuple, n: int, s: int) -> np.ndarray:
+    """Flat (sample, atom, axis) slot of every term of a stack's hinge gradient.
+
+    For each of `s` samples of `n` atoms: pair p's term goes to atom iu[0][p],
+    then its negation to atom iu[1][p]. Shape (s, 2P, 3).
+    """
+    slots = np.concatenate(iu)[:, None] * 3 + np.arange(3)
+    return slots + (np.arange(s) * (3 * n))[:, None, None]
+
+
+def _hinge_energy_grad(x: np.ndarray, iu: tuple, slots: np.ndarray,
+                       lo2: np.ndarray, hi2: np.ndarray) -> tuple:
+    """Squared-hinge violation energy of each conformation in a stack.
+
+    `x` is (S, n, 3); `lo2` and `hi2` are (S, P) squared bounds over the P
+    atom pairs `iu`; `slots` is `_gradient_slots` for at least S samples.
+    Returns the energies (S,), their gradients (S, n, 3) and the squared pair
+    distances (S, P). The gradient is one bincount, which adds the terms in
+    the order of np.add.at(g, iu[0], c) followed by np.add.at(g, iu[1], -c).
+    """
+    s, n, _ = x.shape
+    diff = x[:, iu[0]] - x[:, iu[1]]
+    sq = (diff**2).sum(axis=2)
+    over = np.maximum(sq - hi2, 0.0)
+    under = np.maximum(lo2 - sq, 0.0)
+    energy = (over**2 + under**2).sum(axis=1)
+    contrib = (4.0 * (over - under))[:, :, None] * diff
+    grad = np.bincount(slots[:s].ravel(),
+                       np.concatenate((contrib, -contrib), axis=1).ravel(),
+                       minlength=s * n * 3)
+    return energy, grad.reshape(s, n, 3), sq
+
+
+def _refine_stack(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                  tol: float) -> tuple:
+    """`refine` for a stack of conformations of one graph, run in lockstep.
+
+    `coords` is (S, n, 3); `lower` and `upper` are (S, P) bounds over the
+    pairs np.triu_indices(n, k=1). Every sample accepts steps, keeps its best
+    iterate and stops on its own, exactly as `refine` would alone; the
+    samples still running share one Adam step count.
+
+    Returns (coords, converged, max_violation, iterations), indexed by sample.
+    """
+    best = np.array(coords, dtype=np.float64)
+    n = best.shape[1]
+    iu = np.triu_indices(n, k=1)
+    active = np.arange(best.shape[0])
+    slots = _gradient_slots(iu, n, len(active))
+    x = best.copy()
+    lo2 = lower**2
+    hi2 = upper**2
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # nnet.Adam's defaults
+    iterations = np.zeros(len(active), dtype=np.int64)
+
+    def evaluate():
+        energy, grad, sq = _hinge_energy_grad(x, iu, slots, lo2, hi2)
+        if not np.isfinite(energy).all():
+            raise NumericalError("violation energy is not finite", term="refine")
+        dist = np.sqrt(sq)
+        worst = np.maximum((dist - upper).max(axis=1, initial=0.0),
+                           (lower - dist).max(axis=1, initial=0.0))
+        return energy, grad, worst
+
+    best_energy, _, violation = evaluate()
+    going = ~(violation <= tol)
+    for step in range(1, REFINE_MAX_ITER + 1):
+        if not going.all():
+            active, x, m, v, best_energy, lower, upper, lo2, hi2 = (
+                a[going] for a in (active, x, m, v, best_energy, lower, upper,
+                                   lo2, hi2))
+        if not active.size:
+            break
+        energy, grad, worst = evaluate()
+        accepted = energy <= best_energy + 1e-12
+        best_energy[accepted] = energy[accepted]
+        best[active[accepted]] = x[accepted]
+        violation[active[accepted]] = worst[accepted]
+        going = ~(accepted & (worst <= tol))
+        # nnet.Adam.step with t = step; rows that just stopped are dropped
+        # before their moved coordinates are used
+        c1 = 1.0 - beta1**step
+        c2 = 1.0 - beta2**step
+        m = m * beta1 + (1.0 - beta1) * grad
+        v = v * beta2 + (1.0 - beta2) * grad * grad
+        x -= REFINE_LR * (m / c1) / (np.sqrt(v / c2) + eps)
+        iterations[active[going]] = step
+    return best, violation <= tol, violation, iterations
 
 
 def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3):
@@ -206,50 +288,11 @@ def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3):
 
     Returns (coords, converged, max_violation, iterations).
     """
-    coords = np.asarray(coords, dtype=np.float64).copy()
-    n = coords.shape[0]
-    iu = np.triu_indices(n, k=1)
-    lo2 = b.lower[iu] ** 2
-    hi2 = b.upper[iu] ** 2
-
-    def energy_grad(x):
-        diff = x[iu[0]] - x[iu[1]]
-        sq = (diff**2).sum(axis=1)
-        over = np.maximum(sq - hi2, 0.0)
-        under = np.maximum(lo2 - sq, 0.0)
-        e = float((over**2 + under**2).sum())
-        coef = 4.0 * (over - under)
-        g = np.zeros_like(x)
-        contrib = coef[:, None] * diff
-        np.add.at(g, iu[0], contrib)
-        np.add.at(g, iu[1], -contrib)
-        return e, g
-
-    best = coords.copy()
-    best_energy, _ = energy_grad(coords)
-    if not np.isfinite(best_energy):
-        raise NumericalError("violation energy is not finite", term="refine")
-    violation = _pair_violation(best, b.lower, b.upper, iu)
-    if violation <= tol:
-        return best, True, violation, 0
-
-    x = nnet.param(coords)
-    adam = nnet.Adam([x], lr=REFINE_LR)
-    iterations = 0
-    for step in range(1, REFINE_MAX_ITER + 1):
-        e, g = energy_grad(x.data)
-        if not np.isfinite(e):
-            raise NumericalError("violation energy is not finite", term="refine")
-        if e <= best_energy + 1e-12:
-            best_energy = e
-            best = x.data.copy()
-            violation = _pair_violation(best, b.lower, b.upper, iu)
-            if violation <= tol:
-                break
-        adam.step(grads=[g])
-        iterations = step
-    violation = _pair_violation(best, b.lower, b.upper, iu)
-    return best, bool(violation <= tol), violation, iterations
+    iu = np.triu_indices(b.n, k=1)
+    coords, converged, violation, iterations = _refine_stack(
+        np.asarray(coords, dtype=np.float64)[None], b.lower[iu][None],
+        b.upper[iu][None], tol)
+    return coords[0], bool(converged[0]), float(violation[0]), int(iterations[0])
 
 
 def embed_bounds(elements, b: BoundsMatrix, rng: np.random.Generator,
@@ -275,10 +318,15 @@ def embed_conformation(eg: ExtendedGraph, ged: GaussianEdgeDist,
 
 @dataclass
 class EmbedBatchReport:
-    """Outcome statistics for a batch of embedding attempts."""
+    """Outcome statistics for a batch of embedding attempts.
+
+    `n_smoothing_ok` counts the samples kept; `n_degenerate` those that passed
+    smoothing but were dropped because refinement left two atoms on one point.
+    """
 
     n_samples: int
     n_smoothing_ok: int
+    n_degenerate: int
     n_converged: int
     violations: list
 
@@ -289,6 +337,7 @@ class EmbedBatchReport:
         return cls(
             n_samples=sum(r.n_samples for r in reports),
             n_smoothing_ok=sum(r.n_smoothing_ok for r in reports),
+            n_degenerate=sum(r.n_degenerate for r in reports),
             n_converged=sum(r.n_converged for r in reports),
             violations=[v for r in reports for v in r.violations],
         )
@@ -306,6 +355,7 @@ class EmbedBatchReport:
         return {
             "n_samples": self.n_samples,
             "n_smoothing_ok": self.n_smoothing_ok,
+            "n_degenerate": self.n_degenerate,
             "n_converged": self.n_converged,
             "smoothing_rate": self.smoothing_rate,
             "convergence_rate": self.convergence_rate,
@@ -324,21 +374,43 @@ def generate(params: cvae.ModelParams, eg: ExtendedGraph, n: int,
     then the metrization of their bounds. `seed` itself is left untouched, so
     output does not depend on how samples are grouped or scheduled.
 
+    The samples that pass bound smoothing are refined together, as one
+    stack (see `_refine_stack`).
+
     Returns (results, report) where `results` holds an EmbedResult for every
-    sample that passed smoothing, in sample order.
+    sample that passed smoothing and kept its atoms apart, in sample order.
     """
-    results = []
+    elements = eg.source_graph.elements
+    starts, bounds = [], []
     for k in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(
             seed.entropy, spawn_key=(*seed.spawn_key, k)))
         ged = cvae.decode(params, eg, rng.standard_normal(eg.n_nodes))
         try:
-            results.append(embed_conformation(eg, ged, rng, tol))
+            b = smooth_bounds(make_bounds(eg, ged))
         except InconsistentBoundsError:
             continue
+        starts.append(gram_embed(metrize(b, rng)))
+        bounds.append(b)
+    results = []
+    n_degenerate = 0
+    if starts:
+        iu = np.triu_indices(eg.n_nodes, k=1)
+        refined = _refine_stack(np.stack(starts),
+                                np.stack([b.lower[iu] for b in bounds]),
+                                np.stack([b.upper[iu] for b in bounds]), tol)
+        for coords, converged, violation, iterations in zip(*refined):
+            try:
+                conformation = Conformation(elements, coords)
+            except GraphStructureError:
+                n_degenerate += 1
+                continue
+            results.append(EmbedResult(conformation, bool(converged),
+                                       float(violation), int(iterations)))
     report = EmbedBatchReport(
         n_samples=n,
         n_smoothing_ok=len(results),
+        n_degenerate=n_degenerate,
         n_converged=sum(r.converged for r in results),
         violations=[r.max_violation for r in results],
     )

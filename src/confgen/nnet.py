@@ -409,6 +409,11 @@ class Adam:
         self.t = int(state["t"])
         self.m = [np.asarray(m, dtype=np.float64).copy() for m in state["m"]]
         self.v = [np.asarray(v, dtype=np.float64).copy() for v in state["v"]]
+        if len(self.m) != len(self.params) or len(self.v) != len(self.params):
+            raise ShapeError(
+                f"optimizer state has {len(self.m)} first and {len(self.v)} "
+                f"second moments for {len(self.params)} parameters"
+            )
         for p, m, v in zip(self.params, self.m, self.v):
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ShapeError("optimizer state does not match parameters")

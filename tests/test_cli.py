@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from confgen import dataio
+from confgen import dataio, edg
 from confgen.cli import main
 
 FAST_CONFIG = {
@@ -99,6 +99,22 @@ class TestTrain:
         for name in a:
             assert a[name]["data"] == b[name]["data"], name
 
+    def test_resume_rejects_truncated_adam_state(self, workspace, tmp_path, capsys):
+        _, _, data_path, _, ckpt_path = workspace
+        doc = json.loads(ckpt_path.read_text())
+        adam = doc["extra"]["train_state"]["adam"]
+        assert len(adam["m"]) > 3
+        adam["m"] = adam["m"][:3]
+        adam["v"] = adam["v"][:3]
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps(doc))
+        out = tmp_path / "resumed.json"
+        code = main(["train", str(data_path), str(out), "--resume", str(cut),
+                     "--epochs", "4"])
+        assert code != 0
+        assert "moments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_default_n_is_50_and_report_rates(self, workspace, capsys):
@@ -134,6 +150,39 @@ class TestGenerate:
         assert code == 2
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_tol_must_be_finite_and_non_negative(self, workspace, tmp_path, capsys,
+                                                 tol):
+        _, _, data_path, _, _ = workspace
+        out = tmp_path / "gen.jsonl"
+        # the check comes before the checkpoint is opened
+        code = main(["generate", str(tmp_path / "missing.json"), str(data_path),
+                     str(out), f"--tol={tol}"])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degenerate_sample_is_dropped_and_counted(self, workspace, tmp_path,
+                                                      monkeypatch):
+        _, _, data_path, _, ckpt_path = workspace
+        embed = edg.gram_embed
+        calls = []
+
+        def collapse_first(d):
+            # all atoms on one point: the hinge gradient is zero there, so
+            # refinement cannot separate them
+            calls.append(d)
+            return np.zeros_like(embed(d)) if len(calls) == 1 else embed(d)
+
+        monkeypatch.setattr(edg, "gram_embed", collapse_first)
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", str(ckpt_path), str(data_path), str(out),
+                     "--n", "2", "--seed", "2"]) == 0
+        report = json.loads((tmp_path / "gen.jsonl.report.json").read_text())
+        assert report["n_degenerate"] == 1
+        assert report["n_smoothing_ok"] == len(dataio.read_dataset(out)) == len(calls) - 1
+        assert report["n_smoothing_ok"] + report["n_degenerate"] <= report["n_samples"]
 
     def test_generated_records_reuse_molecule_graphs(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace

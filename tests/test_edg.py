@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from confgen import cvae, edg
+from confgen import cvae, edg, nnet
 from confgen.cvae import GaussianEdgeDist
 from confgen.edg import (
     BoundsMatrix,
@@ -31,9 +32,12 @@ def point_distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def random_bounds(n: int, rng: np.random.Generator) -> BoundsMatrix:
-    """Euclidean-realizable bounds: a random point set widened both ways."""
-    d = point_distance_matrix(rng.normal(0.0, 2.0, (n, 3)))
+def random_bounds(n: int, rng: np.random.Generator, points=None) -> BoundsMatrix:
+    """Euclidean-realizable bounds: a point set (random if not given) widened
+    both ways."""
+    if points is None:
+        points = rng.normal(0.0, 2.0, (n, 3))
+    d = point_distance_matrix(points)
     slack = rng.uniform(0.02, 0.4, size=(n, n))
     slack = (slack + slack.T) / 2
     lower = np.maximum(d - slack, 0.01)
@@ -209,36 +213,36 @@ class TestRefine:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        b = random_bounds(5, rng)
-        x = rng.normal(0, 2, (5, 3))
         iu = np.triu_indices(5, k=1)
-        lo2, hi2 = b.lower[iu] ** 2, b.upper[iu] ** 2
+        stack = [random_bounds(5, rng) for _ in range(2)]
+        lo2 = np.stack([b.lower[iu] ** 2 for b in stack])
+        hi2 = np.stack([b.upper[iu] ** 2 for b in stack])
+        x = rng.normal(0, 2, (2, 5, 3))
 
-        def energy(p):
+        def energy(p, s):
             sq = ((p[iu[0]] - p[iu[1]]) ** 2).sum(axis=1)
-            over = np.maximum(sq - hi2, 0.0)
-            under = np.maximum(lo2 - sq, 0.0)
+            over = np.maximum(sq - hi2[s], 0.0)
+            under = np.maximum(lo2[s] - sq, 0.0)
             return float((over**2 + under**2).sum())
 
-        # analytic gradient, recomputed the same way refine builds it
-        diff = x[iu[0]] - x[iu[1]]
-        sq = (diff**2).sum(axis=1)
-        coef = 4.0 * (np.maximum(sq - hi2, 0.0) - np.maximum(lo2 - sq, 0.0))
-        grad = np.zeros_like(x)
-        np.add.at(grad, iu[0], coef[:, None] * diff)
-        np.add.at(grad, iu[1], -coef[:, None] * diff)
+        e, grad, sq = edg._hinge_energy_grad(x, iu, edg._gradient_slots(iu, 5, 2),
+                                             lo2, hi2)
+        for s in range(2):
+            assert e[s] == pytest.approx(energy(x[s], s), rel=1e-12)
+            assert np.allclose(sq[s], point_distance_matrix(x[s])[iu] ** 2)
 
         h = 1e-6
         worst = 0.0
-        flat = x.ravel()
         gf = grad.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = energy(x)
-            flat[idx] = orig - h
-            down = energy(x)
-            flat[idx] = orig
+        for idx in range(x.size):
+            s = idx // 15
+            flat = x[s].ravel()  # a view, so edits move x[s]
+            orig = flat[idx % 15]
+            flat[idx % 15] = orig + h
+            up = energy(x[s], s)
+            flat[idx % 15] = orig - h
+            down = energy(x[s], s)
+            flat[idx % 15] = orig
             fd = (up - down) / (2 * h)
             worst = max(worst, abs(fd - gf[idx]) / max(abs(fd), abs(gf[idx]), 1e-6))
         assert worst < 1e-4
@@ -273,6 +277,103 @@ class TestRefine:
             adam.step(grads=[g])
         diffs = np.diff(energies)
         assert (diffs <= 1e-12).all()
+
+
+def oracle_refine(coords, b, tol):
+    """Per-sample refinement as written before the stack: np.add.at gradients,
+    a separate distance pass for the violation and one nnet.Adam per sample."""
+    coords = np.asarray(coords, dtype=np.float64).copy()
+    iu = np.triu_indices(coords.shape[0], k=1)
+    lo2 = b.lower[iu] ** 2
+    hi2 = b.upper[iu] ** 2
+
+    def energy_grad(x):
+        diff = x[iu[0]] - x[iu[1]]
+        sq = (diff**2).sum(axis=1)
+        over = np.maximum(sq - hi2, 0.0)
+        under = np.maximum(lo2 - sq, 0.0)
+        e = float((over**2 + under**2).sum())
+        contrib = (4.0 * (over - under))[:, None] * diff
+        g = np.zeros_like(x)
+        np.add.at(g, iu[0], contrib)
+        np.add.at(g, iu[1], -contrib)
+        return e, g
+
+    def pair_violation(x):
+        diff = x[iu[0]] - x[iu[1]]
+        dist = np.sqrt((diff**2).sum(axis=1))
+        worst = max((dist - b.upper[iu]).max(initial=0.0),
+                    (b.lower[iu] - dist).max(initial=0.0))
+        return max(worst, 0.0)
+
+    best = coords.copy()
+    best_energy, _ = energy_grad(coords)
+    violation = pair_violation(best)
+    if violation <= tol:
+        return best, True, violation, 0
+    x = nnet.param(coords)
+    adam = nnet.Adam([x], lr=edg.REFINE_LR)
+    iterations = 0
+    for step in range(1, edg.REFINE_MAX_ITER + 1):
+        e, g = energy_grad(x.data)
+        if e <= best_energy + 1e-12:
+            best_energy = e
+            best = x.data.copy()
+            violation = pair_violation(best)
+            if violation <= tol:
+                break
+        adam.step(grads=[g])
+        iterations = step
+    violation = pair_violation(best)
+    return best, bool(violation <= tol), violation, iterations
+
+
+class TestRefineStack:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 15), samples=st.integers(1, 6),
+           cap=st.integers(0, 120), tol=st.sampled_from([1e-3, 1e-2, 0.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_sample_oracle(self, n, samples, cap, tol, seed):
+        """Bit for bit, sample by sample; every stack holds a start that
+        satisfies its bounds, an all-zero start that cannot move, and
+        embedded draws that stop at assorted steps."""
+        rng = np.random.default_rng(seed)
+        starts, stack = [], []
+        for k in range(samples):
+            points = rng.normal(0.0, 2.0, (n, 3))
+            b = smooth_bounds(random_bounds(n, rng, points))
+            if k % 3 == 0:
+                start = points
+            elif k % 3 == 1:
+                start = np.zeros((n, 3))
+            else:
+                start = gram_embed(metrize(b, rng)) + rng.normal(0.0, 0.2, (n, 3))
+            starts.append(start)
+            stack.append(b)
+        iu = np.triu_indices(n, k=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edg, "REFINE_MAX_ITER", cap)
+            coords, converged, violation, iterations = edg._refine_stack(
+                np.stack(starts), np.stack([b.lower[iu] for b in stack]),
+                np.stack([b.upper[iu] for b in stack]), tol)
+            expected = [oracle_refine(x, b, tol) for x, b in zip(starts, stack)]
+        for k, (x, ok, worst, steps) in enumerate(expected):
+            assert coords[k].tobytes() == x.tobytes(), k
+            assert (bool(converged[k]), violation[k], iterations[k]) == \
+                   (ok, worst, steps), k
+            if k % 3 == 1:  # zero gradient: stays put until the cap
+                assert steps == cap or (ok and steps == 0)
+
+    def test_refine_is_one_sample_stack(self):
+        rng = np.random.default_rng(13)
+        b = smooth_bounds(random_bounds(7, rng))
+        start = gram_embed(metrize(b, rng))
+        coords, converged, violation, iterations = refine(start, b)
+        x, ok, worst, steps = oracle_refine(start, b, 1e-3)
+        assert coords.tobytes() == x.tobytes()
+        assert (converged, violation, iterations) == (ok, worst, steps)
+        assert steps > 0
+        assert (type(converged), type(violation), type(iterations)) == (bool, float, int)
 
 
 class TestEmbedConformation:
