@@ -188,6 +188,10 @@ def _cmd_generate(args) -> int:
         "requested_per_molecule": args.n,
         **edg.EmbedBatchReport.merged(reports[mol] for mol in grouped).as_dict(),
         "per_molecule_success": {mol: reports[mol].n_converged for mol in grouped},
+        # replaces the merged count: atom indices are per graph, so rejected
+        # pairs are kept per molecule
+        "smoothing_rejections": {mol: reports[mol].smoothing_rejections
+                                 for mol in grouped},
     }
     report_path = args.report or f"{args.out}.report.json"
     Path(report_path).write_text(json.dumps(report, indent=2), encoding="utf-8")

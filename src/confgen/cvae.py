@@ -67,7 +67,7 @@ class MessageBlock:
     The edge MLP sees (edge state, endpoint states) in both endpoint orders
     and the two results are summed, so the update cannot depend on which
     endpoint was stored first. Node states are updated from the sum of their
-    incident updated edge states.
+    incident updated edge states. States may carry a leading sample axis.
     """
 
     def __init__(self, node_state: int, edge_state: int, hidden: int,
@@ -85,14 +85,14 @@ class MessageBlock:
         h_src = nnet.rows(v, src)
         h_dst = nnet.rows(v, dst)
         e_new = nnet.add(
-            self.edge_update(nnet.concat([e, h_src, h_dst], axis=1)),
-            self.edge_update(nnet.concat([e, h_dst, h_src], axis=1)),
+            self.edge_update(nnet.concat([e, h_src, h_dst], axis=-1)),
+            self.edge_update(nnet.concat([e, h_dst, h_src], axis=-1)),
         )
         agg = nnet.add(
             nnet.scatter_sum(e_new, src, n_nodes),
             nnet.scatter_sum(e_new, dst, n_nodes),
         )
-        v_new = self.node_update(nnet.concat([v, agg], axis=1))
+        v_new = self.node_update(nnet.concat([v, agg], axis=-1))
         return v_new, e_new
 
 
@@ -210,7 +210,10 @@ class LatentCode:
 
 @dataclass
 class GaussianEdgeDist:
-    """Per-edge Gaussian over distance, aligned with the graph's edge list."""
+    """Per-edge Gaussian over distance, aligned with the graph's edge list.
+
+    `mean` and `var` are (n_edges,), or (S, n_edges) for a stack of S samples.
+    """
 
     mean: np.ndarray
     var: np.ndarray
@@ -218,13 +221,15 @@ class GaussianEdgeDist:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.var = np.asarray(self.var, dtype=np.float64)
-        if self.mean.shape != self.var.shape or self.mean.ndim != 1:
-            raise ShapeError("mean and variance must be equal-length vectors")
+        if self.mean.shape != self.var.shape or self.mean.ndim not in (1, 2):
+            raise ShapeError("mean and variance must be equal-length vectors "
+                             "or equal stacks of them")
         if not (self.var > 0.0).all():
             raise ShapeError("distance variances must be positive")
 
     def __len__(self) -> int:
-        return self.mean.shape[0]
+        """Edges per sample."""
+        return self.mean.shape[-1]
 
     @property
     def std(self) -> np.ndarray:
@@ -255,7 +260,9 @@ def _encode_core(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes, d_col)
 
 
 def _decode_core(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes, z_col):
-    v_in = nnet.concat([node_feat, z_col], axis=1)
+    # z_col may be a (S, n_nodes, 1) stack; the features stay unstacked and
+    # concat repeats them, so the edge embedding runs once for all S samples
+    v_in = nnet.concat([node_feat, z_col], axis=-1)
     v = p.dec_node_embed(v_in)
     e = p.dec_edge_embed(edge_feat)
     for block in p.dec_passes:
@@ -288,20 +295,28 @@ def reparameterize(ng: NodeGaussians, rng: np.random.Generator) -> LatentCode:
 
 
 def decode(p: ModelParams, eg: ExtendedGraph, z) -> GaussianEdgeDist:
-    """Per-edge distance Gaussians given a latent code."""
+    """Per-edge distance Gaussians given a latent code.
+
+    `z` is one latent, (n_nodes,), or a stack of S latents, (S, n_nodes),
+    which gives a stacked GaussianEdgeDist. A stack runs through the decoder
+    that training uses as one pass along a leading sample axis; sample s gets
+    exactly the values that decoding z[s] alone gives, whatever S is. No
+    autodiff tape is recorded.
+    """
     zv = z.z if isinstance(z, LatentCode) else np.asarray(z, dtype=np.float64)
-    if zv.shape != (eg.n_nodes,):
-        raise ShapeError(f"latent length {zv.shape} does not match {eg.n_nodes} nodes")
-    mean, logvar = _decode_core(
-        p,
-        nnet.constant(eg.node_features),
-        nnet.constant(eg.edge_features),
-        eg.src,
-        eg.dst,
-        eg.n_nodes,
-        nnet.constant(zv[:, None]),
-    )
-    return GaussianEdgeDist(mean.data[:, 0], np.exp(logvar.data[:, 0]))
+    if zv.ndim not in (1, 2) or zv.shape[-1] != eg.n_nodes:
+        raise ShapeError(f"latent shape {zv.shape} does not match {eg.n_nodes} nodes")
+    with nnet.inference():
+        mean, logvar = _decode_core(
+            p,
+            nnet.constant(eg.node_features),
+            nnet.constant(eg.edge_features),
+            eg.src,
+            eg.dst,
+            eg.n_nodes,
+            nnet.constant(zv[..., None]),
+        )
+    return GaussianEdgeDist(mean.data[..., 0], np.exp(logvar.data[..., 0]))
 
 
 def _elbo_tensors(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes,

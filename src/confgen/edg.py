@@ -10,7 +10,8 @@ penalty on bound violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +51,13 @@ class BoundsMatrix:
         n = self.lower.shape[0]
         if self.lower.shape != (n, n) or self.upper.shape != (n, n):
             raise ValueError("bounds must be square matrices of equal size")
+        finite = np.isfinite(self.lower) & np.isfinite(self.upper)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DomainError(
+                f"bounds for atom pair ({i}, {j}) are not finite: "
+                f"lower {self.lower[i, j]:.6g}, upper {self.upper[i, j]:.6g}"
+            )
 
     @property
     def n(self) -> int:
@@ -64,6 +72,35 @@ class BoundsMatrix:
         return cls(d.copy(), d.copy())
 
 
+def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist,
+                  edge_floor: float = EDGE_LOWER_FLOOR,
+                  steric_floor: float = STERIC_FLOOR,
+                  ceiling: float = DISTANCE_CEILING) -> tuple:
+    """`make_bounds` for a stacked GaussianEdgeDist: (S, n, n) lower and upper."""
+    if len(ged) != eg.n_edges:
+        raise nnet.ShapeError(
+            f"{len(ged)} edge distributions for a graph with {eg.n_edges} edges"
+        )
+    if not (np.isfinite(ged.mean).all() and np.isfinite(ged.var).all()):
+        raise NumericalError("edge distribution contains non-finite values",
+                             term="bounds")
+    mean = ged.mean.reshape(-1, eg.n_edges)
+    sigma = ged.std.reshape(mean.shape)
+    s, n = mean.shape[0], eg.n_nodes
+    lower = np.full((s, n, n), steric_floor)
+    upper = np.full((s, n, n), ceiling)
+    lo = np.maximum(mean - sigma, edge_floor)
+    hi = np.maximum(mean + sigma, edge_floor)
+    lower[:, eg.src, eg.dst] = lo
+    lower[:, eg.dst, eg.src] = lo
+    upper[:, eg.src, eg.dst] = hi
+    upper[:, eg.dst, eg.src] = hi
+    diagonal = np.arange(n)
+    lower[:, diagonal, diagonal] = 0.0
+    upper[:, diagonal, diagonal] = 0.0
+    return lower, upper
+
+
 def make_bounds(eg: ExtendedGraph, ged: GaussianEdgeDist, *,
                 edge_floor: float = EDGE_LOWER_FLOOR,
                 steric_floor: float = STERIC_FLOOR,
@@ -73,76 +110,86 @@ def make_bounds(eg: ExtendedGraph, ged: GaussianEdgeDist, *,
     Both edge bounds are floored at `edge_floor`, which keeps lower <= upper
     even for overdispersed predictions.
     """
-    if len(ged) != eg.n_edges:
-        raise nnet.ShapeError(
-            f"{len(ged)} edge distributions for a graph with {eg.n_edges} edges"
-        )
-    if not (np.isfinite(ged.mean).all() and np.isfinite(ged.var).all()):
-        raise NumericalError("edge distribution contains non-finite values",
-                             term="bounds")
-    n = eg.n_nodes
-    lower = np.full((n, n), steric_floor)
-    upper = np.full((n, n), ceiling)
-    sigma = ged.std
-    lo = np.maximum(ged.mean - sigma, edge_floor)
-    hi = np.maximum(ged.mean + sigma, edge_floor)
-    lower[eg.src, eg.dst] = lo
-    lower[eg.dst, eg.src] = lo
-    upper[eg.src, eg.dst] = hi
-    upper[eg.dst, eg.src] = hi
-    np.fill_diagonal(lower, 0.0)
-    np.fill_diagonal(upper, 0.0)
-    return BoundsMatrix(lower, upper)
+    if ged.mean.ndim != 1:
+        raise nnet.ShapeError("make_bounds takes the edge distributions of one sample")
+    lower, upper = _bounds_stack(eg, ged, edge_floor, steric_floor, ceiling)
+    return BoundsMatrix(lower[0], upper[0])
 
 
-def _smoothing_pass(lower: np.ndarray, upper: np.ndarray) -> bool:
-    """One Floyd-Warshall sweep, in place on both matrices; True if anything moved.
-
-    Both matrices stay symmetric: the upper update is symmetric in (i, j) and
-    the two lower candidates map onto each other under transposition.
-    """
-    n = lower.shape[0]
-    changed = False
-    for k in range(n):
-        shrunk = np.minimum(upper, upper[:, k, None] + upper[None, k, :])
-        if (shrunk < upper).any():
-            changed = True
-        upper[...] = shrunk
-        grown = np.maximum(
-            lower,
-            np.maximum(lower[:, k, None] - upper[None, k, :],
-                       lower[None, k, :] - upper[:, k, None]),
-        )
-        np.fill_diagonal(grown, 0.0)
-        if (grown > lower).any():
-            changed = True
-        lower[...] = grown
-        _raise_if_crossed(lower, upper)
-    return changed
-
-
-def _raise_if_crossed(lower: np.ndarray, upper: np.ndarray) -> None:
+def _crossings(lower: np.ndarray, upper: np.ndarray) -> list:
+    """Per (n, n) set of a stack: None, or an InconsistentBoundsError naming
+    its first pair (in row-major order) whose lower bound exceeds the upper."""
     bad = lower - upper > 1e-9
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise InconsistentBoundsError(int(i), int(j), float(lower[i, j]),
-                                      float(upper[i, j]))
+    found = [None] * len(bad)
+    for s in np.flatnonzero(bad.any(axis=(1, 2))):
+        i, j = np.argwhere(bad[s])[0]
+        found[s] = InconsistentBoundsError(int(i), int(j), float(lower[s, i, j]),
+                                           float(upper[s, i, j]))
+    return found
+
+
+def _smooth_stack(lower: np.ndarray, upper: np.ndarray) -> tuple:
+    """`smooth_bounds` for a stack of S bound sets of one size, (S, n, n).
+
+    Each Floyd-Warshall sweep shrinks uppers and then grows lowers through
+    every atom k in turn; both matrices stay symmetric, since the upper
+    update is symmetric in (i, j) and the two lower candidates map onto each
+    other under transposition. Every set sweeps until its own fixed point (at
+    most n + 1 sweeps) and is rejected at the first crossing it hits, exactly
+    as it would be alone: the sets still running share each step.
+
+    Returns (lower, upper, errors): the smoothed bounds and, per set, None or
+    the InconsistentBoundsError that rejected it (whose rows of the bounds
+    are then not smoothed).
+    """
+    lower = np.array(lower, dtype=np.float64)
+    upper = np.array(upper, dtype=np.float64)
+    n = lower.shape[1]
+    diagonal = np.arange(n)
+    errors = _crossings(lower, upper)
+    active = np.flatnonzero([e is None for e in errors])
+    for _ in range(n + 1):
+        if not active.size:
+            break
+        lo, up = lower[active], upper[active]
+        changed = np.zeros(active.size, dtype=bool)
+        for k in range(n):
+            shrunk = np.minimum(up, up[:, :, k, None] + up[:, None, k, :])
+            changed |= (shrunk < up).any(axis=(1, 2))
+            up = shrunk
+            grown = np.maximum(
+                lo,
+                np.maximum(lo[:, :, k, None] - up[:, None, k, :],
+                           lo[:, None, k, :] - up[:, :, k, None]),
+            )
+            grown[:, diagonal, diagonal] = 0.0
+            changed |= (grown > lo).any(axis=(1, 2))
+            lo = grown
+            crossed = _crossings(lo, up)
+            if any(crossed):
+                for s, error in zip(active, crossed):
+                    errors[s] = error
+                keep = np.array([e is None for e in crossed], dtype=bool)
+                active, lo, up, changed = (a[keep] for a in (active, lo, up, changed))
+        lower[active], upper[active] = lo, up
+        active = active[changed]
+    return lower, upper, errors
 
 
 def smooth_bounds(b: BoundsMatrix) -> BoundsMatrix:
     """Tighten bounds to triangle-inequality consistency.
 
     Upper bounds relax to all-pairs shortest paths over the upper matrix;
-    lower bounds grow from lower(i,k) - upper(k,j) differences. Sweeps repeat
-    until a fixed point, so a second application is a no-op.
+    lower bounds grow from lower(i,k) - upper(k,j) differences, one
+    Floyd-Warshall sweep at a time. Sweeps repeat until a fixed point, so a
+    second application is a no-op; a lower bound that ends up above its
+    upper bound raises InconsistentBoundsError naming the pair. A one-set
+    `_smooth_stack`.
     """
-    lower = b.lower.copy()
-    upper = b.upper.copy()
-    _raise_if_crossed(lower, upper)
-    for _ in range(b.n + 1):
-        if not _smoothing_pass(lower, upper):
-            break
-    return BoundsMatrix(lower, upper)
+    lower, upper, errors = _smooth_stack(b.lower[None], b.upper[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return BoundsMatrix(lower[0], upper[0])
 
 
 def metrize(b: BoundsMatrix, rng: np.random.Generator) -> np.ndarray:
@@ -229,6 +276,10 @@ def _refine_stack(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
     Returns (coords, converged, max_violation, iterations), indexed by sample.
     """
+    # the energy sums run along memory, so their order must not depend on
+    # the layout the caller's bounds happen to have
+    lower = np.ascontiguousarray(lower, dtype=np.float64)
+    upper = np.ascontiguousarray(upper, dtype=np.float64)
     best = np.array(coords, dtype=np.float64)
     n = best.shape[1]
     iu = np.triu_indices(n, k=1)
@@ -322,6 +373,11 @@ class EmbedBatchReport:
 
     `n_smoothing_ok` counts the samples kept; `n_degenerate` those that passed
     smoothing but were dropped because refinement left two atoms on one point.
+    `violations` and `iterations` list the kept samples' final largest bound
+    violation and refine step count; `n_iteration_capped` counts the kept
+    samples that used all REFINE_MAX_ITER steps without converging.
+    `smoothing_rejections` counts, per atom pair "i-j" (i < j), the samples
+    that smoothing rejected at that pair.
     """
 
     n_samples: int
@@ -329,17 +385,27 @@ class EmbedBatchReport:
     n_degenerate: int
     n_converged: int
     violations: list
+    iterations: list = field(default_factory=list)
+    n_iteration_capped: int = 0
+    smoothing_rejections: dict = field(default_factory=dict)
 
     @classmethod
     def merged(cls, reports) -> "EmbedBatchReport":
-        """One report over several batches; violations keep the given order."""
+        """One report over several batches; lists keep the given order and
+        rejection counts of equally named pairs add up."""
         reports = list(reports)
+        rejections = Counter()
+        for r in reports:
+            rejections.update(r.smoothing_rejections)
         return cls(
             n_samples=sum(r.n_samples for r in reports),
             n_smoothing_ok=sum(r.n_smoothing_ok for r in reports),
             n_degenerate=sum(r.n_degenerate for r in reports),
             n_converged=sum(r.n_converged for r in reports),
             violations=[v for r in reports for v in r.violations],
+            iterations=[i for r in reports for i in r.iterations],
+            n_iteration_capped=sum(r.n_iteration_capped for r in reports),
+            smoothing_rejections=dict(rejections),
         )
 
     @property
@@ -361,6 +427,10 @@ class EmbedBatchReport:
             "convergence_rate": self.convergence_rate,
             "mean_max_violation": float(v.mean()) if v.size else 0.0,
             "worst_violation": float(v.max()) if v.size else 0.0,
+            "mean_refine_iterations":
+                float(np.mean(self.iterations)) if self.iterations else 0.0,
+            "n_iteration_capped": self.n_iteration_capped,
+            "smoothing_rejections": dict(self.smoothing_rejections),
         }
 
 
@@ -370,35 +440,37 @@ def generate(params: cvae.ModelParams, eg: ExtendedGraph, n: int,
 
     Sample k draws from its own stream,
     SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k)): first a
-    standard-normal latent per node, which is decoded into edge Gaussians,
-    then the metrization of their bounds. `seed` itself is left untouched, so
-    output does not depend on how samples are grouped or scheduled.
+    standard-normal latent per node, then the metrization of its bounds.
+    `seed` itself is left untouched, so output does not depend on how samples
+    are grouped or scheduled.
 
-    The samples that pass bound smoothing are refined together, as one
-    stack (see `_refine_stack`).
+    The samples move through the pipeline as one stack: one tape-free
+    `cvae.decode` of all n latents, one bound construction and smoothing of
+    all n bound sets (`_smooth_stack`), then metrization and embedding per
+    sample, then one lockstep refine of the samples that passed smoothing
+    (`_refine_stack`). Each stacked step gives every sample exactly the
+    values it would get alone, so sample k does not depend on n.
 
     Returns (results, report) where `results` holds an EmbedResult for every
     sample that passed smoothing and kept its atoms apart, in sample order.
     """
     elements = eg.source_graph.elements
-    starts, bounds = [], []
-    for k in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            seed.entropy, spawn_key=(*seed.spawn_key, k)))
-        ged = cvae.decode(params, eg, rng.standard_normal(eg.n_nodes))
-        try:
-            b = smooth_bounds(make_bounds(eg, ged))
-        except InconsistentBoundsError:
-            continue
-        starts.append(gram_embed(metrize(b, rng)))
-        bounds.append(b)
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+        seed.entropy, spawn_key=(*seed.spawn_key, k))) for k in range(n)]
+    latents = np.array([rng.standard_normal(eg.n_nodes) for rng in rngs])
+    ged = cvae.decode(params, eg, latents.reshape(n, eg.n_nodes))  # n may be 0
+    lower, upper, errors = _smooth_stack(*_bounds_stack(eg, ged))
+    passed = [k for k in range(n) if errors[k] is None]
+    rejections = Counter("-".join(map(str, sorted(errors[k].pair)))
+                         for k in range(n) if errors[k] is not None)
     results = []
     n_degenerate = 0
-    if starts:
+    if passed:
+        starts = [gram_embed(metrize(BoundsMatrix(lower[k], upper[k]), rngs[k]))
+                  for k in passed]
         iu = np.triu_indices(eg.n_nodes, k=1)
-        refined = _refine_stack(np.stack(starts),
-                                np.stack([b.lower[iu] for b in bounds]),
-                                np.stack([b.upper[iu] for b in bounds]), tol)
+        refined = _refine_stack(np.stack(starts), lower[passed][:, iu[0], iu[1]],
+                                upper[passed][:, iu[0], iu[1]], tol)
         for coords, converged, violation, iterations in zip(*refined):
             try:
                 conformation = Conformation(elements, coords)
@@ -413,5 +485,9 @@ def generate(params: cvae.ModelParams, eg: ExtendedGraph, n: int,
         n_degenerate=n_degenerate,
         n_converged=sum(r.converged for r in results),
         violations=[r.max_violation for r in results],
+        iterations=[r.iterations for r in results],
+        n_iteration_capped=sum(not r.converged and r.iterations >= REFINE_MAX_ITER
+                               for r in results),
+        smoothing_rejections=dict(rejections),
     )
     return results, report

@@ -4,14 +4,19 @@ Covers exactly what the distance model needs: dense layers with ReLU,
 elementwise math, concatenation, full-sum reduction, and row gather/scatter
 for message passing. Every operation whose inputs require gradients records
 parent links and a backward closure on its output; `backward` replays the
-recording once in reverse topological order. An Adam optimizer and a JSON
-checkpoint container round the module off.
+recording once in reverse topological order. Inside `inference()` nothing is
+recorded. The graph operations (`matmul`, `rows`, `scatter_sum`, `concat`)
+take an optional leading sample axis, so one pass runs a stack of inputs
+through the same weights. An Adam optimizer and a JSON checkpoint container
+round the module off.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +97,31 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Mode(threading.local):
+    inference = False
+
+
+_mode = _Mode()
+
+
+@contextlib.contextmanager
+def inference():
+    """Run operations without recording an autodiff tape, in this thread only.
+
+    Results hold their values but no parents or backward closures, so nothing
+    keeps the intermediate buffers alive and `backward` cannot reach them.
+    """
+    previous = _mode.inference
+    _mode.inference = True
+    try:
+        yield
+    finally:
+        _mode.inference = previous
+
+
 def _result(data, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if not _mode.inference and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._grad_fn = grad_fn
@@ -174,15 +201,20 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product; `a` may be a (S, rows, cols) stack of matrices.
+
+    A stack multiplies slice by slice, so each slice gets exactly the product
+    it would get alone.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects two matrices")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
+        raise ShapeError("matmul expects a matrix or a stack of them, then a matrix")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
 
     def grad_fn(g):
         _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _result(a.data @ b.data, (a, b), grad_fn)
 
@@ -248,10 +280,20 @@ def tsum(x) -> Tensor:
 
 
 def concat(parts, axis: int = 0) -> Tensor:
+    """Join along `axis`; parts with fewer axes repeat along the leading ones.
+
+    So a (rows, cols) part joins a (S, rows, cols2) stack as if copied S
+    times; its gradient is summed over the copies. With parts of different
+    rank, count `axis` from the end.
+    """
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of nothing")
-    sizes = [p.data.shape[axis] for p in parts]
+    lead = max((p.data.shape for p in parts), key=len)
+    arrays = [p.data if p.data.ndim == len(lead) else
+              np.broadcast_to(p.data, lead[:len(lead) - p.data.ndim] + p.data.shape)
+              for p in parts]
+    sizes = [a.shape[axis] for a in arrays]
     offsets = np.cumsum([0] + sizes)
 
     def grad_fn(g):
@@ -260,37 +302,45 @@ def concat(parts, axis: int = 0) -> Tensor:
             index[axis] = slice(lo, hi)
             _accumulate(p, g[tuple(index)])
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), grad_fn)
+    return _result(np.concatenate(arrays, axis=axis), tuple(parts), grad_fn)
+
+
+def _row_index(x: Tensor, index: np.ndarray, op: str):
+    """Index that selects rows of a matrix, or the same rows of each matrix in
+    a stack. A matrix keeps the bare array, np.add.at's fastest form."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"{op} expects a matrix or a stack of them")
+    return index if x.data.ndim == 2 else (slice(None), index)
 
 
 def rows(x, index) -> Tensor:
-    """Gather rows of a matrix by integer index (with repetition)."""
+    """Gather rows of a matrix (or of each matrix in a stack) by integer index,
+    with repetition."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
-    if x.data.ndim != 2:
-        raise ShapeError("rows expects a matrix")
+    at = _row_index(x, index, "rows")
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
+        np.add.at(gx, at, g)
         _accumulate(x, gx)
 
-    return _result(x.data[index], (x,), grad_fn)
+    return _result(x.data[at], (x,), grad_fn)
 
 
 def scatter_sum(x, index, size: int) -> Tensor:
-    """Sum rows of `x` into `size` buckets selected by `index` (segment sum)."""
+    """Sum rows of `x` into `size` buckets selected by `index` (segment sum);
+    a stack sums each of its matrices."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
-    if x.data.ndim != 2:
-        raise ShapeError("scatter_sum expects a matrix")
-    if index.shape[0] != x.data.shape[0]:
+    at = _row_index(x, index, "scatter_sum")
+    if index.shape[0] != x.data.shape[-2]:
         raise ShapeError("scatter_sum index length must match the row count")
-    out = np.zeros((int(size), x.data.shape[1]))
-    np.add.at(out, index, x.data)
+    out = np.zeros(x.data.shape[:-2] + (int(size), x.data.shape[-1]))
+    np.add.at(out, at, x.data)
 
     def grad_fn(g):
-        _accumulate(x, g[index])
+        _accumulate(x, g[at])
 
     return _result(out, (x,), grad_fn)
 

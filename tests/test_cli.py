@@ -184,6 +184,28 @@ class TestGenerate:
         assert report["n_smoothing_ok"] == len(dataio.read_dataset(out)) == len(calls) - 1
         assert report["n_smoothing_ok"] + report["n_degenerate"] <= report["n_samples"]
 
+    def test_report_has_refine_and_rejection_stats(self, workspace, tmp_path,
+                                                   monkeypatch):
+        _, _, data_path, _, ckpt_path = workspace
+        stacked_bounds = edg._bounds_stack
+
+        def cross_first_sample(eg, ged):
+            lower, upper = stacked_bounds(eg, ged)
+            lower[0, 0, 1] = lower[0, 1, 0] = upper[0, 0, 1] + 1.0
+            return lower, upper
+
+        monkeypatch.setattr(edg, "_bounds_stack", cross_first_sample)
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", str(ckpt_path), str(data_path), str(out),
+                     "--n", "3", "--seed", "2"]) == 0
+        report = json.loads((tmp_path / "gen.jsonl.report.json").read_text())
+        molecules = list(report["per_molecule_success"])
+        assert report["smoothing_rejections"] == {m: {"0-1": 1} for m in molecules}
+        assert report["n_smoothing_ok"] + report["n_degenerate"] == 3 * len(molecules) - 3
+        assert isinstance(report["n_iteration_capped"], int)
+        assert 0 <= report["n_iteration_capped"] <= report["n_smoothing_ok"]
+        assert 0.0 <= report["mean_refine_iterations"] <= edg.REFINE_MAX_ITER
+
     def test_generated_records_reuse_molecule_graphs(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace
         out = tmp_path / "gen.jsonl"

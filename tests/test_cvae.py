@@ -236,6 +236,54 @@ class TestDecode:
         assert np.abs(mu_a[~far] - mu_b[~far]).max() > 0
 
 
+class TestStackedDecode:
+    @settings(max_examples=30, deadline=None)
+    @given(n_atoms=st.integers(1, 16), samples=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_single_decodes_without_tape(self, n_atoms, samples, seed):
+        """Bit for bit per sample, and not one op records parents or a
+        backward closure."""
+        rng = np.random.default_rng(seed)
+        eg = build_extended_graph(random_tree(n_atoms, rng), seed=1)
+        p = cvae.ModelParams(SMALL, seed=seed % 1000)
+        z = rng.standard_normal((samples, eg.n_nodes))
+        results = []
+        real_result = nnet._result
+
+        def spy(data, parents, grad_fn):
+            out = real_result(data, parents, grad_fn)
+            results.append(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nnet, "_result", spy)
+            stacked = cvae.decode(p, eg, z)
+        assert results and all(t._parents == () and t._grad_fn is None
+                                for t in results)
+        assert stacked.mean.shape == stacked.var.shape == (samples, eg.n_edges)
+        for s in range(samples):
+            alone = cvae.decode(p, eg, z[s])
+            assert stacked.mean[s].tobytes() == alone.mean.tobytes(), s
+            assert stacked.var[s].tobytes() == alone.var.tobytes(), s
+
+    def test_single_decode_equals_taped_forward_pass(self, small_instance):
+        p, eg, _ = small_instance
+        z = np.random.default_rng(3).standard_normal(eg.n_nodes)
+        mean, logvar = cvae._decode_core(
+            p, nnet.constant(eg.node_features), nnet.constant(eg.edge_features),
+            eg.src, eg.dst, eg.n_nodes, nnet.constant(z[:, None]))
+        assert mean.requires_grad
+        ged = cvae.decode(p, eg, z)
+        assert ged.mean.tobytes() == mean.data[:, 0].tobytes()
+        assert ged.var.tobytes() == np.exp(logvar.data[:, 0]).tobytes()
+
+    def test_latent_shape_checked(self, small_instance):
+        p, eg, _ = small_instance
+        for shape in [(2, eg.n_nodes + 1), (1, 2, eg.n_nodes)]:
+            with pytest.raises(ShapeError):
+                cvae.decode(p, eg, np.zeros(shape))
+
+
 class TestElbo:
     def test_kl_is_zero_at_the_prior(self):
         assert cvae.kl_standard_normal(np.zeros(4), np.ones(4)) == 0.0

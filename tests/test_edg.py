@@ -5,6 +5,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from confgen import cvae, edg, nnet
 from confgen.cvae import GaussianEdgeDist
+from confgen.errors import DomainError
 from confgen.edg import (
     BoundsMatrix,
     InconsistentBoundsError,
@@ -139,6 +140,112 @@ class TestSmoothBounds:
         # the contradiction surfaces either directly on (0,2) or through the
         # propagated lower bound on (1,2); both identify real violations
         assert set(info.value.pair) in ({0, 2}, {1, 2})
+
+
+class TestBoundsMatrix:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_entry_rejected_with_its_pair(self, value, side):
+        b = random_bounds(4, np.random.default_rng(3))
+        bounds = {"lower": b.lower.copy(), "upper": b.upper.copy()}
+        bounds[side][1, 3] = bounds[side][3, 1] = value
+        with pytest.raises(DomainError, match=r"atom pair \(1, 3\) are not finite"):
+            BoundsMatrix(**bounds)
+
+    def test_non_finite_diagonal_rejected(self):
+        lower = np.zeros((2, 2))
+        upper = np.array([[np.nan, 1.0], [1.0, 0.0]])
+        with pytest.raises(DomainError, match=r"\(0, 0\)"):
+            BoundsMatrix(lower, upper)
+
+
+def oracle_smooth(b):
+    """Per-set smoothing as written before the stack: in-place sweeps on one
+    pair of matrices, raising at the first crossing."""
+    lower, upper = b.lower.copy(), b.upper.copy()
+
+    def raise_if_crossed():
+        bad = lower - upper > 1e-9
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InconsistentBoundsError(int(i), int(j), float(lower[i, j]),
+                                          float(upper[i, j]))
+
+    raise_if_crossed()
+    for _ in range(b.n + 1):
+        changed = False
+        for k in range(b.n):
+            shrunk = np.minimum(upper, upper[:, k, None] + upper[None, k, :])
+            changed |= bool((shrunk < upper).any())
+            upper[...] = shrunk
+            grown = np.maximum(lower, np.maximum(lower[:, k, None] - upper[None, k, :],
+                                                 lower[None, k, :] - upper[:, k, None]))
+            np.fill_diagonal(grown, 0.0)
+            changed |= bool((grown > lower).any())
+            lower[...] = grown
+            raise_if_crossed()
+        if not changed:
+            break
+    return BoundsMatrix(lower, upper)
+
+
+def crossing_bounds(n, rng, kind):
+    """Random bounds, made inconsistent in one of three ways (kind 0-2): a
+    lower bound above its own loose upper bound, found before any sweep; a
+    lower bound (i, j) above the upper path i-k-j; or a pair (k, j) pinned
+    longer than the path k-i-j allows. The last two are found mid-sweep."""
+    b = random_bounds(n, rng)
+    lower, upper = b.lower, b.upper
+    i, j, k = rng.choice(n, size=3, replace=False)
+    if kind == 0:  # loose, so that a sweep would have moved it
+        upper[i, j] = upper[j, i] = 10.0 * upper[i, j]
+        lower[i, j] = lower[j, i] = upper[i, j] + rng.uniform(0.01, 1.0)
+    elif kind == 1:
+        lower[i, j] = lower[j, i] = upper[i, k] + upper[k, j] + rng.uniform(0.01, 1.0)
+        upper[i, j] = upper[j, i] = max(upper[i, j], lower[i, j])
+    else:
+        upper[i, k] = upper[k, i] = lower[i, k]
+        lower[k, j] = lower[j, k] = upper[k, j] = upper[j, k] = \
+            upper[i, j] + upper[i, k] + rng.uniform(0.01, 1.0)
+    return BoundsMatrix(lower, upper)
+
+
+class TestSmoothStack:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 12), kinds=st.lists(st.integers(0, 3), min_size=1,
+                                                max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_set_oracle(self, n, kinds, seed):
+        """Bit for bit, set by set, on stacks mixing consistent sets (kind 3)
+        with sets that cross; rejected sets and their first crossing agree."""
+        rng = np.random.default_rng(seed)
+        stack = [random_bounds(n, rng) if kind == 3 else crossing_bounds(n, rng, kind)
+                 for kind in kinds]
+        lower, upper, errors = edg._smooth_stack(np.stack([b.lower for b in stack]),
+                                                 np.stack([b.upper for b in stack]))
+        for s, b in enumerate(stack):
+            try:
+                expected = oracle_smooth(b)
+            except InconsistentBoundsError as e:
+                assert errors[s] is not None, s
+                assert (errors[s].pair, str(errors[s])) == (e.pair, str(e)), s
+                with pytest.raises(InconsistentBoundsError) as info:
+                    smooth_bounds(b)
+                assert (info.value.pair, str(info.value)) == (e.pair, str(e))
+                continue
+            assert errors[s] is None, s
+            assert lower[s].tobytes() == expected.lower.tobytes(), s
+            assert upper[s].tobytes() == expected.upper.tobytes(), s
+            alone = smooth_bounds(b)
+            assert alone.lower.tobytes() == expected.lower.tobytes()
+            assert alone.upper.tobytes() == expected.upper.tobytes()
+
+    def test_all_kinds_cross(self):
+        rng = np.random.default_rng(21)
+        for kind in range(3):
+            for _ in range(5):
+                with pytest.raises(InconsistentBoundsError):
+                    oracle_smooth(crossing_bounds(6, rng, kind))
 
 
 class TestMetrize:
@@ -401,8 +508,10 @@ class TestEmbedConformation:
         eg = build_extended_graph(g, seed=0)
         good = GaussianEdgeDist(np.array([1.5, 1.5, 2.4]), np.full(3, 1e-4))
         bad = GaussianEdgeDist(np.array([0.9, 0.9, 5.0]), np.full(3, 1e-6))
-        decoded = iter([good, bad, good])
-        monkeypatch.setattr(cvae, "decode", lambda p, eg, z: next(decoded))
+        stack = [good, bad, good]
+        decoded = GaussianEdgeDist(np.stack([d.mean for d in stack]),
+                                   np.stack([d.var for d in stack]))
+        monkeypatch.setattr(cvae, "decode", lambda p, eg, z: decoded)
         results, report = edg.generate(None, eg, 3, np.random.SeedSequence(1))
         assert report.n_samples == 3
         assert report.n_smoothing_ok == 2
@@ -440,6 +549,57 @@ class TestGenerate:
                 continue
         assert [r.conformation.positions.tobytes() for r in a] == \
                [r.conformation.positions.tobytes() for r in expected]
+
+    def test_sample_does_not_depend_on_stack_size(self):
+        rng = np.random.default_rng(43)
+        eg = build_extended_graph(random_tree(9, rng), seed=1)
+        params = cvae.ModelParams(SMALL, seed=4)
+        seed = np.random.SeedSequence(17, spawn_key=(1,))
+        small, small_report = edg.generate(params, eg, 3, seed)
+        large, large_report = edg.generate(params, eg, 7, seed)
+        assert small_report.n_smoothing_ok == 3 and large_report.n_smoothing_ok == 7
+        for a, b in zip(small, large[:3]):
+            assert a.conformation.positions.tobytes() == \
+                   b.conformation.positions.tobytes()
+            assert (a.converged, a.max_violation, a.iterations) == \
+                   (b.converged, b.max_violation, b.iterations)
+
+    def test_report_counts_refine_steps_and_rejected_pairs(self, monkeypatch):
+        g = MolGraph.from_elements("CCC", [(0, 1), (1, 2)])
+        eg = build_extended_graph(g, seed=0)
+        good = GaussianEdgeDist(np.array([1.5, 1.5, 2.4]), np.full(3, 1e-4))
+        bad = GaussianEdgeDist(np.array([0.9, 0.9, 5.0]), np.full(3, 1e-6))
+        stack = [bad, good, bad, good]
+        decoded = GaussianEdgeDist(np.stack([d.mean for d in stack]),
+                                   np.stack([d.var for d in stack]))
+        monkeypatch.setattr(cvae, "decode", lambda p, eg, z: decoded)
+        pair = edg._smooth_stack(*edg._bounds_stack(eg, bad))[2][0].pair
+        key = f"{min(pair)}-{max(pair)}"
+        results, report = edg.generate(None, eg, 4, np.random.SeedSequence(2))
+        assert report.smoothing_rejections == {key: 2}
+        assert report.iterations == [r.iterations for r in results]
+        d = report.as_dict()
+        assert d["mean_refine_iterations"] == np.mean(report.iterations)
+        assert d["n_iteration_capped"] == 0
+        assert d["smoothing_rejections"] == {key: 2}
+
+        # squeezed starts that two refine steps cannot fix
+        embed = edg.gram_embed
+        monkeypatch.setattr(edg, "gram_embed", lambda d: 0.5 * embed(d))
+        monkeypatch.setattr(edg, "REFINE_MAX_ITER", 2)
+        _, capped = edg.generate(None, eg, 4, np.random.SeedSequence(2))
+        assert capped.n_iteration_capped == 2 and capped.n_converged == 0
+        assert capped.iterations == [2, 2]
+        both = edg.EmbedBatchReport.merged([report, capped])
+        assert both.smoothing_rejections == {key: 4}
+        assert both.n_iteration_capped == 2
+        assert both.iterations == report.iterations + capped.iterations
+
+    def test_no_samples(self):
+        eg = build_extended_graph(random_tree(4, np.random.default_rng(5)), seed=1)
+        results, report = edg.generate(cvae.ModelParams(SMALL, seed=1), eg, 0,
+                                       np.random.SeedSequence(1))
+        assert results == [] and report.as_dict()["n_samples"] == 0
 
     def test_trained_model_samples_near_training_support(self):
         rng = np.random.default_rng(12)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,89 @@ class TestBackward:
         out = nnet.tsum(nnet.rows(x, idx))
         nnet.backward(out)
         assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+class TestSampleAxis:
+    """Graph ops on a (S, rows, cols) stack act on each matrix as if alone."""
+
+    def test_forward_matches_each_slice(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 7, 3))
+        w = rng.normal(size=(3, 5))
+        idx = np.array([0, 2, 2, 6, 1])
+        side = rng.normal(size=(7, 2))
+        out = {
+            "matmul": nnet.matmul(Tensor(x), Tensor(w)).data,
+            "rows": nnet.rows(Tensor(x), idx).data,
+            "scatter": nnet.scatter_sum(Tensor(x[:, :5]), idx, 7).data,
+            "concat": nnet.concat([Tensor(side), Tensor(x)], axis=-1).data,
+        }
+        for s in range(4):
+            alone = {
+                "matmul": nnet.matmul(Tensor(x[s]), Tensor(w)).data,
+                "rows": nnet.rows(Tensor(x[s]), idx).data,
+                "scatter": nnet.scatter_sum(Tensor(x[s, :5]), idx, 7).data,
+                "concat": nnet.concat([Tensor(side), Tensor(x[s])], axis=-1).data,
+            }
+            for name, value in alone.items():
+                assert out[name][s].tobytes() == value.tobytes(), name
+
+    def test_gradients_sum_over_the_stack(self):
+        rng = np.random.default_rng(1)
+        x = nnet.param(rng.normal(size=(3, 4, 2)))
+        w = nnet.param(rng.normal(size=(3, 2)))
+        side = nnet.param(rng.normal(size=(4, 1)))
+        idx = np.array([1, 3, 3, 0])
+
+        def loss():
+            h = nnet.concat([side, nnet.rows(x, idx)], axis=-1)  # (3, 4, 3)
+            h = nnet.scatter_sum(nnet.matmul(h, w), idx, 4)  # (3, 4, 2)
+            return nnet.tsum(nnet.square(nnet.relu(h)))
+
+        nnet.backward(loss())
+        for t in (x, w, side):
+            expected = finite_difference(lambda _: loss().item(), t.data)
+            assert t.grad.shape == t.data.shape
+            assert np.allclose(t.grad, expected, rtol=1e-5, atol=1e-6)
+
+    def test_rank_checked(self):
+        with pytest.raises(ShapeError):
+            nnet.rows(Tensor(np.zeros(3)), [0])
+        with pytest.raises(ShapeError):
+            nnet.scatter_sum(Tensor(np.zeros((1, 2, 3, 4))), [0, 1, 2], 3)
+        with pytest.raises(ShapeError):
+            nnet.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 4))))
+
+
+class TestInference:
+    def test_records_no_tape(self):
+        w = nnet.param(np.ones((2, 2)))
+        with nnet.inference():
+            out = nnet.tsum(nnet.relu(nnet.matmul(Tensor(np.ones((3, 2))), w)))
+        assert out.item() == 12.0
+        assert (out.requires_grad, out._parents, out._grad_fn) == (False, (), None)
+        taped = nnet.tsum(nnet.matmul(Tensor(np.ones((3, 2))), w))
+        assert taped.requires_grad and taped._parents
+
+    def test_mode_is_per_thread_and_restored(self):
+        w = nnet.param(np.ones(2))
+        inside, other = threading.Event(), threading.Event()
+        seen = {}
+
+        def taped_thread():
+            inside.wait()
+            seen["other"] = nnet.mul(w, 2.0).requires_grad
+            other.set()
+
+        worker = threading.Thread(target=taped_thread)
+        worker.start()
+        with nnet.inference():
+            inside.set()
+            other.wait()
+            seen["inside"] = nnet.mul(w, 2.0).requires_grad
+        worker.join()
+        assert seen == {"other": True, "inside": False}
+        assert nnet.mul(w, 2.0).requires_grad
 
 
 class TestAdam:
