@@ -9,6 +9,7 @@ constant (k_B*T at 500 K is 8.314*500/1000 kJ/mol).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -67,10 +68,10 @@ class EnergyModel:
         for t in self.angles:
             if t.stiffness <= 0:
                 raise ValueError("angle terms need positive stiffness")
-        self._compiled: dict[int, tuple] = {}
+        self._compiled: dict[int, _TermStack] = {}
 
-    def _indices(self, n: int) -> tuple:
-        """Vectorized index arrays for `n` atoms, cached per atom count."""
+    def _terms(self, n: int) -> _TermStack:
+        """This model's terms for `n` atoms as a one-molecule stack, cached per n."""
         cached = self._compiled.get(n)
         if cached is not None:
             return cached
@@ -86,37 +87,123 @@ class EnergyModel:
         for idx in (bi, bj, ai, aj, ak):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ValueError("energy term references a missing atom")
-        bonded = {frozenset((t.i, t.j)) for t in self.bonds}
-        iu = np.triu_indices(n, k=1)
-        mask = np.array(
-            [frozenset((int(a), int(b))) not in bonded for a, b in zip(*iu)]
+        si = sj = np.empty(0, dtype=np.int64)
+        floor, stiffness = np.empty(0), 0.0
+        if self.steric is not None:
+            bonded = {frozenset((t.i, t.j)) for t in self.bonds}
+            iu = np.triu_indices(n, k=1)
+            mask = np.array(
+                [frozenset((int(a), int(b))) not in bonded for a, b in zip(*iu)],
+                dtype=bool,
+            )
+            si, sj = iu[0][mask], iu[1][mask]
+            floor, stiffness = np.full(si.size, self.steric.floor), self.steric.stiffness
+        cached = _TermStack(
+            n, (bi, bj, br, bk), (ai, aj, ak, ar, astiff), (si, sj, floor),
+            [(0, bi.size, 0, ai.size, 0, si.size, stiffness)],
         )
-        si, sj = iu[0][mask], iu[1][mask]
-        cached = (bi, bj, br, bk, ai, aj, ak, ar, astiff, si, sj)
         self._compiled[n] = cached
         return cached
 
     def energy_of(self, positions: np.ndarray) -> float:
         positions = np.asarray(positions, dtype=np.float64)
-        n = positions.shape[0]
-        bi, bj, br, bk, ai, aj, ak, ar, astiff, si, sj = self._indices(n)
-        e = 0.0
-        if bi.size:
-            d = np.sqrt(((positions[bi] - positions[bj]) ** 2).sum(axis=1))
-            e += float((bk * (d - br) ** 2).sum())
-        if ai.size:
-            va = positions[ai] - positions[aj]
-            vb = positions[ak] - positions[aj]
-            cosang = (va * vb).sum(axis=1) / (
-                np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
-            )
-            theta = np.arccos(np.clip(cosang, -1.0, 1.0))
-            e += float((astiff * (theta - ar) ** 2).sum())
-        if self.steric is not None and si.size:
-            d = np.sqrt(((positions[si] - positions[sj]) ** 2).sum(axis=1))
-            gap = np.maximum(self.steric.floor - d, 0.0)
-            e += float(self.steric.stiffness * (gap**2).sum())
-        return e
+        return self._terms(positions.shape[0]).energies(positions)[0]
+
+
+_EMPTY = np.empty(0)
+
+
+class _TermStack:
+    """The energy terms of several molecules, laid end to end.
+
+    Atoms, bond terms, angle terms and steric pairs are each concatenated in
+    molecule order, so one pass computes every term of every molecule, and
+    each molecule owns one contiguous slice of each term array. A molecule's
+    energy sums its own slices with `ndarray.sum`, which gives exactly the
+    sums of the molecule's terms on their own: the energies do not depend on
+    what else is in the stack. (`np.add.reduceat` and `np.bincount` sum in
+    other orders and do not.) `EnergyModel.energy_of` is the one-molecule
+    case.
+    """
+
+    def __init__(self, n_atoms: int, bonds: tuple, angles: tuple, steric: tuple,
+                 segments: list):
+        self.n_atoms = n_atoms
+        self.bi, self.bj, self.br, self.bk = bonds
+        self.ai, self.aj, self.ak, self.ar, self.astiff = angles
+        self.si, self.sj, self.floor = steric
+        # per molecule: bond, angle and steric-pair ranges, steric stiffness
+        self.segments = segments
+
+    @classmethod
+    def join(cls, stacks) -> _TermStack:
+        """One stack of `stacks` in order, atom indices offset to match."""
+        stacks = list(stacks)
+        atom = np.cumsum([0] + [s.n_atoms for s in stacks[:-1]])
+        counts = np.cumsum([(0, 0, 0)] + [(s.bi.size, s.ai.size, s.si.size)
+                                          for s in stacks[:-1]], axis=0)
+
+        def cat(name, offset=False):
+            parts = [getattr(s, name) + (a if offset else 0)
+                     for s, a in zip(stacks, atom)]
+            return np.concatenate(parts)
+
+        segments = [(b0 + nb, b1 + nb, a0 + na, a1 + na, s0 + ns, s1 + ns, k)
+                    for s, (nb, na, ns) in zip(stacks, counts.tolist())
+                    for b0, b1, a0, a1, s0, s1, k in s.segments]
+        return cls(
+            sum(s.n_atoms for s in stacks),
+            (cat("bi", True), cat("bj", True), cat("br"), cat("bk")),
+            (cat("ai", True), cat("aj", True), cat("ak", True), cat("ar"),
+             cat("astiff")),
+            (cat("si", True), cat("sj", True), cat("floor")),
+            segments,
+        )
+
+    def energies(self, positions: np.ndarray) -> list[float]:
+        """Energy of each molecule in the stack at `positions` (n_atoms, 3)."""
+        bond = angle = gap2 = _EMPTY
+        if self.bi.size:
+            d = np.sqrt(_row_dots(_gather_diff(positions, self.bi, self.bj)))
+            bond = self.bk * (d - self.br) ** 2
+        if self.ai.size:
+            va = _gather_diff(positions, self.ai, self.aj)
+            vb = _gather_diff(positions, self.ak, self.aj)
+            # the norms and the clip of np.linalg.norm and np.clip, without
+            # their call overhead
+            cosang = _row_dots(va, vb) / (np.sqrt(_row_dots(va)) * np.sqrt(_row_dots(vb)))
+            theta = np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0))
+            angle = self.astiff * (theta - self.ar) ** 2
+        if self.si.size:
+            d = np.sqrt(_row_dots(_gather_diff(positions, self.si, self.sj)))
+            gap2 = np.maximum(self.floor - d, 0.0) ** 2
+        out = []
+        add = np.add.reduce  # what ndarray.sum calls
+        for b0, b1, a0, a1, s0, s1, stiffness in self.segments:
+            e = 0.0
+            if b1 > b0:
+                e += float(add(bond[b0:b1]))
+            if a1 > a0:
+                e += float(add(angle[a0:a1]))
+            if s1 > s0:
+                e += float(stiffness * add(gap2[s0:s1]))
+            out.append(e)
+        return out
+
+
+def _gather_diff(positions: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return positions.take(i, axis=0) - positions.take(j, axis=0)
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise dot products of (m, 3) arrays (squared norms without `v`).
+
+    Summed left to right, as `(u * v).sum(axis=1)` sums rows of three, so
+    the results are the same; only the sign of a zero can differ, and no
+    energy depends on it.
+    """
+    p = u * (u if v is None else v)
+    return (p[:, 0] + p[:, 1]) + p[:, 2]
 
 
 def energy(m: EnergyModel, x: Conformation) -> float:
@@ -157,6 +244,156 @@ class MetropolisResult:
         return self.positions.shape[0]
 
 
+# Proposal noise and acceptance thresholds are drawn in blocks of CHUNK steps:
+# a chain's generator yields the block's normals, then its uniforms. REPLAY
+# steps of normals are held at a time (see _ChainState.draw_chunk).
+CHUNK = 4096
+REPLAY = 256
+TUNE_WINDOW = 50
+
+
+@dataclass
+class Chain:
+    """One Metropolis chain: its model, start, schedule and generator."""
+
+    model: EnergyModel
+    x0: Conformation
+    steps: int  # kept-phase steps, after burn-in
+    rng: np.random.Generator
+    step_size: float = 0.05  # ångström
+    burn_in: int = 0
+    thin: int = 1
+    tune: bool = True
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("need at least one step")
+        if self.burn_in < 0:
+            raise ValueError("burn-in must not be negative")
+        if self.thin < 1:
+            raise ValueError("thin must be at least 1")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step size must be finite and positive")
+
+
+class _ChainState:
+    """A chain's place in the lockstep loop."""
+
+    def __init__(self, chain: Chain):
+        self.chain = chain
+        self.total = chain.burn_in + chain.steps
+        self.pos = chain.x0.positions.copy()
+        self.n_atoms = self.pos.shape[0]
+        self.energy = 0.0  # at `pos`, kept while the chain is out of the stack
+        self.step_size = chain.step_size
+        self.accepted = 0  # after burn-in
+        self.window = 0  # accepted in the current tuning window
+        self.kept = np.empty((chain.steps // chain.thin, self.n_atoms, 3))
+        self.n_kept = 0
+        self.logu = np.empty(0)
+        self.block = np.empty((REPLAY, self.n_atoms, 3))
+        self.noise = self.block[:0]  # the rows of `block` drawn last
+        self.replay = np.random.Generator(copy.deepcopy(chain.rng.bit_generator))
+
+    def draw_chunk(self, i: int) -> None:
+        """Draw the chunk of steps from `i` as one draw of all its normals,
+        then all its uniforms, would, holding only REPLAY steps of normals.
+
+        The normals are drawn and dropped to reach the uniforms, then
+        replayed from the saved generator state by `draw_block`; the normal
+        sampler keeps no state between calls, so this yields the same
+        numbers.
+        """
+        rng = self.chain.rng
+        length = min(CHUNK, self.total - i)
+        self.replay.bit_generator.state = rng.bit_generator.state
+        for start in range(0, length, REPLAY):
+            rng.standard_normal(out=self.block[: min(REPLAY, length - start)])
+        self.logu = np.log(rng.random(length))
+
+    def draw_block(self, i: int) -> None:
+        """Replay the proposal noise of the steps from `i` to the next edge
+        of a REPLAY block, chunk or the chain's end."""
+        length = min(REPLAY, CHUNK - i % CHUNK, self.total - i)
+        self.noise = self.block[:length]
+        self.replay.standard_normal(out=self.noise)
+
+    def result(self) -> MetropolisResult:
+        return MetropolisResult(
+            elements=self.chain.x0.elements,
+            positions=self.kept,
+            acceptance_rate=self.accepted / self.chain.steps,
+            step_size=self.step_size,
+        )
+
+
+def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
+    """Run several Metropolis chains in one lockstep loop.
+
+    Each step moves every unfinished chain: one pass of `_TermStack`
+    computes all their proposal energies, and accepted chains take their
+    proposals. A chain keeps its own generator, drawn in the order and
+    blocks that `metropolis_sample` draws it, its own step size, tuning
+    window and schedule, and leaves the loop when its own steps are done;
+    so each chain's result is bit for bit the one it gets alone.
+    """
+    kbt = cfg.kbt
+    states = [_ChainState(c) for c in chains]
+    active, start = states, 0
+    while active:
+        # one stretch of steps with a fixed set of chains, until one is done
+        stack = _TermStack.join(s.chain.model._terms(s.n_atoms) for s in active)
+        bounds = np.cumsum([0] + [s.n_atoms for s in active]).tolist()
+        spans = list(zip(active, bounds[:-1], bounds[1:]))
+        pos = np.concatenate([s.pos for s in active])
+        step_rows = np.concatenate(
+            [np.full((s.n_atoms, 1), s.step_size) for s in active])
+        energies = stack.energies(pos) if start == 0 else [s.energy for s in active]
+        end = min(s.total for s in active)
+        noise = None
+        for i in range(start, end):
+            j = i % CHUNK
+            if j == 0:
+                for s in active:
+                    s.draw_chunk(i)
+            if j % REPLAY == 0:
+                for s in active:
+                    s.draw_block(i)
+                noise = None
+            if noise is None:
+                # stacked at each block edge, and mid-block after a chain left
+                base = i - j % REPLAY
+                rows = min(len(s.noise) for s in active)
+                noise = np.concatenate([s.noise[:rows] for s in active], axis=1)
+            proposal = pos + step_rows * noise[i - base]
+            proposed = stack.energies(proposal)
+            for k, (s, a0, a1) in enumerate(spans):
+                chain = s.chain
+                e_prop = proposed[k]
+                if s.logu[j] < -(e_prop - energies[k]) / kbt:
+                    pos[a0:a1] = proposal[a0:a1]
+                    energies[k] = e_prop
+                    if i >= chain.burn_in:
+                        s.accepted += 1
+                    else:
+                        s.window += 1
+                if chain.tune and i < chain.burn_in and (i + 1) % TUNE_WINDOW == 0:
+                    rate = s.window / TUNE_WINDOW
+                    if rate > 0.5:
+                        s.step_size *= 1.1
+                    elif rate < 0.4:
+                        s.step_size *= 0.9
+                    s.window = 0
+                    step_rows[a0:a1] = s.step_size
+                if i >= chain.burn_in and (i - chain.burn_in + 1) % chain.thin == 0:
+                    s.kept[s.n_kept] = pos[a0:a1]
+                    s.n_kept += 1
+        for (s, a0, a1), e in zip(spans, energies):
+            s.pos, s.energy = pos[a0:a1].copy(), e
+        active, start = [s for s in active if s.total > end], end
+    return [s.result() for s in states]
+
+
 def metropolis_sample(m: EnergyModel, x0: Conformation, steps: int, cfg: ISConfig,
                       rng: np.random.Generator, *, step_size: float = 0.05,
                       burn_in: int = 0, thin: int = 1,
@@ -168,53 +405,10 @@ def metropolis_sample(m: EnergyModel, x0: Conformation, steps: int, cfg: ISConfi
     burn-in the step size is nudged toward a 40-50% acceptance rate; it is
     frozen afterwards so the retained chain targets the Boltzmann
     distribution. Keeps every `thin`-th of the `steps` post-burn-in states.
+    A one-chain `metropolis_chains`.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
-    pos = x0.positions.copy()
-    kbt = cfg.kbt
-    e = m.energy_of(pos)
-    n_atoms = pos.shape[0]
-
-    kept = []
-    accepted_main = 0
-    window_accepted = 0
-    window_size = 50
-    total = burn_in + steps
-
-    chunk = 4096
-    noise = logu = None
-    for i in range(total):
-        j = i % chunk
-        if j == 0:
-            # draw proposal noise and acceptance thresholds in blocks
-            noise = rng.standard_normal((min(chunk, total - i), n_atoms, 3))
-            logu = np.log(rng.random(min(chunk, total - i)))
-        prop = pos + step_size * noise[j]
-        e_prop = m.energy_of(prop)
-        if logu[j] < -(e_prop - e) / kbt:
-            pos = prop
-            e = e_prop
-            if i >= burn_in:
-                accepted_main += 1
-            else:
-                window_accepted += 1
-        if tune and i < burn_in and (i + 1) % window_size == 0:
-            rate = window_accepted / window_size
-            if rate > 0.5:
-                step_size *= 1.1
-            elif rate < 0.4:
-                step_size *= 0.9
-            window_accepted = 0
-        if i >= burn_in and (i - burn_in + 1) % thin == 0:
-            kept.append(pos.copy())
-
-    return MetropolisResult(
-        elements=x0.elements,
-        positions=np.asarray(kept) if kept else np.empty((0, n_atoms, 3)),
-        acceptance_rate=accepted_main / steps,
-        step_size=step_size,
-    )
+    chain = Chain(m, x0, steps, rng, step_size, burn_in, thin, tune)
+    return metropolis_chains([chain], cfg)[0]
 
 
 @dataclass

@@ -87,8 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_make_data(args) -> int:
     spec = dataio.load_benchmark_spec(args.spec)
-    records = dataio.make_synthetic_benchmark(spec, args.seed)
+    records, report = dataio.make_synthetic_benchmark(spec, args.seed)
     dataio.write_dataset(args.out, records)
+    Path(f"{args.out}.report.json").write_text(
+        json.dumps({"molecules": report}, indent=2), encoding="utf-8")
     molecules = len({r.molecule for r in records})
     print(f"make-data: molecules={molecules} records={len(records)} out={args.out}")
     return 0

@@ -25,10 +25,11 @@ from . import edg
 from .boltzmann import (
     AngleTerm,
     BondTerm,
+    Chain,
     EnergyModel,
     ISConfig,
     StericTerm,
-    metropolis_sample,
+    metropolis_chains,
 )
 from .errors import DomainError, UsageError
 from .molgraph import (
@@ -436,39 +437,102 @@ def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conf
                             np.random.default_rng(seed), tol=1e-2).conformation
 
 
-def make_synthetic_benchmark(spec: dict, seed: int) -> list[DatasetRecord]:
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return _number(value) and math.isfinite(value) and float(value).is_integer()
+
+
+# schedule field: (default, whose type a valid value is converted to;
+# whether a value is valid; what a valid value is)
+_SCHEDULE = {
+    "count": (100, lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    "burn_in": (2000, lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "thin": (10, lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    "step": (0.07, lambda v: _number(v) and math.isfinite(v) and v > 0,
+             "a finite number > 0"),
+    "tune": (True, lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _chain_schedule(entry: dict, defaults: dict) -> dict:
+    """A molecule's chain settings, each from the entry, else the spec's
+    defaults, else the built-in default; raises ParseError on a bad value.
+    Integers may be written as integral floats."""
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        raise ParseError(f"molecule name must be a non-empty string, got {name!r}")
+    schedule = {}
+    for key, (fallback, valid, rule) in _SCHEDULE.items():
+        where = " (from defaults)" if key not in entry and key in defaults else ""
+        value = entry.get(key, defaults.get(key, fallback))
+        if not valid(value):
+            raise ParseError(
+                f"molecule {name!r}: {key} must be {rule}, got {value!r}{where}")
+        schedule[key] = type(fallback)(value)
+    return schedule
+
+
+def make_synthetic_benchmark(spec: dict, seed: int) -> tuple[list, list]:
     """Sample every molecule of the spec with the Metropolis chain.
 
     Per molecule, a child seed stream drives the initial geometry, the
     extended-graph build seed, and the chain, so the whole dataset is a pure
-    function of (spec, seed). Acceptance below 1% aborts with a hint.
-    """
-    defaults = spec.get("defaults", {})
-    cfg = ISConfig(temperature=float(spec["temperature"]))
-    records: list[DatasetRecord] = []
-    for index, entry in enumerate(spec["molecules"]):
-        name = entry["name"]
-        graph = _molecule_graph(entry)
-        model = energy_model_from_dict(entry["energy"])
-        count = int(entry.get("count", defaults.get("count", 100)))
-        burn_in = int(entry.get("burn_in", defaults.get("burn_in", 2000)))
-        thin = int(entry.get("thin", defaults.get("thin", 10)))
-        step = float(entry.get("step", defaults.get("step", 0.07)))
-        tune = bool(entry.get("tune", defaults.get("tune", True)))
+    function of (spec, seed). Every molecule's name, topology, energy terms
+    and schedule, and the temperature, are checked before any chain starts
+    (ParseError names the molecule and the field). The chains then run in
+    one lockstep loop (`boltzmann.metropolis_chains`), each exactly as it
+    would alone. Acceptance below 1% aborts with a hint.
 
+    Returns the records, molecule by molecule in spec order, and one report
+    per molecule: its name, post-burn-in acceptance rate, tuned step size,
+    post-burn-in steps, burn-in steps and records.
+    """
+    temperature = spec["temperature"]
+    if not (_number(temperature) and math.isfinite(temperature) and temperature > 0):
+        raise ParseError(f"temperature must be a finite number > 0, got {temperature!r}")
+    cfg = ISConfig(temperature=float(temperature))
+    defaults = spec.get("defaults", {})
+    molecules = []  # (name, graph, model, schedule)
+    for entry in spec["molecules"]:
+        schedule = _chain_schedule(entry, defaults)
+        name = entry["name"]
+        if any(name == m[0] for m in molecules):
+            raise ParseError(f"molecule {name!r} appears more than once")
+        try:
+            graph = _molecule_graph(entry)
+            model = energy_model_from_dict(entry["energy"])
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"molecule {name!r}: bad topology or energy terms "
+                             f"({type(e).__name__}: {e})") from e
+        molecules.append((name, graph, model, schedule))
+
+    chains, build_seeds = [], []
+    for index, (_, graph, model, schedule) in enumerate(molecules):
         child = np.random.SeedSequence(seed, spawn_key=(index,))
         init_seed, build_seed, chain_seed = child.generate_state(3)
-        x0 = initial_conformation(graph, model, int(init_seed))
-        result = metropolis_sample(
-            model, x0, steps=count * thin, cfg=cfg,
-            rng=np.random.default_rng(int(chain_seed)),
-            step_size=step, burn_in=burn_in, thin=thin, tune=tune,
-        )
+        build_seeds.append(int(build_seed))
+        chains.append(Chain(
+            model, initial_conformation(graph, model, int(init_seed)),
+            steps=schedule["count"] * schedule["thin"],
+            rng=np.random.default_rng(int(chain_seed)), step_size=schedule["step"],
+            burn_in=schedule["burn_in"], thin=schedule["thin"], tune=schedule["tune"],
+        ))
+
+    records: list[DatasetRecord] = []
+    report = []
+    for (name, graph, _, _), build_seed, chain, result in zip(
+            molecules, build_seeds, chains, metropolis_chains(chains, cfg)):
         if result.acceptance_rate < 0.01:
             raise GenerationError(
                 f"molecule {name!r}: MCMC acceptance {result.acceptance_rate:.2%} "
                 f"is pathologically low; adjust the proposal step size"
             )
         for conf in result.conformations():
-            records.append(DatasetRecord(name, graph, int(build_seed), conf))
-    return records
+            records.append(DatasetRecord(name, graph, build_seed, conf))
+        report.append({"molecule": name, "acceptance_rate": result.acceptance_rate,
+                       "step_size": result.step_size, "steps": chain.steps,
+                       "burn_in": chain.burn_in, "records": len(result)})
+    return records, report

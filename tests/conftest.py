@@ -73,4 +73,4 @@ def tiny_benchmark_records():
     spec = dataio.default_benchmark_spec(count=60)
     spec["molecules"] = [m for m in spec["molecules"]
                          if m["name"] in ("methanol", "ethanol")]
-    return dataio.make_synthetic_benchmark(spec, seed=7), spec
+    return dataio.make_synthetic_benchmark(spec, seed=7)[0], spec

@@ -35,7 +35,7 @@ def benchmark_bundle(tmp_path_factory):
     root = tmp_path_factory.mktemp("benchmark")
     t0 = time.time()
     spec = dataio.default_benchmark_spec(count=2000)
-    records = dataio.make_synthetic_benchmark(spec, seed=11)
+    records, _ = dataio.make_synthetic_benchmark(spec, seed=11)
     manifest = dataio.split_disjoint(records, (0.6, 0.15, 0.25), seed=3)
 
     train_records = dataio.select_split(records,

@@ -58,6 +58,48 @@ class TestMakeData:
         assert main(["make-data", str(spec_path), str(other), "--seed", "3"]) == 0
         assert other.read_bytes() == data_path.read_bytes()
 
+    def test_report_per_molecule(self, workspace, tmp_path):
+        root, spec_path, data_path, _, _ = workspace
+        report = json.loads((root / "data.jsonl.report.json").read_text())
+        assert list(report) == ["molecules"]
+        molecules = report["molecules"]
+        assert [m["molecule"] for m in molecules] == ["methanol", "ethanol", "oxirane"]
+        for m in molecules:
+            assert set(m) == {"molecule", "acceptance_rate", "step_size", "steps",
+                              "burn_in", "records"}
+            assert (m["records"], m["steps"], m["burn_in"]) == (25, 500, 5000)
+            assert 0.01 <= m["acceptance_rate"] <= 1.0
+            assert m["step_size"] > 0.0
+        # no timings: the same seed writes the same report
+        other = tmp_path / "other.jsonl"
+        assert main(["make-data", str(spec_path), str(other), "--seed", "3"]) == 0
+        assert (tmp_path / "other.jsonl.report.json").read_bytes() == \
+            (root / "data.jsonl.report.json").read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", 0), ("step", float("nan")), ("burn_in", -5), ("thin", 0),
+        ("count", 0), ("count", 1.5), ("tune", "no"),
+    ])
+    def test_bad_schedule_exits_2(self, tmp_path, capsys, field, value):
+        spec = dataio.default_benchmark_spec(count=3)
+        spec["molecules"] = spec["molecules"][:2]
+        spec["molecules"][1][field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.jsonl"
+        assert main(["make-data", str(spec_path), str(out)]) == 2
+        assert f"molecule 'ethanol': {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan")])
+    def test_bad_temperature_exits_2(self, tmp_path, capsys, value):
+        spec = dataio.default_benchmark_spec(count=3)
+        spec["temperature"] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["make-data", str(spec_path), str(tmp_path / "out.jsonl")]) == 2
+        assert "temperature must be" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_metrics_log_has_per_epoch_elbo(self, workspace):

@@ -8,6 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from confgen import dataio
+from confgen.boltzmann import ISConfig, metropolis_sample
 from confgen.dataio import (
     DatasetRecord,
     GenerationError,
@@ -188,7 +189,7 @@ class TestSyntheticBenchmark:
     def test_record_counting(self):
         spec = dataio.default_benchmark_spec(count=30)
         spec["molecules"] = spec["molecules"][:2]
-        records = make_synthetic_benchmark(spec, seed=5)
+        records, _ = make_synthetic_benchmark(spec, seed=5)
         assert len(records) == 60
         by_mol = dataio.group_records(records)
         assert all(len(confs) == 30 for _, _, confs in by_mol.values())
@@ -196,8 +197,8 @@ class TestSyntheticBenchmark:
     def test_same_seed_identical_dataset(self, tmp_path):
         spec = dataio.default_benchmark_spec(count=15)
         spec["molecules"] = spec["molecules"][:2]
-        a = make_synthetic_benchmark(spec, seed=9)
-        b = make_synthetic_benchmark(spec, seed=9)
+        a, _ = make_synthetic_benchmark(spec, seed=9)
+        b, _ = make_synthetic_benchmark(spec, seed=9)
         for ra, rb in zip(a, b):
             assert ra.molecule == rb.molecule
             assert ra.build_seed == rb.build_seed
@@ -222,7 +223,7 @@ class TestSyntheticBenchmark:
                                       "stiffness": 1700.0}]},
             }],
         }
-        records = make_synthetic_benchmark(spec, seed=3)
+        records, _ = make_synthetic_benchmark(spec, seed=3)
         d = np.array([
             np.linalg.norm(r.conformation.positions[0] - r.conformation.positions[1])
             for r in records
@@ -239,7 +240,7 @@ class TestSyntheticBenchmark:
         spec = dataio.default_benchmark_spec(count=2000)
         spec["molecules"] = [m for m in spec["molecules"] if m["name"] == "ethanol"]
         spec["defaults"]["thin"] = 250
-        records = make_synthetic_benchmark(spec, seed=21)
+        records, _ = make_synthetic_benchmark(spec, seed=21)
         graph, seed, confs = next(iter(dataio.group_records(records).values()))
         eg = dataio.build_extended_graph(graph, seed)
         rows = np.stack([dataio.extract_distances(eg, c).values for c in confs])
@@ -269,6 +270,104 @@ class TestSyntheticBenchmark:
         spec["molecules"] = spec["molecules"][:1]
         spec["defaults"].update({"step": 150.0, "tune": False, "burn_in": 50})
         with pytest.raises(GenerationError):
+            make_synthetic_benchmark(spec, seed=0)
+
+    def test_lockstep_records_match_chains_run_alone(self):
+        """Each molecule's records and report are those of its own chain,
+        run alone with its child seeds, under per-molecule overrides."""
+        spec = dataio.default_benchmark_spec(count=10)
+        spec["molecules"] = spec["molecules"][:4]
+        spec["defaults"].update({"burn_in": 400, "thin": 5})
+        spec["molecules"][0].update({"count": 17, "thin": 3})
+        spec["molecules"][1].update({"burn_in": 0, "step": 0.02, "tune": False})
+        spec["molecules"][3].update({"count": 8, "burn_in": 633, "step": 0.05})
+        records, report = make_synthetic_benchmark(spec, seed=17)
+        grouped = dataio.group_records(records)
+        assert list(grouped) == [m["name"] for m in spec["molecules"]]
+        assert [r["molecule"] for r in report] == list(grouped)
+        cfg = ISConfig(temperature=spec["temperature"])
+        for index, entry in enumerate(spec["molecules"]):
+            sched = {**spec["defaults"], **entry}
+            model = dataio.energy_model_from_dict(entry["energy"])
+            graph = dataio._molecule_graph(entry)
+            init_seed, build_seed, chain_seed = np.random.SeedSequence(
+                17, spawn_key=(index,)).generate_state(3)
+            alone = metropolis_sample(
+                model, dataio.initial_conformation(graph, model, int(init_seed)),
+                steps=sched["count"] * sched["thin"], cfg=cfg,
+                rng=np.random.default_rng(int(chain_seed)), step_size=sched["step"],
+                burn_in=sched["burn_in"], thin=sched["thin"], tune=sched["tune"])
+            _, seed, confs = grouped[entry["name"]]
+            assert seed == int(build_seed)
+            assert np.stack([c.positions for c in confs]).tobytes() == \
+                alone.positions.tobytes()
+            assert report[index] == {
+                "molecule": entry["name"], "acceptance_rate": alone.acceptance_rate,
+                "step_size": alone.step_size, "steps": sched["count"] * sched["thin"],
+                "burn_in": sched["burn_in"], "records": sched["count"]}
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 0), ("count", -3), ("count", 1.5), ("count", "20"), ("count", True),
+        ("thin", 0), ("thin", 2.5), ("burn_in", -1), ("burn_in", 0.5),
+        ("step", 0), ("step", -0.07), ("step", float("nan")), ("step", float("inf")),
+        ("step", "0.07"), ("tune", "false"), ("tune", 1),
+    ])
+    @pytest.mark.parametrize("where", ["entry", "defaults"])
+    def test_bad_schedule_named_before_any_chain(self, monkeypatch, field, value,
+                                                 where):
+        spec = dataio.default_benchmark_spec(count=5)
+        spec["molecules"] = spec["molecules"][:3]
+        if where == "entry":
+            spec["molecules"][2][field] = value
+        else:
+            spec["defaults"][field] = value
+
+        def no_chain_may_start(*args, **kwargs):
+            raise AssertionError("a chain started before the spec was checked")
+
+        monkeypatch.setattr(dataio, "initial_conformation", no_chain_may_start)
+        monkeypatch.setattr(dataio, "metropolis_chains", no_chain_may_start)
+        with pytest.raises(ParseError) as info:
+            make_synthetic_benchmark(spec, seed=0)
+        name = spec["molecules"][2 if where == "entry" else 0]["name"]
+        assert f"molecule {name!r}: {field} must be" in str(info.value)
+        assert ("(from defaults)" in str(info.value)) == (where == "defaults")
+
+    def test_duplicate_molecule_name(self):
+        # two molecules under one id would share one extended graph downstream
+        spec = dataio.default_benchmark_spec(count=5)
+        spec["molecules"][3]["name"] = spec["molecules"][1]["name"]
+        with pytest.raises(ParseError, match="molecule 'ethanol' appears more than once"):
+            make_synthetic_benchmark(spec, seed=0)
+
+    @pytest.mark.parametrize("key", ["elements", "bonds", "energy"])
+    def test_missing_topology_or_energy(self, key):
+        spec = dataio.default_benchmark_spec(count=5)
+        del spec["molecules"][2][key]
+        with pytest.raises(ParseError, match=f"molecule 'propane': .*'{key}'"):
+            make_synthetic_benchmark(spec, seed=0)
+
+    def test_integral_floats_are_integers(self):
+        spec = dataio.default_benchmark_spec(count=4)
+        spec["molecules"] = spec["molecules"][:1]
+        as_ints, _ = make_synthetic_benchmark(spec, seed=2)
+        spec["defaults"].update({"count": 4.0, "burn_in": 5000.0, "thin": 20.0})
+        as_floats, _ = make_synthetic_benchmark(spec, seed=2)
+        assert [r.conformation.positions.tobytes() for r in as_ints] == \
+            [r.conformation.positions.tobytes() for r in as_floats]
+
+    @pytest.mark.parametrize("value", [0, -500.0, float("nan"), float("inf"), "500"])
+    def test_bad_temperature(self, value):
+        spec = dataio.default_benchmark_spec(count=5)
+        spec["temperature"] = value
+        with pytest.raises(ParseError, match="temperature must be"):
+            make_synthetic_benchmark(spec, seed=0)
+
+    @pytest.mark.parametrize("name", [None, "", 7])
+    def test_bad_molecule_name(self, name):
+        spec = dataio.default_benchmark_spec(count=5)
+        spec["molecules"][1]["name"] = name
+        with pytest.raises(ParseError, match="molecule name"):
             make_synthetic_benchmark(spec, seed=0)
 
     def test_default_spec_loads_from_file(self, tmp_path):
