@@ -213,16 +213,14 @@ def energy(m: EnergyModel, x: Conformation) -> float:
 
 @dataclass
 class ISConfig:
-    """Temperature and sample budget for Boltzmann reweighting."""
+    """Temperature for Boltzmann weights and Metropolis acceptance."""
 
     temperature: float  # kelvin
-    n_samples: int = 50
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(
+                f"temperature must be a finite number > 0, got {self.temperature!r}")
 
     @property
     def kbt(self) -> float:

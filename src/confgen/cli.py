@@ -1,12 +1,12 @@
 """Command-line pipeline driver.
 
 Subcommands: make-data, train, generate, evaluate, estimate. Every command is
-deterministic under a fixed --seed. `generate` samples each molecule with
-`edg.generate`, rooted at SeedSequence(seed, spawn_key=(i,)) for the i-th
-molecule name in sorted order, so sample k of that molecule draws from
-SeedSequence(seed, spawn_key=(i, k)); --threads spreads molecules over a
-thread pool and changes wall time only. Exit codes: 0 success, 1 domain
-failure, 2 usage or IO error.
+deterministic under a fixed --seed. `generate` samples the molecules one
+after another in sorted name order with `edg.generate`, rooted at
+SeedSequence(seed, spawn_key=(i,)) for the i-th, so sample k of that molecule
+draws from SeedSequence(seed, spawn_key=(i, k)); its --threads flag is
+accepted (an integer >= 1) and has no effect. Exit codes: 0 success,
+1 domain failure, 2 usage or IO error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="embedding report JSON (default: OUT.report.json)")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for old scripts (an integer >= 1); has no effect")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("evaluate", help="MMD comparison of generated vs ground truth")
@@ -123,14 +123,21 @@ def _cmd_train(args) -> int:
     pairs = dataio.training_pairs(records)
 
     resume_state = None
-    config = _load_config(args)
     if args.resume:
+        # a resumed run continues the checkpoint's own config; only the epoch
+        # budget may change
+        for flag in ("config", "batch_size", "learning_rate", "message_passes"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag.replace('_', '-')} cannot be combined with "
+                                 f"--resume, which keeps the checkpoint's config")
         params, resume_state = cvae.load_model(args.resume)
         if resume_state is None:
             raise UsageError(f"{args.resume}: checkpoint has no training state")
         config = params.config
         if args.epochs is not None:
             config.epochs = args.epochs
+    else:
+        config = _load_config(args)
 
     metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
     with open(metrics_path, "w", encoding="utf-8") as metrics:
@@ -157,6 +164,8 @@ def _cmd_generate(args) -> int:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     params, _ = cvae.load_model(args.checkpoint)
     records = dataio.read_dataset(args.data)
     if not records:
@@ -165,16 +174,11 @@ def _cmd_generate(args) -> int:
     graphs = dataio.extended_graphs(records)
     molecules = sorted(grouped)
 
-    def run_one(task):
-        mol_index, mol = task
-        seed = np.random.SeedSequence(args.seed, spawn_key=(mol_index,))
-        return edg.generate(params, graphs[mol], args.n, seed, tol=args.tol)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run_one, enumerate(molecules)))
-    else:
-        outcomes = [run_one(task) for task in enumerate(molecules)]
+    outcomes = [
+        edg.generate(params, graphs[mol], args.n,
+                     np.random.SeedSequence(args.seed, spawn_key=(i,)), tol=args.tol)
+        for i, mol in enumerate(molecules)
+    ]
 
     out_records = [
         dataio.DatasetRecord(mol, grouped[mol][0], grouped[mol][1], r.conformation)
@@ -258,20 +262,30 @@ def _load_energy_models(path, molecules) -> dict:
 
 
 def _cmd_estimate(args) -> int:
+    try:
+        cfg = ISConfig(temperature=args.temperature)
+    except ValueError as e:
+        raise UsageError(f"--temperature: {e}") from e
+    try:
+        obs = observable_by_name(args.observable)
+    except ValueError as e:
+        raise UsageError(f"--observable: {e}") from e
     records = dataio.read_dataset(args.generated)
     if not records:
         raise UsageError(f"{args.generated}: dataset is empty")
     grouped = dataio.group_records(records)
     models = _load_energy_models(args.energy_model, list(grouped))
-    obs = observable_by_name(args.observable)
-    cfg = ISConfig(temperature=args.temperature)
-
-    report: dict[str, dict] = {}
-    for mol, (_, _, conformations) in grouped.items():
+    for mol, (graph, _, conformations) in grouped.items():
         if mol not in models:
             raise UsageError(f"no energy model for molecule {mol!r}")
-        estimate = is_estimate(obs, conformations, models[mol], cfg)
-        report[mol] = estimate.as_dict()
+        try:  # a distance pair beyond the molecule's atoms fails on any conformation
+            obs(conformations[0])
+        except IndexError as e:
+            raise UsageError(f"observable {obs.name!r} names an atom beyond molecule "
+                             f"{mol!r}, which has {graph.n_atoms} atoms") from e
+
+    report = {mol: is_estimate(obs, conformations, models[mol], cfg).as_dict()
+              for mol, (_, _, conformations) in grouped.items()}
 
     doc = {"observable": obs.name, "temperature": args.temperature,
            "molecules": report}

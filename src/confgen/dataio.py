@@ -70,12 +70,6 @@ class SplitManifest:
     test: tuple
     seed: int
 
-    def split_of(self, molecule: str) -> str:
-        for name in ("train", "validation", "test"):
-            if molecule in getattr(self, name):
-                return name
-        raise KeyError(molecule)
-
 
 # --- json codecs -----------------------------------------------------------
 
@@ -252,120 +246,6 @@ def select_split(records, molecule_ids) -> list[DatasetRecord]:
 
 
 # --- synthetic benchmark -----------------------------------------------------
-
-_BOND_REST = {("C", "C"): 1.526, ("C", "O"): 1.43, ("C", "H"): 1.09, ("H", "O"): 0.96}
-_BOND_STIFF = {("C", "C"): 1300.0, ("C", "O"): 1500.0, ("C", "H"): 1500.0,
-               ("H", "O"): 1700.0}
-_TETRAHEDRAL = math.acos(-1.0 / 3.0)
-_ANGLE_STIFF = 250.0
-_STERIC = {"floor": 1.5, "stiffness": 100.0}
-
-
-def _pair_key(a: str, b: str) -> tuple:
-    return tuple(sorted((a, b)))
-
-
-def _toy_molecule(name: str, elements, bond_pairs, ring: tuple = ()) -> dict:
-    """Benchmark entry for one molecule: graph bonds plus harmonic terms.
-
-    `ring` lists the atoms of a single small ring, if any; angles inside the
-    ring get law-of-cosines rest values so the rest geometry is realizable.
-    """
-    elements = list(elements)
-    ring = set(ring)
-    adjacency: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in bond_pairs:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-
-    def rest(i: int, j: int) -> float:
-        return _BOND_REST[_pair_key(elements[i], elements[j])]
-
-    def ring_angle(i: int, center: int, k: int) -> float:
-        if len(ring) == 3:
-            # rest angle consistent with the three side lengths
-            a, b = rest(i, center), rest(k, center)
-            c = rest(i, k)
-            return math.acos((a * a + b * b - c * c) / (2 * a * b))
-        # larger rings: interior angle of the regular polygon
-        return (len(ring) - 2) * math.pi / len(ring)
-
-    bonds_json = []
-    energy_bonds = []
-    for i, j in bond_pairs:
-        entry = {"i": i, "j": j}
-        if ring and i in ring and j in ring:
-            entry["rings"] = [len(ring)]
-        bonds_json.append(entry)
-        energy_bonds.append(
-            {"i": i, "j": j, "rest": rest(i, j),
-             "stiffness": _BOND_STIFF[_pair_key(elements[i], elements[j])]}
-        )
-
-    energy_angles = []
-    for center, neighbors in adjacency.items():
-        for a_idx in range(len(neighbors)):
-            for b_idx in range(a_idx + 1, len(neighbors)):
-                i, k = neighbors[a_idx], neighbors[b_idx]
-                if {i, center, k} <= ring:
-                    theta = ring_angle(i, center, k)
-                else:
-                    theta = _TETRAHEDRAL
-                energy_angles.append(
-                    {"i": i, "j": center, "k": k, "rest": theta,
-                     "stiffness": _ANGLE_STIFF}
-                )
-
-    return {
-        "name": name,
-        "elements": elements,
-        "bonds": bonds_json,
-        "energy": {"bonds": energy_bonds, "angles": energy_angles,
-                   "steric": dict(_STERIC)},
-    }
-
-
-def default_benchmark_spec(count: int = 2000) -> dict:
-    """Ten toy C/O/H molecules: chains, branched chains, and small rings."""
-    molecules = [
-        _toy_molecule("methanol", "COHHHH",
-                      [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]),
-        _toy_molecule("ethanol", "CCOHHHHHH",
-                      [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (2, 8)]),
-        _toy_molecule("propane", "CCCHHHHHHHH",
-                      [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7),
-                       (2, 8), (2, 9), (2, 10)]),
-        _toy_molecule("dimethyl-ether", "COCHHHHHH",
-                      [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (2, 6), (2, 7), (2, 8)]),
-        _toy_molecule("glycol", "OCCOHHHHHH",
-                      [(0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (1, 6), (2, 7),
-                       (2, 8), (3, 9)]),
-        _toy_molecule("isobutane", "CCCCHHHHHHHHHH",
-                      [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7),
-                       (2, 8), (2, 9), (2, 10), (3, 11), (3, 12), (3, 13)]),
-        _toy_molecule("oxirane", "CCOHHHH",
-                      [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6)],
-                      ring=(0, 1, 2)),
-        _toy_molecule("propanol", "CCCOHHHHHHHH",
-                      [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6), (1, 7),
-                       (1, 8), (2, 9), (2, 10), (3, 11)]),
-        _toy_molecule("isopropanol", "CCCOHHHHHHHH",
-                      [(0, 1), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6), (1, 7),
-                       (2, 8), (2, 9), (2, 10), (3, 11)]),
-        _toy_molecule("oxetane", "CCCOHHHHHH",
-                      [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (1, 6),
-                       (1, 7), (2, 8), (2, 9)],
-                      ring=(0, 1, 2, 3)),
-    ]
-    return {
-        "format": BENCHMARK_FORMAT,
-        "version": 1,
-        "temperature": 500.0,
-        "defaults": {"count": count, "burn_in": 5000, "thin": 20,
-                     "step": 0.07, "tune": True},
-        "molecules": molecules,
-    }
-
 
 def energy_model_from_dict(d: dict) -> EnergyModel:
     bonds = tuple(

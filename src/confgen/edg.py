@@ -19,6 +19,7 @@ from . import cvae, nnet
 from .cvae import GaussianEdgeDist
 from .errors import DomainError, NumericalError
 from .molgraph import Conformation, ExtendedGraph, GraphStructureError
+from .nnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 STERIC_FLOOR = 1.0
 DISTANCE_CEILING = 1000.0
@@ -72,10 +73,7 @@ class BoundsMatrix:
         return cls(d.copy(), d.copy())
 
 
-def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist,
-                  edge_floor: float = EDGE_LOWER_FLOOR,
-                  steric_floor: float = STERIC_FLOOR,
-                  ceiling: float = DISTANCE_CEILING) -> tuple:
+def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist) -> tuple:
     """`make_bounds` for a stacked GaussianEdgeDist: (S, n, n) lower and upper."""
     if len(ged) != eg.n_edges:
         raise nnet.ShapeError(
@@ -87,10 +85,10 @@ def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist,
     mean = ged.mean.reshape(-1, eg.n_edges)
     sigma = ged.std.reshape(mean.shape)
     s, n = mean.shape[0], eg.n_nodes
-    lower = np.full((s, n, n), steric_floor)
-    upper = np.full((s, n, n), ceiling)
-    lo = np.maximum(mean - sigma, edge_floor)
-    hi = np.maximum(mean + sigma, edge_floor)
+    lower = np.full((s, n, n), STERIC_FLOOR)
+    upper = np.full((s, n, n), DISTANCE_CEILING)
+    lo = np.maximum(mean - sigma, EDGE_LOWER_FLOOR)
+    hi = np.maximum(mean + sigma, EDGE_LOWER_FLOOR)
     lower[:, eg.src, eg.dst] = lo
     lower[:, eg.dst, eg.src] = lo
     upper[:, eg.src, eg.dst] = hi
@@ -101,18 +99,16 @@ def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist,
     return lower, upper
 
 
-def make_bounds(eg: ExtendedGraph, ged: GaussianEdgeDist, *,
-                edge_floor: float = EDGE_LOWER_FLOOR,
-                steric_floor: float = STERIC_FLOOR,
-                ceiling: float = DISTANCE_CEILING) -> BoundsMatrix:
-    """Bounds mean-minus-sigma to mean-plus-sigma per edge; defaults elsewhere.
+def make_bounds(eg: ExtendedGraph, ged: GaussianEdgeDist) -> BoundsMatrix:
+    """Bounds mean-minus-sigma to mean-plus-sigma per edge; STERIC_FLOOR and
+    DISTANCE_CEILING elsewhere.
 
-    Both edge bounds are floored at `edge_floor`, which keeps lower <= upper
-    even for overdispersed predictions.
+    Both edge bounds are floored at EDGE_LOWER_FLOOR, which keeps
+    lower <= upper even for overdispersed predictions.
     """
     if ged.mean.ndim != 1:
         raise nnet.ShapeError("make_bounds takes the edge distributions of one sample")
-    lower, upper = _bounds_stack(eg, ged, edge_floor, steric_floor, ceiling)
+    lower, upper = _bounds_stack(eg, ged)
     return BoundsMatrix(lower[0], upper[0])
 
 
@@ -290,7 +286,6 @@ def _refine_stack(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     hi2 = upper**2
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8  # nnet.Adam's defaults
     iterations = np.zeros(len(active), dtype=np.int64)
 
     def evaluate():
@@ -319,11 +314,11 @@ def _refine_stack(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         going = ~(accepted & (worst <= tol))
         # nnet.Adam.step with t = step; rows that just stopped are dropped
         # before their moved coordinates are used
-        c1 = 1.0 - beta1**step
-        c2 = 1.0 - beta2**step
-        m = m * beta1 + (1.0 - beta1) * grad
-        v = v * beta2 + (1.0 - beta2) * grad * grad
-        x -= REFINE_LR * (m / c1) / (np.sqrt(v / c2) + eps)
+        c1 = 1.0 - ADAM_BETA1**step
+        c2 = 1.0 - ADAM_BETA2**step
+        m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * grad
+        v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * grad * grad
+        x -= REFINE_LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         iterations[active[going]] = step
     return best, violation <= tol, violation, iterations
 

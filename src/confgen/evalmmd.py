@@ -93,14 +93,13 @@ def permutation_null(x, y, bandwidth: float, n_permutations: int,
     return null
 
 
-def heavy_edge_indices(eg: ExtendedGraph, heavy=HEAVY_ELEMENTS) -> list[int]:
-    """Edges whose both endpoints are heavy atoms (hydrogens ignored)."""
+def heavy_edge_indices(eg: ExtendedGraph) -> list[int]:
+    """Edges whose both endpoints are HEAVY_ELEMENTS atoms (hydrogens ignored)."""
     elements = eg.source_graph.elements
-    heavy = set(heavy)
     return [
         k
         for k, (i, j) in enumerate(zip(eg.src, eg.dst))
-        if elements[i] in heavy and elements[j] in heavy
+        if elements[i] in HEAVY_ELEMENTS and elements[j] in HEAVY_ELEMENTS
     ]
 
 
@@ -144,8 +143,7 @@ def _average_ranks(values: list[float]) -> list[float]:
 
 
 def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
-                    heavy_elements=HEAVY_ELEMENTS, splits: dict | None = None,
-                    max_pairwise: int | None = None) -> MmdReport:
+                    splits: dict | None = None) -> MmdReport:
     """Marginal, pairwise, and joint MMDs per graph, plus method aggregates.
 
     `graphs` maps graph id to ExtendedGraph; `truth_samples` maps graph id to a
@@ -165,16 +163,14 @@ def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
     for gid in sorted(graphs):
         eg = graphs[gid]
         truth = np.asarray(truth_samples[gid], dtype=np.float64)
-        heavy = heavy_edge_indices(eg, heavy_elements)
+        heavy = heavy_edge_indices(eg)
         if not heavy:
             continue
         comparisons: list[tuple[str, str, list[int]]] = [
             ("marginal", f"edge{k}", [k]) for k in heavy
         ]
-        pairs = list(itertools.combinations(heavy, 2))
-        if max_pairwise is not None:
-            pairs = pairs[:max_pairwise]
-        comparisons += [("pairwise", f"edge{k}-edge{l}", [k, l]) for k, l in pairs]
+        comparisons += [("pairwise", f"edge{k}-edge{l}", [k, l])
+                        for k, l in itertools.combinations(heavy, 2)]
         comparisons.append(("joint", "all-heavy", heavy))
 
         for comparison, key, cols in comparisons:
@@ -270,14 +266,13 @@ def format_report(report: MmdReport) -> str:
 
 
 def write_marginal_histograms(path, graphs: dict, truth_samples: dict,
-                              method_samples: dict, *, bins: int = 40,
-                              heavy_elements=HEAVY_ELEMENTS) -> None:
+                              method_samples: dict, *, bins: int = 40) -> None:
     """Binned marginal distance distributions for external plotting."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph\tedge\tmethod\tbin_lo\tbin_hi\tdensity\n")
         for gid in sorted(graphs):
             eg = graphs[gid]
-            heavy = heavy_edge_indices(eg, heavy_elements)
+            heavy = heavy_edge_indices(eg)
             truth = np.asarray(truth_samples[gid], dtype=np.float64)
             series = {"truth": truth}
             for method in sorted(method_samples):

@@ -51,38 +51,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def param(data) -> Tensor:
@@ -237,15 +207,6 @@ def exp(x) -> Tensor:
         _accumulate(x, g * out_data)
 
     return _result(out_data, (x,), grad_fn)
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def grad_fn(g):
-        _accumulate(x, g / x.data)
-
-    return _result(np.log(x.data), (x,), grad_fn)
 
 
 def square(x) -> Tensor:
@@ -410,16 +371,18 @@ class Mlp:
         return [p for layer in self.layers for p in layer.parameters()]
 
 
-class Adam:
-    """Adam with bias correction; defaults follow common practice."""
+# Adam's moment decay rates and denominator offset, as common practice sets them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction and the module's ADAM_* constants."""
+
+    def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -433,17 +396,17 @@ class Adam:
         if len(grads) != len(self.params):
             raise ShapeError("one gradient per parameter required")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.data.shape:
                 raise ShapeError("gradient shape does not match its parameter")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         zero_grads(self.params)

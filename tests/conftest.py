@@ -1,7 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from confgen import boltzmann, dataio, molgraph
+
+
+TOY10_SPEC = Path(__file__).resolve().parent.parent / "benchmarks" / "toy10.json"
+
+
+def toy10_spec(count: int) -> dict:
+    """The toy10 benchmark spec with `count` records per molecule."""
+    spec = json.loads(TOY10_SPEC.read_text(encoding="utf-8"))
+    spec["defaults"]["count"] = count
+    return spec
 
 
 @pytest.fixture
@@ -70,7 +83,7 @@ def single_bond_quadrature(rest: float, stiffness: float, kbt: float):
 @pytest.fixture(scope="session")
 def tiny_benchmark_records():
     """A small two-molecule synthetic dataset shared across IO/CLI tests."""
-    spec = dataio.default_benchmark_spec(count=60)
+    spec = toy10_spec(60)
     spec["molecules"] = [m for m in spec["molecules"]
                          if m["name"] in ("methanol", "ethanol")]
     return dataio.make_synthetic_benchmark(spec, seed=7)[0], spec

@@ -17,7 +17,7 @@ from confgen import boltzmann, cli, cvae, dataio, edg, evalmmd, molgraph
 from confgen.cvae import CvaeConfig, GaussianEdgeDist
 from confgen.edg import BoundsMatrix
 
-from conftest import random_conformation, random_tree
+from conftest import random_conformation, random_tree, toy10_spec
 from test_cvae import elbo_gradient_check, permute_extended_graph
 
 
@@ -34,7 +34,7 @@ def benchmark_bundle(tmp_path_factory):
     """Full-scale synthetic benchmark, disjoint split, and a trained model."""
     root = tmp_path_factory.mktemp("benchmark")
     t0 = time.time()
-    spec = dataio.default_benchmark_spec(count=2000)
+    spec = toy10_spec(2000)
     records, _ = dataio.make_synthetic_benchmark(spec, seed=11)
     manifest = dataio.split_disjoint(records, (0.6, 0.15, 0.25), seed=3)
 

@@ -22,7 +22,7 @@ from confgen.boltzmann import (
 )
 from confgen.molgraph import Conformation
 
-from conftest import single_bond_quadrature
+from conftest import single_bond_quadrature, toy10_spec
 
 
 def water_model():
@@ -251,7 +251,7 @@ class TestTermStack:
 
         rng = np.random.default_rng(3)
         models, positions = [], []
-        for entry in dataio.default_benchmark_spec()["molecules"]:
+        for entry in toy10_spec(2000)["molecules"]:
             models.append(dataio.energy_model_from_dict(entry["energy"]))
             positions.append(rng.normal(0.0, 1.2, (len(entry["elements"]), 3)))
         stack = boltzmann._TermStack.join(
@@ -383,6 +383,11 @@ class TestIsEstimate:
             Conformation(("O", "H"), [[0, 0, 0], [0.96 + dx, 0, 0]])
             for dx in rng.normal(0, 0.05, size=n)
         ]
+
+    @pytest.mark.parametrize("temperature", [0.0, -5.0, float("inf"), float("nan")])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be a finite number"):
+            ISConfig(temperature=temperature)
 
     def test_constant_observable_is_exactly_one(self, single_bond_system):
         model, _, cfg = single_bond_system

@@ -6,6 +6,8 @@ import pytest
 from confgen import dataio, edg
 from confgen.cli import main
 
+from conftest import toy10_spec
+
 FAST_CONFIG = {
     "hidden": 10,
     "readout_hidden": 10,
@@ -20,7 +22,7 @@ FAST_CONFIG = {
 def workspace(tmp_path_factory):
     """Spec file, tiny dataset, and a trained checkpoint shared by CLI tests."""
     root = tmp_path_factory.mktemp("cli")
-    spec = dataio.default_benchmark_spec(count=25)
+    spec = toy10_spec(25)
     spec["molecules"] = [m for m in spec["molecules"]
                          if m["name"] in ("methanol", "ethanol", "oxirane")]
     spec_path = root / "spec.json"
@@ -81,7 +83,7 @@ class TestMakeData:
         ("count", 0), ("count", 1.5), ("tune", "no"),
     ])
     def test_bad_schedule_exits_2(self, tmp_path, capsys, field, value):
-        spec = dataio.default_benchmark_spec(count=3)
+        spec = toy10_spec(3)
         spec["molecules"] = spec["molecules"][:2]
         spec["molecules"][1][field] = value
         spec_path = tmp_path / "spec.json"
@@ -93,7 +95,7 @@ class TestMakeData:
 
     @pytest.mark.parametrize("value", [0, -1.0, float("nan")])
     def test_bad_temperature_exits_2(self, tmp_path, capsys, value):
-        spec = dataio.default_benchmark_spec(count=3)
+        spec = toy10_spec(3)
         spec["temperature"] = value
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -157,6 +159,20 @@ class TestTrain:
         assert "moments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", None), ("--batch-size", "3"), ("--learning-rate", "0.5"),
+        ("--message-passes", "2"),
+    ])
+    def test_resume_rejects_config_overrides(self, workspace, tmp_path, capsys,
+                                             flag, value):
+        _, _, data_path, config_path, ckpt_path = workspace
+        out = tmp_path / "resumed.json"
+        code = main(["train", str(data_path), str(out), "--resume", str(ckpt_path),
+                     "--epochs", "4", flag, value or str(config_path)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_default_n_is_50_and_report_rates(self, workspace, capsys):
@@ -203,6 +219,18 @@ class TestGenerate:
                      str(out), f"--tol={tol}"])
         assert code == 2
         assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, workspace, tmp_path, capsys,
+                                              threads):
+        _, _, data_path, _, _ = workspace
+        out = tmp_path / "gen.jsonl"
+        # the check comes before the checkpoint is opened
+        code = main(["generate", str(tmp_path / "missing.json"), str(data_path),
+                     str(out), "--threads", threads])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_sample_is_dropped_and_counted(self, workspace, tmp_path,
@@ -369,3 +397,28 @@ class TestEstimate:
         code = main(["estimate", str(gen),
                      "--energy-model", str(tmp_path / "missing.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "inf"), ("--temperature", "nan"), ("--temperature", "0"),
+        ("--temperature", "-5"), ("--observable", "nope"),
+        ("--observable", "distance:1-x"),
+    ])
+    def test_bad_flag_value_exits_2(self, workspace, tmp_path, capsys, flag, value):
+        _, spec_path, _, _, _ = workspace
+        # the check comes before the dataset is read
+        code = main(["estimate", str(tmp_path / "missing.jsonl"),
+                     "--energy-model", str(spec_path), f"{flag}={value}"])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_distance_pair_beyond_a_molecule_exits_2(self, workspace, capsys):
+        _, spec_path, data_path, _, _ = workspace
+        assert main(["estimate", str(data_path), "--energy-model", str(spec_path),
+                     "--observable", "distance:0-5"]) == 0
+        capsys.readouterr()
+        # methanol has 6 atoms, ethanol 9
+        code = main(["estimate", str(data_path), "--energy-model", str(spec_path),
+                     "--observable", "distance:0-6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'methanol'" in err and "6 atoms" in err

@@ -29,7 +29,12 @@ from confgen.molgraph import (
     MolGraph,
 )
 
-from conftest import random_conformation, random_tree, single_bond_quadrature
+from conftest import (
+    random_conformation,
+    random_tree,
+    single_bond_quadrature,
+    toy10_spec,
+)
 
 
 @st.composite
@@ -187,7 +192,7 @@ class TestSplitDisjoint:
 
 class TestSyntheticBenchmark:
     def test_record_counting(self):
-        spec = dataio.default_benchmark_spec(count=30)
+        spec = toy10_spec(30)
         spec["molecules"] = spec["molecules"][:2]
         records, _ = make_synthetic_benchmark(spec, seed=5)
         assert len(records) == 60
@@ -195,7 +200,7 @@ class TestSyntheticBenchmark:
         assert all(len(confs) == 30 for _, _, confs in by_mol.values())
 
     def test_same_seed_identical_dataset(self, tmp_path):
-        spec = dataio.default_benchmark_spec(count=15)
+        spec = toy10_spec(15)
         spec["molecules"] = spec["molecules"][:2]
         a, _ = make_synthetic_benchmark(spec, seed=9)
         b, _ = make_synthetic_benchmark(spec, seed=9)
@@ -237,7 +242,7 @@ class TestSyntheticBenchmark:
         # ethanol's free hydroxyl torsion is the slowest mode (thousands of
         # steps), so the chain must cover many correlation times and standard
         # errors must account for the remaining autocorrelation
-        spec = dataio.default_benchmark_spec(count=2000)
+        spec = toy10_spec(2000)
         spec["molecules"] = [m for m in spec["molecules"] if m["name"] == "ethanol"]
         spec["defaults"]["thin"] = 250
         records, _ = make_synthetic_benchmark(spec, seed=21)
@@ -266,7 +271,7 @@ class TestSyntheticBenchmark:
             assert abs(a.mean() - b.mean()) < 3 * se, k
 
     def test_pathological_step_raises_generation_error(self):
-        spec = dataio.default_benchmark_spec(count=20)
+        spec = toy10_spec(20)
         spec["molecules"] = spec["molecules"][:1]
         spec["defaults"].update({"step": 150.0, "tune": False, "burn_in": 50})
         with pytest.raises(GenerationError):
@@ -275,7 +280,7 @@ class TestSyntheticBenchmark:
     def test_lockstep_records_match_chains_run_alone(self):
         """Each molecule's records and report are those of its own chain,
         run alone with its child seeds, under per-molecule overrides."""
-        spec = dataio.default_benchmark_spec(count=10)
+        spec = toy10_spec(10)
         spec["molecules"] = spec["molecules"][:4]
         spec["defaults"].update({"burn_in": 400, "thin": 5})
         spec["molecules"][0].update({"count": 17, "thin": 3})
@@ -315,7 +320,7 @@ class TestSyntheticBenchmark:
     @pytest.mark.parametrize("where", ["entry", "defaults"])
     def test_bad_schedule_named_before_any_chain(self, monkeypatch, field, value,
                                                  where):
-        spec = dataio.default_benchmark_spec(count=5)
+        spec = toy10_spec(5)
         spec["molecules"] = spec["molecules"][:3]
         if where == "entry":
             spec["molecules"][2][field] = value
@@ -335,20 +340,20 @@ class TestSyntheticBenchmark:
 
     def test_duplicate_molecule_name(self):
         # two molecules under one id would share one extended graph downstream
-        spec = dataio.default_benchmark_spec(count=5)
+        spec = toy10_spec(5)
         spec["molecules"][3]["name"] = spec["molecules"][1]["name"]
         with pytest.raises(ParseError, match="molecule 'ethanol' appears more than once"):
             make_synthetic_benchmark(spec, seed=0)
 
     @pytest.mark.parametrize("key", ["elements", "bonds", "energy"])
     def test_missing_topology_or_energy(self, key):
-        spec = dataio.default_benchmark_spec(count=5)
+        spec = toy10_spec(5)
         del spec["molecules"][2][key]
         with pytest.raises(ParseError, match=f"molecule 'propane': .*'{key}'"):
             make_synthetic_benchmark(spec, seed=0)
 
     def test_integral_floats_are_integers(self):
-        spec = dataio.default_benchmark_spec(count=4)
+        spec = toy10_spec(4)
         spec["molecules"] = spec["molecules"][:1]
         as_ints, _ = make_synthetic_benchmark(spec, seed=2)
         spec["defaults"].update({"count": 4.0, "burn_in": 5000.0, "thin": 20.0})
@@ -358,21 +363,21 @@ class TestSyntheticBenchmark:
 
     @pytest.mark.parametrize("value", [0, -500.0, float("nan"), float("inf"), "500"])
     def test_bad_temperature(self, value):
-        spec = dataio.default_benchmark_spec(count=5)
+        spec = toy10_spec(5)
         spec["temperature"] = value
         with pytest.raises(ParseError, match="temperature must be"):
             make_synthetic_benchmark(spec, seed=0)
 
     @pytest.mark.parametrize("name", [None, "", 7])
     def test_bad_molecule_name(self, name):
-        spec = dataio.default_benchmark_spec(count=5)
+        spec = toy10_spec(5)
         spec["molecules"][1]["name"] = name
         with pytest.raises(ParseError, match="molecule name"):
             make_synthetic_benchmark(spec, seed=0)
 
     def test_default_spec_loads_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(dataio.default_benchmark_spec(count=5)))
+        path.write_text(json.dumps(toy10_spec(5)))
         spec = dataio.load_benchmark_spec(path)
         assert len(spec["molecules"]) == 10
 
