@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
 Subcommands: make-data, train, generate, evaluate, estimate. Every command is
-deterministic under a fixed --seed. `generate` samples the molecules one
-after another in sorted name order with `edg.generate`, rooted at
-SeedSequence(seed, spawn_key=(i,)) for the i-th, so sample k of that molecule
-draws from SeedSequence(seed, spawn_key=(i, k)); its --threads flag is
-accepted (an integer >= 1) and has no effect. Exit codes: 0 success,
+deterministic under a fixed --seed. `generate` samples every molecule with
+one `edg.generate` call, which refines the samples of all molecules in one
+lockstep loop; the i-th molecule in sorted name order is rooted at
+SeedSequence(seed, spawn_key=(i,)), so its sample k draws from
+SeedSequence(seed, spawn_key=(i, k)). Its --threads flag is accepted (an
+integer >= 1) and has no effect. Exit codes: 0 success,
 1 domain failure, 2 usage or IO error.
 """
 
@@ -174,11 +175,9 @@ def _cmd_generate(args) -> int:
     graphs = dataio.extended_graphs(records)
     molecules = sorted(grouped)
 
-    outcomes = [
-        edg.generate(params, graphs[mol], args.n,
-                     np.random.SeedSequence(args.seed, spawn_key=(i,)), tol=args.tol)
-        for i, mol in enumerate(molecules)
-    ]
+    outcomes = edg.generate(
+        params, [(graphs[mol], np.random.SeedSequence(args.seed, spawn_key=(i,)))
+                 for i, mol in enumerate(molecules)], args.n, tol=args.tol)
 
     out_records = [
         dataio.DatasetRecord(mol, grouped[mol][0], grouped[mol][1], r.conformation)

@@ -43,6 +43,7 @@ from .molgraph import (
 DATASET_FORMAT = "confgen-dataset"
 DATASET_VERSION = 1
 BENCHMARK_FORMAT = "confgen-benchmark"
+INITIAL_TOL = 1e-2  # refine tolerance of a chain's starting conformation
 
 
 class ParseError(UsageError):
@@ -283,13 +284,10 @@ def _molecule_graph(entry: dict) -> MolGraph:
     return MolGraph.from_elements(entry["elements"], bonds)
 
 
-def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conformation:
-    """Rough rest-geometry coordinates via the distance-geometry pipeline.
-
-    Bond and angle rest values become tight distance bounds; everything else
-    keeps the default steric floor and ceiling. Residual strain is left for
-    MCMC burn-in to relax.
-    """
+def _initial_job(graph: MolGraph, model: EnergyModel, seed: int) -> tuple:
+    """The `edg.embed_bounds` job for one molecule's rest geometry: tight
+    distance bounds from the bond and angle rest values, the default steric
+    floor and ceiling everywhere else, and a generator seeded with `seed`."""
     n = graph.n_atoms
     lower = np.full((n, n), edg.STERIC_FLOOR)
     upper = np.full((n, n), edg.DISTANCE_CEILING)
@@ -312,9 +310,32 @@ def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conf
             clamp(t.i, t.k, d13, 0.05)
     np.fill_diagonal(lower, 0.0)
     np.fill_diagonal(upper, 0.0)
+    return graph.elements, edg.BoundsMatrix(lower, upper), np.random.default_rng(seed)
 
-    return edg.embed_bounds(graph.elements, edg.BoundsMatrix(lower, upper),
-                            np.random.default_rng(seed), tol=1e-2).conformation
+
+def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conformation:
+    """Rough rest-geometry coordinates via the distance-geometry pipeline.
+
+    Bond and angle rest values become tight distance bounds, embedded and
+    refined to a tolerance of INITIAL_TOL. Residual strain is left for MCMC
+    burn-in to relax.
+    """
+    [result] = edg.embed_bounds([_initial_job(graph, model, seed)], tol=INITIAL_TOL)
+    return result.conformation
+
+
+def _check_term_atoms(name: str, model: EnergyModel, n_atoms: int) -> None:
+    """ParseError unless every bond and angle term names distinct atoms of
+    the molecule by integer index."""
+    for kind, terms, fields in (("bond", model.bonds, "ij"), ("angle", model.angles, "ijk")):
+        for index, term in enumerate(terms):
+            atoms = [getattr(term, f) for f in fields]
+            if not all(type(a) is int and 0 <= a < n_atoms for a in atoms) \
+                    or len(set(atoms)) < len(atoms):
+                raise ParseError(
+                    f"molecule {name!r}: {kind} {index} names atoms "
+                    f"({', '.join(map(repr, atoms))}); each must be a distinct "
+                    f"integer from 0 to {n_atoms - 1}")
 
 
 def _number(value) -> bool:
@@ -361,10 +382,12 @@ def make_synthetic_benchmark(spec: dict, seed: int) -> tuple[list, list]:
     Per molecule, a child seed stream drives the initial geometry, the
     extended-graph build seed, and the chain, so the whole dataset is a pure
     function of (spec, seed). Every molecule's name, topology, energy terms
-    and schedule, and the temperature, are checked before any chain starts
-    (ParseError names the molecule and the field). The chains then run in
-    one lockstep loop (`boltzmann.metropolis_chains`), each exactly as it
-    would alone. Acceptance below 1% aborts with a hint.
+    (with the atoms they name) and schedule, and the temperature, are checked
+    before any chain starts (ParseError names the molecule and the field).
+    The starting conformations are refined in one lockstep loop
+    (`edg.embed_bounds`) and the chains then run in another
+    (`boltzmann.metropolis_chains`), each exactly as it would alone.
+    Acceptance below 1% aborts with a hint.
 
     Returns the records, molecule by molecule in spec order, and one report
     per molecule: its name, post-burn-in acceptance rate, tuned step size,
@@ -387,31 +410,34 @@ def make_synthetic_benchmark(spec: dict, seed: int) -> tuple[list, list]:
         except (KeyError, TypeError) as e:
             raise ParseError(f"molecule {name!r}: bad topology or energy terms "
                              f"({type(e).__name__}: {e})") from e
+        _check_term_atoms(name, model, graph.n_atoms)
         molecules.append((name, graph, model, schedule))
 
-    chains, build_seeds = [], []
-    for index, (_, graph, model, schedule) in enumerate(molecules):
-        child = np.random.SeedSequence(seed, spawn_key=(index,))
-        init_seed, build_seed, chain_seed = child.generate_state(3)
-        build_seeds.append(int(build_seed))
-        chains.append(Chain(
-            model, initial_conformation(graph, model, int(init_seed)),
-            steps=schedule["count"] * schedule["thin"],
-            rng=np.random.default_rng(int(chain_seed)), step_size=schedule["step"],
-            burn_in=schedule["burn_in"], thin=schedule["thin"], tune=schedule["tune"],
-        ))
+    seeds = [np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(3)
+             for index in range(len(molecules))]  # init, build, chain
+    starts = edg.embed_bounds(
+        [_initial_job(graph, model, int(init_seed))
+         for (_, graph, model, _), (init_seed, _, _) in zip(molecules, seeds)],
+        tol=INITIAL_TOL)
+    chains = [
+        Chain(model, start.conformation, steps=schedule["count"] * schedule["thin"],
+              rng=np.random.default_rng(int(chain_seed)), step_size=schedule["step"],
+              burn_in=schedule["burn_in"], thin=schedule["thin"], tune=schedule["tune"])
+        for (_, _, model, schedule), (_, _, chain_seed), start in zip(
+            molecules, seeds, starts)
+    ]
 
     records: list[DatasetRecord] = []
     report = []
-    for (name, graph, _, _), build_seed, chain, result in zip(
-            molecules, build_seeds, chains, metropolis_chains(chains, cfg)):
+    for (name, graph, _, _), (_, build_seed, _), chain, result in zip(
+            molecules, seeds, chains, metropolis_chains(chains, cfg)):
         if result.acceptance_rate < 0.01:
             raise GenerationError(
                 f"molecule {name!r}: MCMC acceptance {result.acceptance_rate:.2%} "
                 f"is pathologically low; adjust the proposal step size"
             )
         for conf in result.conformations():
-            records.append(DatasetRecord(name, graph, build_seed, conf))
+            records.append(DatasetRecord(name, graph, int(build_seed), conf))
         report.append({"molecule": name, "acceptance_rate": result.acceptance_rate,
                        "step_size": result.step_size, "steps": chain.steps,
                        "burn_in": chain.burn_in, "records": len(result)})

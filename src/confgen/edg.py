@@ -82,7 +82,8 @@ def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist) -> tuple:
     if not (np.isfinite(ged.mean).all() and np.isfinite(ged.var).all()):
         raise NumericalError("edge distribution contains non-finite values",
                              term="bounds")
-    mean = ged.mean.reshape(-1, eg.n_edges)
+    # by the sample count, which a graph without edges cannot infer
+    mean = ged.mean.reshape(len(ged.mean) if ged.mean.ndim == 2 else 1, eg.n_edges)
     sigma = ged.std.reshape(mean.shape)
     s, n = mean.shape[0], eg.n_nodes
     lower = np.full((s, n, n), STERIC_FLOOR)
@@ -228,91 +229,149 @@ class EmbedResult:
     iterations: int
 
 
-def _gradient_slots(iu: tuple, n: int, s: int) -> np.ndarray:
-    """Flat (sample, atom, axis) slot of every term of a stack's hinge gradient.
+def _pair_layout(sizes, counts) -> tuple:
+    """Atom pairs of a ragged stack: `counts[g]` samples of `sizes[g]` atoms
+    for each graph g, with the atoms numbered sample after sample.
 
-    For each of `s` samples of `n` atoms: pair p's term goes to atom iu[0][p],
-    then its negation to atom iu[1][p]. Shape (s, 2P, 3).
+    Returns (i, j), every sample's np.triu_indices(n, k=1) offset by the
+    number of its first atom, laid end to end in sample order.
     """
-    slots = np.concatenate(iu)[:, None] * 3 + np.arange(3)
-    return slots + (np.arange(s) * (3 * n))[:, None, None]
+    i_parts, j_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    first = 0
+    for n, count in zip(sizes, counts):
+        iu = np.triu_indices(n, k=1)
+        offsets = first + n * np.arange(count)[:, None]
+        i_parts.append((iu[0] + offsets).ravel())
+        j_parts.append((iu[1] + offsets).ravel())
+        first += n * count
+    return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
-def _hinge_energy_grad(x: np.ndarray, iu: tuple, slots: np.ndarray,
-                       lo2: np.ndarray, hi2: np.ndarray) -> tuple:
-    """Squared-hinge violation energy of each conformation in a stack.
+def _hinge_energy_grad(x: np.ndarray, i: np.ndarray, j: np.ndarray,
+                       lo2: np.ndarray, hi2: np.ndarray, runs) -> tuple:
+    """Squared-hinge violation energy of each conformation in a ragged stack.
 
-    `x` is (S, n, 3); `lo2` and `hi2` are (S, P) squared bounds over the P
-    atom pairs `iu`; `slots` is `_gradient_slots` for at least S samples.
-    Returns the energies (S,), their gradients (S, n, 3) and the squared pair
-    distances (S, P). The gradient is one bincount, which adds the terms in
-    the order of np.add.at(g, iu[0], c) followed by np.add.at(g, iu[1], -c).
+    `x` is (3, A), the A atoms of every sample; `lo2` and `hi2` are the
+    squared bounds over the atom pairs (i, j), which run sample after
+    sample. `runs` lists (samples, pairs per sample) for consecutive runs of
+    samples, covering every sample in order. Returns the energies (S,), their
+    gradients (3, A) and the squared pair distances.
+
+    Each energy is the row sum of its run's (samples, pairs) block, so it
+    adds its terms in the order a stack of that one graph would. The
+    gradient is one bincount over the slots axis * A + atom, which adds the
+    terms of each slot in the order of np.add.at(g, i, c) followed by
+    np.add.at(g, j, -c). It skips the pairs within their bounds: their terms
+    are +-0.0, and adding +-0.0 leaves a sum that starts at 0.0 unchanged.
     """
-    s, n, _ = x.shape
-    diff = x[:, iu[0]] - x[:, iu[1]]
-    sq = (diff**2).sum(axis=2)
+    a = x.shape[1]
+    diff = np.take(x, i, axis=1)
+    diff -= np.take(x, j, axis=1)
+    sq = diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2
     over = np.maximum(sq - hi2, 0.0)
     under = np.maximum(lo2 - sq, 0.0)
-    energy = (over**2 + under**2).sum(axis=1)
-    contrib = (4.0 * (over - under))[:, :, None] * diff
-    grad = np.bincount(slots[:s].ravel(),
-                       np.concatenate((contrib, -contrib), axis=1).ravel(),
-                       minlength=s * n * 3)
-    return energy, grad.reshape(s, n, 3), sq
+    terms = over**2 + under**2
+    energy = np.empty(sum(count for count, _ in runs))
+    sample = pair = 0
+    for count, pairs in runs:
+        end = pair + count * pairs
+        energy[sample:sample + count] = terms[pair:end].reshape(count, pairs).sum(axis=1)
+        sample, pair = sample + count, end
+    coef = 4.0 * (over - under)
+    hit = np.flatnonzero(coef != 0.0)
+    contrib = np.empty((3, 2, len(hit)))
+    np.multiply(coef[hit], diff[:, hit], out=contrib[:, 0])
+    np.negative(contrib[:, 0], out=contrib[:, 1])
+    slots = np.concatenate((i[hit], j[hit])) + (np.arange(3) * a)[:, None]
+    grad = np.bincount(slots.ravel(), contrib.ravel(), minlength=3 * a)
+    return energy, grad.reshape(3, a), sq
 
 
-def _refine_stack(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                  tol: float) -> tuple:
-    """`refine` for a stack of conformations of one graph, run in lockstep.
+def _refine_ragged(blocks, tol: float) -> list:
+    """`refine` for the samples of several graphs, run in one lockstep loop.
 
-    `coords` is (S, n, 3); `lower` and `upper` are (S, P) bounds over the
-    pairs np.triu_indices(n, k=1). Every sample accepts steps, keeps its best
-    iterate and stops on its own, exactly as `refine` would alone; the
-    samples still running share one Adam step count.
+    `blocks` holds one (coords, lower, upper) per graph: coords (S, n, 3),
+    lower and upper (S, P) bounds over the pairs np.triu_indices(n, k=1);
+    S, n and P may differ from block to block. Every sample accepts steps,
+    keeps its best iterate and stops on its own, exactly as `refine` would
+    alone; the samples still running share one Adam step count. Their
+    coordinates are one (3, atoms) array and their pairs one flat run, so a
+    step costs the same few numpy calls, plus one row sum per block, however
+    many graphs take part; stopped samples are masked out of both.
 
-    Returns (coords, converged, max_violation, iterations), indexed by sample.
+    Returns one (coords, converged, max_violation, iterations) per block,
+    indexed by sample.
     """
-    # the energy sums run along memory, so their order must not depend on
-    # the layout the caller's bounds happen to have
-    lower = np.ascontiguousarray(lower, dtype=np.float64)
-    upper = np.ascontiguousarray(upper, dtype=np.float64)
-    best = np.array(coords, dtype=np.float64)
-    n = best.shape[1]
-    iu = np.triu_indices(n, k=1)
-    active = np.arange(best.shape[0])
-    slots = _gradient_slots(iu, n, len(active))
+    blocks = [(np.asarray(c, dtype=np.float64), np.asarray(lo, dtype=np.float64),
+               np.asarray(up, dtype=np.float64)) for c, lo, up in blocks]
+    counts = np.array([len(c) for c, _, _ in blocks], dtype=np.int64)
+    sizes = np.array([c.shape[1] for c, _, _ in blocks], dtype=np.int64)
+    per_sample = sizes * (sizes - 1) // 2
+    graph = np.repeat(np.arange(len(blocks)), counts)  # of each sample
+    atoms, pairs = sizes[graph], per_sample[graph]
+    i, j = _pair_layout(sizes, counts)
+    lower = np.concatenate([lo.ravel() for _, lo, _ in blocks] + [np.zeros(0)])
+    upper = np.concatenate([up.ravel() for _, _, up in blocks] + [np.zeros(0)])
+    best = np.concatenate([c.reshape(-1, 3) for c, _, _ in blocks]
+                          + [np.zeros((0, 3))]).T.copy()
     x = best.copy()
+    kept = best.copy()  # best iterate of the running samples, laid out as x
     lo2 = lower**2
     hi2 = upper**2
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    iterations = np.zeros(len(active), dtype=np.int64)
+    active = np.arange(len(graph))  # samples still running
+    placed = np.arange(x.shape[1])  # where their atoms sit in `best`
+    iterations = np.zeros(len(graph), dtype=np.int64)
+
+    def layout():
+        """Runs of running samples per block, and the first pair of each
+        running sample that has pairs (one without cannot violate a bound)."""
+        live = np.bincount(graph[active], minlength=len(blocks))
+        filled = pairs > 0
+        return ([(int(c), int(p)) for c, p in zip(live, per_sample) if c], filled,
+                (np.cumsum(pairs) - pairs)[filled])
 
     def evaluate():
-        energy, grad, sq = _hinge_energy_grad(x, iu, slots, lo2, hi2)
+        energy, grad, sq = _hinge_energy_grad(x, i, j, lo2, hi2, runs)
         if not np.isfinite(energy).all():
             raise NumericalError("violation energy is not finite", term="refine")
         dist = np.sqrt(sq)
-        worst = np.maximum((dist - upper).max(axis=1, initial=0.0),
-                           (lower - dist).max(axis=1, initial=0.0))
+        worst = np.zeros(len(active))
+        if dist.size:
+            gap = np.maximum(dist - upper, lower - dist)
+            worst[filled] = np.maximum(np.maximum.reduceat(gap, starts), 0.0)
         return energy, grad, worst
 
+    runs, filled, starts = layout()
     best_energy, _, violation = evaluate()
     going = ~(violation <= tol)
     for step in range(1, REFINE_MAX_ITER + 1):
         if not going.all():
-            active, x, m, v, best_energy, lower, upper, lo2, hi2 = (
-                a[going] for a in (active, x, m, v, best_energy, lower, upper,
-                                   lo2, hi2))
+            # drop the samples that stopped, and their atoms and pairs
+            keep_atoms = np.repeat(going, atoms)
+            keep_pairs = np.repeat(going, pairs)
+            renumber = np.cumsum(keep_atoms) - 1
+            i, j = renumber[i[keep_pairs]], renumber[j[keep_pairs]]
+            lower, upper, lo2, hi2 = (a[keep_pairs] for a in (lower, upper, lo2, hi2))
+            best[:, placed[~keep_atoms]] = kept[:, ~keep_atoms]
+            x, m, v, kept = (a[:, keep_atoms] for a in (x, m, v, kept))
+            placed = placed[keep_atoms]
+            active, atoms, pairs, best_energy = (
+                a[going] for a in (active, atoms, pairs, best_energy))
+            runs, filled, starts = layout()
         if not active.size:
             break
         energy, grad, worst = evaluate()
         accepted = energy <= best_energy + 1e-12
         best_energy[accepted] = energy[accepted]
-        best[active[accepted]] = x[accepted]
+        if accepted.all():
+            np.copyto(kept, x)
+        else:
+            np.copyto(kept, x, where=np.repeat(accepted, atoms))
         violation[active[accepted]] = worst[accepted]
         going = ~(accepted & (worst <= tol))
-        # nnet.Adam.step with t = step; rows that just stopped are dropped
+        # nnet.Adam.step with t = step; samples that just stopped are dropped
         # before their moved coordinates are used
         c1 = 1.0 - ADAM_BETA1**step
         c2 = 1.0 - ADAM_BETA2**step
@@ -320,7 +379,18 @@ def _refine_stack(coords: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * grad * grad
         x -= REFINE_LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         iterations[active[going]] = step
-    return best, violation <= tol, violation, iterations
+    best[:, placed] = kept
+
+    coords = best.T
+    out = []
+    sample = atom = 0
+    for count, n in zip(counts, sizes):
+        end = sample + count
+        out.append((coords[atom:atom + count * n].reshape(count, n, 3).copy(),
+                    violation[sample:end] <= tol, violation[sample:end],
+                    iterations[sample:end]))
+        sample, atom = end, atom + count * n
+    return out
 
 
 def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3):
@@ -330,36 +400,46 @@ def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3):
                        + max(0, lower^2 - |ri-rj|^2)^2.
     Only steps that do not increase E (beyond 1e-12) are accepted; the best
     iterate is returned. Stops once its largest per-pair distance violation
-    drops to `tol`, or after REFINE_MAX_ITER steps of rate REFINE_LR.
+    drops to `tol`, or after REFINE_MAX_ITER steps of rate REFINE_LR. A
+    one-sample `_refine_ragged`.
 
     Returns (coords, converged, max_violation, iterations).
     """
-    iu = np.triu_indices(b.n, k=1)
-    coords, converged, violation, iterations = _refine_stack(
-        np.asarray(coords, dtype=np.float64)[None], b.lower[iu][None],
-        b.upper[iu][None], tol)
+    [(coords, converged, violation, iterations)] = _refine_ragged(
+        [_one_sample(coords, b)], tol)
     return coords[0], bool(converged[0]), float(violation[0]), int(iterations[0])
 
 
-def embed_bounds(elements, b: BoundsMatrix, rng: np.random.Generator,
-                 tol: float = 1e-3) -> EmbedResult:
-    """Smooth, metrize, embed and refine one set of bounds into a conformation.
+def _one_sample(coords, b: BoundsMatrix) -> tuple:
+    """A `_refine_ragged` block of one start and its bounds."""
+    iu = np.triu_indices(b.n, k=1)
+    return np.asarray(coords, dtype=np.float64)[None], b.lower[iu][None], b.upper[iu][None]
 
-    Bound smoothing failures raise InconsistentBoundsError; refinement that
-    stops short of `tol` is reported through the `converged` flag instead.
+
+def embed_bounds(jobs, tol: float = 1e-3) -> list:
+    """Smooth, metrize and embed each (elements, bounds, rng) job, then refine
+    all of them in one `_refine_ragged` loop; one EmbedResult per job.
+
+    Each job gets exactly the conformation it would get alone. Bound
+    smoothing failures raise InconsistentBoundsError; refinement that stops
+    short of `tol` is reported through the `converged` flag instead.
     """
-    bounds = smooth_bounds(b)
-    coords, converged, violation, iterations = refine(
-        gram_embed(metrize(bounds, rng)), bounds, tol=tol
-    )
-    return EmbedResult(Conformation(elements, coords), converged, violation,
-                       iterations)
+    jobs = list(jobs)
+    blocks = []
+    for _, b, rng in jobs:
+        bounds = smooth_bounds(b)
+        blocks.append(_one_sample(gram_embed(metrize(bounds, rng)), bounds))
+    return [EmbedResult(Conformation(elements, coords[0]), bool(converged[0]),
+                        float(violation[0]), int(iterations[0]))
+            for (elements, _, _), (coords, converged, violation, iterations)
+            in zip(jobs, _refine_ragged(blocks, tol))]
 
 
 def embed_conformation(eg: ExtendedGraph, ged: GaussianEdgeDist,
                        rng: np.random.Generator, tol: float = 1e-3) -> EmbedResult:
     """Full pipeline from predicted edge Gaussians to one conformation."""
-    return embed_bounds(eg.source_graph.elements, make_bounds(eg, ged), rng, tol)
+    [result] = embed_bounds([(eg.source_graph.elements, make_bounds(eg, ged), rng)], tol)
+    return result
 
 
 @dataclass
@@ -429,60 +509,66 @@ class EmbedBatchReport:
         }
 
 
-def generate(params: cvae.ModelParams, eg: ExtendedGraph, n: int,
-             seed: np.random.SeedSequence, tol: float = 1e-3) -> tuple:
-    """Draw `n` independent conformations from the model's prior.
+def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
+    """Draw `n` independent conformations of each graph from the model's prior.
 
-    Sample k draws from its own stream,
-    SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k)): first a
-    standard-normal latent per node, then the metrization of its bounds.
-    `seed` itself is left untouched, so output does not depend on how samples
-    are grouped or scheduled.
+    `jobs` lists (ExtendedGraph, SeedSequence) pairs. Sample k of a job draws
+    from its own stream, SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key,
+    k)): first a standard-normal latent per node, then the metrization of its
+    bounds. The seeds themselves are left untouched, so output does not
+    depend on how samples or graphs are grouped or scheduled.
 
-    The samples move through the pipeline as one stack: one tape-free
-    `cvae.decode` of all n latents, one bound construction and smoothing of
-    all n bound sets (`_smooth_stack`), then metrization and embedding per
-    sample, then one lockstep refine of the samples that passed smoothing
-    (`_refine_stack`). Each stacked step gives every sample exactly the
-    values it would get alone, so sample k does not depend on n.
+    Each graph's samples move through the pipeline as one stack: one
+    tape-free `cvae.decode` of all n latents, one bound construction and
+    smoothing of all n bound sets (`_smooth_stack`), then metrization and
+    embedding per sample. The samples of every graph that passed smoothing
+    are then refined in one lockstep loop (`_refine_ragged`). Each stacked
+    step gives every sample exactly the values it would get alone, so sample
+    k of a graph depends neither on n nor on the other jobs.
 
-    Returns (results, report) where `results` holds an EmbedResult for every
-    sample that passed smoothing and kept its atoms apart, in sample order.
+    Returns one (results, report) per job, in order, where `results` holds an
+    EmbedResult for every sample that passed smoothing and kept its atoms
+    apart, in sample order.
     """
-    elements = eg.source_graph.elements
-    rngs = [np.random.default_rng(np.random.SeedSequence(
-        seed.entropy, spawn_key=(*seed.spawn_key, k))) for k in range(n)]
-    latents = np.array([rng.standard_normal(eg.n_nodes) for rng in rngs])
-    ged = cvae.decode(params, eg, latents.reshape(n, eg.n_nodes))  # n may be 0
-    lower, upper, errors = _smooth_stack(*_bounds_stack(eg, ged))
-    passed = [k for k in range(n) if errors[k] is None]
-    rejections = Counter("-".join(map(str, sorted(errors[k].pair)))
-                         for k in range(n) if errors[k] is not None)
-    results = []
-    n_degenerate = 0
-    if passed:
+    jobs = list(jobs)
+    blocks, rejections = [], []
+    for eg, seed in jobs:
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, k))) for k in range(n)]
+        latents = np.array([rng.standard_normal(eg.n_nodes) for rng in rngs])
+        ged = cvae.decode(params, eg, latents.reshape(n, eg.n_nodes))  # n may be 0
+        lower, upper, errors = _smooth_stack(*_bounds_stack(eg, ged))
+        passed = [k for k in range(n) if errors[k] is None]
+        rejections.append(Counter("-".join(map(str, sorted(errors[k].pair)))
+                                  for k in range(n) if errors[k] is not None))
         starts = [gram_embed(metrize(BoundsMatrix(lower[k], upper[k]), rngs[k]))
                   for k in passed]
         iu = np.triu_indices(eg.n_nodes, k=1)
-        refined = _refine_stack(np.stack(starts), lower[passed][:, iu[0], iu[1]],
-                                upper[passed][:, iu[0], iu[1]], tol)
+        blocks.append((np.reshape(starts, (len(passed), eg.n_nodes, 3)),
+                       lower[passed][:, iu[0], iu[1]], upper[passed][:, iu[0], iu[1]]))
+
+    outcomes = []
+    for (eg, _), rejected, refined in zip(jobs, rejections, _refine_ragged(blocks, tol)):
+        results = []
+        n_degenerate = 0
         for coords, converged, violation, iterations in zip(*refined):
             try:
-                conformation = Conformation(elements, coords)
+                conformation = Conformation(eg.source_graph.elements, coords)
             except GraphStructureError:
                 n_degenerate += 1
                 continue
             results.append(EmbedResult(conformation, bool(converged),
                                        float(violation), int(iterations)))
-    report = EmbedBatchReport(
-        n_samples=n,
-        n_smoothing_ok=len(results),
-        n_degenerate=n_degenerate,
-        n_converged=sum(r.converged for r in results),
-        violations=[r.max_violation for r in results],
-        iterations=[r.iterations for r in results],
-        n_iteration_capped=sum(not r.converged and r.iterations >= REFINE_MAX_ITER
-                               for r in results),
-        smoothing_rejections=dict(rejections),
-    )
-    return results, report
+        report = EmbedBatchReport(
+            n_samples=n,
+            n_smoothing_ok=len(results),
+            n_degenerate=n_degenerate,
+            n_converged=sum(r.converged for r in results),
+            violations=[r.max_violation for r in results],
+            iterations=[r.iterations for r in results],
+            n_iteration_capped=sum(not r.converged and r.iterations >= REFINE_MAX_ITER
+                                   for r in results),
+            smoothing_rejections=dict(rejected),
+        )
+        outcomes.append((results, report))
+    return outcomes

@@ -221,7 +221,7 @@ def _idealized_baseline_means(train_pairs, eg):
 
 
 def _generate_distance_rows(params, eg, n, seed):
-    results, _ = edg.generate(params, eg, n, np.random.SeedSequence(seed))
+    [(results, _)] = edg.generate(params, [(eg, np.random.SeedSequence(seed))], n)
     return np.stack([molgraph.extract_distances(eg, r.conformation).values
                      for r in results])
 
@@ -301,7 +301,7 @@ def test_criterion_8_importance_sampling(single_bond_system, single_bond_model,
                                 proposals_any, model, cfg)
     assert one.value == 1.0
 
-    results, report = edg.generate(params, eg, 50, np.random.SeedSequence(800))
+    [(results, report)] = edg.generate(params, [(eg, np.random.SeedSequence(800))], 50)
     assert report.n_smoothing_ok == 50
     proposals = [r.conformation for r in results]
     obs = boltzmann.observable_by_name("distance:0-1")

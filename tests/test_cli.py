@@ -103,6 +103,30 @@ class TestMakeData:
         assert "temperature must be" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("kind, index, field, value, atoms", [
+        ("bonds", 0, "j", 99, "(0, 99)"),  # was an IndexError traceback
+        ("bonds", 0, "i", -1, "(-1, 1)"),  # wrapped to the last atom
+        ("bonds", 0, "j", 0, "(0, 0)"),  # was "MCMC acceptance 0.00%"
+        ("angles", 0, "k", 1, "(1, 0, 1)"),
+        ("bonds", 0, "i", 1.0, "(1.0, 1)"),
+        ("bonds", 0, "i", True, "(True, 1)"),
+    ])
+    def test_bad_term_atom_exits_2(self, tmp_path, capsys, kind, index, field, value,
+                                   atoms):
+        spec = toy10_spec(3)
+        spec["molecules"] = spec["molecules"][:2]
+        term = spec["molecules"][1]["energy"][kind][index]
+        term[field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.jsonl"
+        assert main(["make-data", str(spec_path), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"molecule 'ethanol': {kind[:-1]} {index} names atoms {atoms}" in err
+        assert "each must be a distinct integer from 0 to 8" in err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_metrics_log_has_per_epoch_elbo(self, workspace):
         root, _, _, _, ckpt_path = workspace
@@ -287,6 +311,33 @@ class TestGenerate:
             graph, build_seed = source[r.molecule]
             assert r.graph == graph
             assert r.build_seed == build_seed
+
+
+    def test_one_atom_molecule(self, workspace, tmp_path, capsys):
+        """A lone atom next to a bond: make-data accepted it, and generate
+        used to exit 1 reshaping the lone atom's empty edge list."""
+        _, _, _, _, ckpt_path = workspace
+        spec = {"format": "confgen-benchmark", "temperature": 300.0,
+                "defaults": {"count": 4, "burn_in": 50, "thin": 2},
+                "molecules": [
+                    {"name": "lone", "elements": ["C"], "bonds": [], "energy": {}},
+                    {"name": "co", "elements": ["C", "O"], "bonds": [{"i": 0, "j": 1}],
+                     "energy": {"bonds": [{"i": 0, "j": 1, "rest": 1.43,
+                                           "stiffness": 1500.0}]}}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        data, out = tmp_path / "data.jsonl", tmp_path / "gen.jsonl"
+        assert main(["make-data", str(spec_path), str(data), "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["generate", str(ckpt_path), str(data), str(out), "--n", "3",
+                     "--seed", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["per_molecule_success"]["lone"] == 3
+        assert report["n_samples"] == 6
+        records = dataio.read_dataset(out)
+        assert sum(r.molecule == "lone" for r in records) == 3
+        assert {r.conformation.positions.shape for r in records
+                if r.molecule == "lone"} == {(1, 3)}
 
 
 class TestEvaluate:

@@ -330,13 +330,37 @@ class TestSyntheticBenchmark:
         def no_chain_may_start(*args, **kwargs):
             raise AssertionError("a chain started before the spec was checked")
 
-        monkeypatch.setattr(dataio, "initial_conformation", no_chain_may_start)
+        monkeypatch.setattr(dataio.edg, "embed_bounds", no_chain_may_start)
         monkeypatch.setattr(dataio, "metropolis_chains", no_chain_may_start)
         with pytest.raises(ParseError) as info:
             make_synthetic_benchmark(spec, seed=0)
         name = spec["molecules"][2 if where == "entry" else 0]["name"]
         assert f"molecule {name!r}: {field} must be" in str(info.value)
         assert ("(from defaults)" in str(info.value)) == (where == "defaults")
+
+    def test_starts_match_per_molecule_initial_conformation(self, monkeypatch):
+        """The starts are refined in one loop, each exactly as alone."""
+        spec = toy10_spec(5)
+        chains = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(given, cfg):
+            chains.extend(given)
+            raise Captured
+
+        monkeypatch.setattr(dataio, "metropolis_chains", capture)
+        with pytest.raises(Captured):
+            make_synthetic_benchmark(spec, seed=23)
+        assert len(chains) == len(spec["molecules"])
+        for index, (entry, chain) in enumerate(zip(spec["molecules"], chains)):
+            init_seed = np.random.SeedSequence(23, spawn_key=(index,)).generate_state(3)[0]
+            alone = dataio.initial_conformation(
+                dataio._molecule_graph(entry), dataio.energy_model_from_dict(entry["energy"]),
+                int(init_seed))
+            assert chain.x0.elements == alone.elements
+            assert chain.x0.positions.tobytes() == alone.positions.tobytes(), entry["name"]
 
     def test_duplicate_molecule_name(self):
         # two molecules under one id would share one extended graph downstream

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from confgen import cvae, edg, nnet
@@ -332,8 +332,10 @@ class TestRefine:
             under = np.maximum(lo2[s] - sq, 0.0)
             return float((over**2 + under**2).sum())
 
-        e, grad, sq = edg._hinge_energy_grad(x, iu, edg._gradient_slots(iu, 5, 2),
-                                             lo2, hi2)
+        i, j = edg._pair_layout([5], [2])
+        e, grad, sq = edg._hinge_energy_grad(x.reshape(-1, 3).T.copy(), i, j,
+                                             lo2.ravel(), hi2.ravel(), [(2, 10)])
+        grad, sq = grad.T.reshape(x.shape), sq.reshape(2, 10)
         for s in range(2):
             assert e[s] == pytest.approx(energy(x[s], s), rel=1e-12)
             assert np.allclose(sq[s], point_distance_matrix(x[s])[iu] ** 2)
@@ -460,9 +462,9 @@ class TestRefineStack:
         iu = np.triu_indices(n, k=1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(edg, "REFINE_MAX_ITER", cap)
-            coords, converged, violation, iterations = edg._refine_stack(
-                np.stack(starts), np.stack([b.lower[iu] for b in stack]),
-                np.stack([b.upper[iu] for b in stack]), tol)
+            [(coords, converged, violation, iterations)] = edg._refine_ragged(
+                [(np.stack(starts), np.stack([b.lower[iu] for b in stack]),
+                  np.stack([b.upper[iu] for b in stack]))], tol)
             expected = [oracle_refine(x, b, tol) for x, b in zip(starts, stack)]
         for k, (x, ok, worst, steps) in enumerate(expected):
             assert coords[k].tobytes() == x.tobytes(), k
@@ -481,6 +483,72 @@ class TestRefineStack:
         assert (converged, violation, iterations) == (ok, worst, steps)
         assert steps > 0
         assert (type(converged), type(violation), type(iterations)) == (bool, float, int)
+
+
+def oracle_case(n: int, samples: int, rng: np.random.Generator) -> tuple:
+    """Starts and smoothed bounds of one graph: sample k starts on a point set
+    that satisfies its bounds (k % 3 == 0), at the all-zero start that
+    cannot move (k % 3 == 1), or at an embedded draw (k % 3 == 2)."""
+    starts, stack = [], []
+    for k in range(samples):
+        points = rng.normal(0.0, 2.0, (n, 3))
+        b = smooth_bounds(random_bounds(n, rng, points))
+        if k % 3 == 0:
+            start = points
+        elif k % 3 == 1:
+            start = np.zeros((n, 3))
+        else:
+            start = gram_embed(metrize(b, rng)) + rng.normal(0.0, 0.2, (n, 3))
+        starts.append(start)
+        stack.append(b)
+    return starts, stack
+
+
+class TestRefineRagged:
+    @settings(max_examples=30, deadline=None)
+    @example(graphs=[(40, 6), (1, 2), (2, 3), (23, 4)], cap=120, tol=0.0, seed=7)
+    @given(graphs=st.lists(st.tuples(st.one_of(st.integers(1, 2), st.integers(1, 40)),
+                                     st.integers(1, 6)), min_size=1, max_size=6),
+           cap=st.integers(0, 120), tol=st.sampled_from([1e-3, 1e-2, 0.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_sample_oracle(self, graphs, cap, tol, seed):
+        """Graphs of 1-40 atoms in one stack, bit for bit, sample by sample."""
+        rng = np.random.default_rng(seed)
+        cases = [oracle_case(n, samples, rng) for n, samples in graphs]
+        blocks = []
+        for (n, _), (starts, stack) in zip(graphs, cases):
+            iu = np.triu_indices(n, k=1)
+            blocks.append((np.stack(starts), np.stack([b.lower[iu] for b in stack]),
+                           np.stack([b.upper[iu] for b in stack])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edg, "REFINE_MAX_ITER", cap)
+            refined = edg._refine_ragged(blocks, tol)
+            expected = [[oracle_refine(x, b, tol) for x, b in zip(*case)]
+                        for case in cases]
+        assert len(refined) == len(graphs)
+        for g, ((coords, converged, violation, iterations), alone) in enumerate(
+                zip(refined, expected)):
+            assert coords.shape == blocks[g][0].shape
+            for k, (x, ok, worst, steps) in enumerate(alone):
+                assert coords[k].tobytes() == x.tobytes(), (g, k)
+                assert (bool(converged[k]), violation[k], iterations[k]) == \
+                       (ok, worst, steps), (g, k)
+                if k % 3 == 1:  # zero gradient: stays put until the cap
+                    assert steps == cap or (ok and steps == 0)
+
+    def test_no_blocks_and_empty_blocks(self):
+        assert edg._refine_ragged([], 1e-3) == []
+        rng = np.random.default_rng(3)
+        starts, stack = oracle_case(4, 2, rng)
+        iu = np.triu_indices(4, k=1)
+        empty = (np.zeros((0, 5, 3)), np.zeros((0, 10)), np.zeros((0, 10)))
+        [none, (coords, _, _, _), none_again] = edg._refine_ragged(
+            [empty, (np.stack(starts), np.stack([b.lower[iu] for b in stack]),
+                     np.stack([b.upper[iu] for b in stack])), empty], 1e-3)
+        assert none[0].shape == none_again[0].shape == (0, 5, 3)
+        for k in range(2):
+            assert coords[k].tobytes() == oracle_refine(starts[k], stack[k],
+                                                        1e-3)[0].tobytes()
 
 
 class TestEmbedConformation:
@@ -512,7 +580,7 @@ class TestEmbedConformation:
         decoded = GaussianEdgeDist(np.stack([d.mean for d in stack]),
                                    np.stack([d.var for d in stack]))
         monkeypatch.setattr(cvae, "decode", lambda p, eg, z: decoded)
-        results, report = edg.generate(None, eg, 3, np.random.SeedSequence(1))
+        [(results, report)] = edg.generate(None, [(eg, np.random.SeedSequence(1))], 3)
         assert report.n_samples == 3
         assert report.n_smoothing_ok == 2
         assert report.smoothing_rate == pytest.approx(2 / 3)
@@ -530,8 +598,8 @@ class TestGenerate:
         eg = build_extended_graph(random_tree(5, rng), seed=1)
         params = cvae.ModelParams(SMALL, seed=2)
         seed = np.random.SeedSequence(9, spawn_key=(2,))
-        a, report = edg.generate(params, eg, 4, seed)
-        b, _ = edg.generate(params, eg, 4, seed)
+        [(a, report)] = edg.generate(params, [(eg, seed)], 4)
+        [(b, _)] = edg.generate(params, [(eg, seed)], 4)
         assert seed.n_children_spawned == 0
         assert 0 < len(a) == report.n_smoothing_ok
         for x, y in zip(a, b):
@@ -555,8 +623,8 @@ class TestGenerate:
         eg = build_extended_graph(random_tree(9, rng), seed=1)
         params = cvae.ModelParams(SMALL, seed=4)
         seed = np.random.SeedSequence(17, spawn_key=(1,))
-        small, small_report = edg.generate(params, eg, 3, seed)
-        large, large_report = edg.generate(params, eg, 7, seed)
+        [(small, small_report)] = edg.generate(params, [(eg, seed)], 3)
+        [(large, large_report)] = edg.generate(params, [(eg, seed)], 7)
         assert small_report.n_smoothing_ok == 3 and large_report.n_smoothing_ok == 7
         for a, b in zip(small, large[:3]):
             assert a.conformation.positions.tobytes() == \
@@ -575,7 +643,7 @@ class TestGenerate:
         monkeypatch.setattr(cvae, "decode", lambda p, eg, z: decoded)
         pair = edg._smooth_stack(*edg._bounds_stack(eg, bad))[2][0].pair
         key = f"{min(pair)}-{max(pair)}"
-        results, report = edg.generate(None, eg, 4, np.random.SeedSequence(2))
+        [(results, report)] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
         assert report.smoothing_rejections == {key: 2}
         assert report.iterations == [r.iterations for r in results]
         d = report.as_dict()
@@ -587,7 +655,7 @@ class TestGenerate:
         embed = edg.gram_embed
         monkeypatch.setattr(edg, "gram_embed", lambda d: 0.5 * embed(d))
         monkeypatch.setattr(edg, "REFINE_MAX_ITER", 2)
-        _, capped = edg.generate(None, eg, 4, np.random.SeedSequence(2))
+        [(_, capped)] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
         assert capped.n_iteration_capped == 2 and capped.n_converged == 0
         assert capped.iterations == [2, 2]
         both = edg.EmbedBatchReport.merged([report, capped])
@@ -595,10 +663,48 @@ class TestGenerate:
         assert both.n_iteration_capped == 2
         assert both.iterations == report.iterations + capped.iterations
 
+    @settings(max_examples=10, deadline=None)
+    @given(sizes=st.lists(st.one_of(st.integers(1, 2), st.integers(1, 20)),
+                          min_size=1, max_size=5),
+           n=st.integers(1, 4), cap=st.integers(0, 120),
+           seed=st.integers(0, 2**32 - 1))
+    def test_several_graphs_match_one_graph_calls(self, sizes, n, cap, seed):
+        rng = np.random.default_rng(seed)
+        jobs = [(build_extended_graph(random_tree(size, rng), seed=g),
+                 np.random.SeedSequence(seed, spawn_key=(g,)))
+                for g, size in enumerate(sizes)]
+        params = cvae.ModelParams(SMALL, seed=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edg, "REFINE_MAX_ITER", cap)
+            together = edg.generate(params, jobs, n)
+            alone = [edg.generate(params, [job], n)[0] for job in jobs]
+        assert len(together) == len(jobs)
+        for (results, report), (results_alone, report_alone) in zip(together, alone):
+            assert report == report_alone
+            assert [(r.conformation.positions.tobytes(), r.converged,
+                     r.max_violation, r.iterations) for r in results] == \
+                   [(r.conformation.positions.tobytes(), r.converged,
+                     r.max_violation, r.iterations) for r in results_alone]
+
+    def test_one_atom_graph_next_to_a_bond(self):
+        lone = build_extended_graph(MolGraph.from_elements(["C"], []), seed=0)
+        bond = build_extended_graph(MolGraph.from_elements(["C", "O"], [(0, 1)]), seed=0)
+        assert lone.n_edges == 0
+        b = make_bounds(lone, GaussianEdgeDist(np.zeros(0), np.zeros(0)))
+        assert b.lower.shape == (1, 1) and b.upper[0, 0] == 0.0
+        params = cvae.ModelParams(SMALL, seed=1)
+        jobs = [(lone, np.random.SeedSequence(1, spawn_key=(0,))),
+                (bond, np.random.SeedSequence(1, spawn_key=(1,)))]
+        [(single, single_report), (pair, pair_report)] = edg.generate(params, jobs, 3)
+        assert single_report.n_converged == 3 and single_report.iterations == [0] * 3
+        assert [r.conformation.positions.shape for r in single] == [(1, 3)] * 3
+        assert pair_report.n_samples == 3
+        assert all(r.conformation.elements == ("C", "O") for r in pair)
+
     def test_no_samples(self):
         eg = build_extended_graph(random_tree(4, np.random.default_rng(5)), seed=1)
-        results, report = edg.generate(cvae.ModelParams(SMALL, seed=1), eg, 0,
-                                       np.random.SeedSequence(1))
+        [(results, report)] = edg.generate(cvae.ModelParams(SMALL, seed=1),
+                                           [(eg, np.random.SeedSequence(1))], 0)
         assert results == [] and report.as_dict()["n_samples"] == 0
 
     def test_trained_model_samples_near_training_support(self):
@@ -610,8 +716,8 @@ class TestGenerate:
         config = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5,
                                  edge_state=5, epochs=20, batch_size=32)
         result = cvae.train(records, config, seed=2)
-        sampled, report = edg.generate(result.params, eg, 20,
-                                       np.random.SeedSequence(3))
+        [(sampled, report)] = edg.generate(result.params,
+                                           [(eg, np.random.SeedSequence(3))], 20)
         assert report.n_smoothing_ok == 20
         bond = np.array([extract_distances(eg, r.conformation).values[0]
                          for r in sampled])
