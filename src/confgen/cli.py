@@ -240,24 +240,26 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_energy_models(path, molecules) -> dict:
+def _load_energy_models(path, grouped) -> dict:
+    """One checked energy model per dataset molecule of `grouped`, from a
+    benchmark spec, a {"models": {name: model}} map or one bare model that
+    applies to every molecule."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: not valid JSON: {e}") from e
     if "molecules" in doc:  # a benchmark spec
-        return {
-            entry["name"]: dataio.energy_model_from_dict(entry["energy"])
-            for entry in doc["molecules"]
-        }
-    if "models" in doc:
-        return {
-            name: dataio.energy_model_from_dict(model)
-            for name, model in doc["models"].items()
-        }
-    # a single bare model applies to every molecule
-    model = dataio.energy_model_from_dict(doc)
-    return {mol: model for mol in molecules}
+        docs = {entry.get("name"): entry.get("energy") for entry in doc["molecules"]}
+    elif "models" in doc:
+        docs = doc["models"]
+    else:
+        docs = dict.fromkeys(grouped, doc)
+    models = {}
+    for mol, (graph, _, _) in grouped.items():
+        if mol not in docs:
+            raise UsageError(f"no energy model for molecule {mol!r}")
+        models[mol] = dataio.molecule_energy_model(mol, docs[mol], graph.n_atoms)
+    return models
 
 
 def _cmd_estimate(args) -> int:
@@ -273,10 +275,8 @@ def _cmd_estimate(args) -> int:
     if not records:
         raise UsageError(f"{args.generated}: dataset is empty")
     grouped = dataio.group_records(records)
-    models = _load_energy_models(args.energy_model, list(grouped))
+    models = _load_energy_models(args.energy_model, grouped)
     for mol, (graph, _, conformations) in grouped.items():
-        if mol not in models:
-            raise UsageError(f"no energy model for molecule {mol!r}")
         try:  # a distance pair beyond the molecule's atoms fails on any conformation
             obs(conformations[0])
         except IndexError as e:

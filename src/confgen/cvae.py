@@ -2,7 +2,9 @@
 
 The encoder turns (graph, distances) into one Gaussian latent per node; the
 decoder turns (graph, latent) back into one Gaussian per edge. Both are
-message-passing networks whose weights are shared across graphs of any size.
+instances of one message-passing network class, `_MessagePassingNet`, which
+reads out on the nodes for the encoder and on the edges for the decoder; its
+weights are shared across graphs of any size.
 Training maximizes the evidence lower bound, i.e. a single-sample
 reparameterized reconstruction log-likelihood minus the closed-form KL
 divergence from the per-node posterior to a standard-normal prior.
@@ -96,56 +98,68 @@ class MessageBlock:
         return v_new, e_new
 
 
+class _MessagePassingNet:
+    """Node and edge embeddings, message passes and a Gaussian read-out.
+
+    The encoder and the decoder are both one of these: they differ in the
+    widths of their node and edge inputs and in whether the mean and
+    log-variance heads read the final node states (encoder, one latent per
+    node) or the final edge states (decoder, one distance per edge). Weights
+    are drawn from `rng` in parameter order.
+    """
+
+    def __init__(self, config: CvaeConfig, node_in: int, edge_in: int,
+                 rng: np.random.Generator, on_edges: bool):
+        c = self.config = config
+        self.on_edges = on_edges
+        self.node_embed = nnet.Mlp((node_in, c.hidden, c.hidden, c.node_state), rng)
+        self.edge_embed = nnet.Mlp((edge_in, c.hidden, c.hidden, c.edge_state), rng)
+        self.passes = [MessageBlock(c.node_state, c.edge_state, c.hidden, rng)
+                       for _ in range(c.message_passes)]
+        head = (c.edge_state if on_edges else c.node_state, c.readout_hidden,
+                c.readout_hidden, 1)
+        self.mean = nnet.Mlp(head, rng, out_gain=READOUT_GAIN)
+        self.logvar = nnet.Mlp(head, rng, out_gain=READOUT_GAIN)
+
+    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+        mlps = [("node_embed", self.node_embed), ("edge_embed", self.edge_embed)]
+        for t, block in enumerate(self.passes):
+            mlps += [(f"pass{t}.edge", block.edge_update),
+                     (f"pass{t}.node", block.node_update)]
+        mlps += [("mean", self.mean), ("logvar", self.logvar)]
+        return {f"{prefix}.{name}.{li}.{kind}": getattr(layer, kind)
+                for name, mlp in mlps for li, layer in enumerate(mlp.layers)
+                for kind in ("weight", "bias")}
+
+    def __call__(self, v_in: Tensor, e_in: Tensor, src, dst, n_nodes: int):
+        """(mean, clipped log-variance) per node or per edge.
+
+        `v_in` may be a (S, n_nodes, width) stack; an unstacked `e_in` is
+        then shared by all S samples, so the edge embedding runs once.
+        """
+        v = self.node_embed(v_in)
+        e = self.edge_embed(e_in)
+        for block in self.passes:
+            v, e = block(v, e, src, dst, n_nodes)
+        out = e if self.on_edges else v
+        mean = self.mean(out)
+        logvar = nnet.clip(self.logvar(out), math.log(self.config.variance_floor),
+                           math.log(self.config.variance_ceiling))
+        return mean, logvar
+
+
 class ModelParams:
-    """All trainable weights of the encoder and decoder networks."""
+    """All trainable weights: the encoder `enc` and the decoder `dec`."""
 
     def __init__(self, config: CvaeConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        c = config
         fv, fe = molgraph.NODE_FEATURE_DIM, molgraph.EDGE_FEATURE_DIM
-
-        self.enc_node_embed = nnet.Mlp((fv, c.hidden, c.hidden, c.node_state), rng)
-        self.enc_edge_embed = nnet.Mlp((fe + 1, c.hidden, c.hidden, c.edge_state), rng)
-        self.enc_passes = [
-            MessageBlock(c.node_state, c.edge_state, c.hidden, rng)
-            for _ in range(c.message_passes)
-        ]
-        node_head = (c.node_state, c.readout_hidden, c.readout_hidden, 1)
-        self.enc_mean = nnet.Mlp(node_head, rng, out_gain=READOUT_GAIN)
-        self.enc_logvar = nnet.Mlp(node_head, rng, out_gain=READOUT_GAIN)
-
-        self.dec_node_embed = nnet.Mlp((fv + 1, c.hidden, c.hidden, c.node_state), rng)
-        self.dec_edge_embed = nnet.Mlp((fe, c.hidden, c.hidden, c.edge_state), rng)
-        self.dec_passes = [
-            MessageBlock(c.node_state, c.edge_state, c.hidden, rng)
-            for _ in range(c.message_passes)
-        ]
-        edge_head = (c.edge_state, c.readout_hidden, c.readout_hidden, 1)
-        self.dec_mean = nnet.Mlp(edge_head, rng, out_gain=READOUT_GAIN)
-        self.dec_logvar = nnet.Mlp(edge_head, rng, out_gain=READOUT_GAIN)
-
-        self._named: dict[str, Tensor] = {}
-        for name, mlp in self._mlps():
-            for li, layer in enumerate(mlp.layers):
-                self._named[f"{name}.{li}.weight"] = layer.weight
-                self._named[f"{name}.{li}.bias"] = layer.bias
-
-    def _mlps(self):
-        yield "enc.node_embed", self.enc_node_embed
-        yield "enc.edge_embed", self.enc_edge_embed
-        for t, block in enumerate(self.enc_passes):
-            yield f"enc.pass{t}.edge", block.edge_update
-            yield f"enc.pass{t}.node", block.node_update
-        yield "enc.mean", self.enc_mean
-        yield "enc.logvar", self.enc_logvar
-        yield "dec.node_embed", self.dec_node_embed
-        yield "dec.edge_embed", self.dec_edge_embed
-        for t, block in enumerate(self.dec_passes):
-            yield f"dec.pass{t}.edge", block.edge_update
-            yield f"dec.pass{t}.node", block.node_update
-        yield "dec.mean", self.dec_mean
-        yield "dec.logvar", self.dec_logvar
+        # the encoder sees each edge's distance, the decoder each node's latent
+        self.enc = _MessagePassingNet(config, fv, fe + 1, rng, on_edges=False)
+        self.dec = _MessagePassingNet(config, fv + 1, fe, rng, on_edges=True)
+        self._named = {**self.enc.named_parameters("enc"),
+                       **self.dec.named_parameters("dec")}
 
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self._named)
@@ -247,44 +261,13 @@ def _distance_values(distances, eg: ExtendedGraph) -> np.ndarray:
     return d
 
 
-def _encode_core(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes, d_col):
-    e_in = nnet.concat([edge_feat, d_col], axis=1)
-    v = p.enc_node_embed(node_feat)
-    e = p.enc_edge_embed(e_in)
-    for block in p.enc_passes:
-        v, e = block(v, e, src, dst, n_nodes)
-    mean = p.enc_mean(v)
-    logvar = nnet.clip(p.enc_logvar(v), math.log(p.config.variance_floor),
-                       math.log(p.config.variance_ceiling))
-    return mean, logvar
-
-
-def _decode_core(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes, z_col):
-    # z_col may be a (S, n_nodes, 1) stack; the features stay unstacked and
-    # concat repeats them, so the edge embedding runs once for all S samples
-    v_in = nnet.concat([node_feat, z_col], axis=-1)
-    v = p.dec_node_embed(v_in)
-    e = p.dec_edge_embed(edge_feat)
-    for block in p.dec_passes:
-        v, e = block(v, e, src, dst, n_nodes)
-    mean = p.dec_mean(e)
-    logvar = nnet.clip(p.dec_logvar(e), math.log(p.config.variance_floor),
-                       math.log(p.config.variance_ceiling))
-    return mean, logvar
-
-
 def encode(p: ModelParams, eg: ExtendedGraph, distances) -> NodeGaussians:
     """Posterior Gaussians for the latent code given observed edge distances."""
     d = _distance_values(distances, eg)
-    mean, logvar = _encode_core(
-        p,
-        nnet.constant(eg.node_features),
-        nnet.constant(eg.edge_features),
-        eg.src,
-        eg.dst,
-        eg.n_nodes,
-        nnet.constant(d[:, None]),
-    )
+    e_in = nnet.concat([nnet.constant(eg.edge_features), nnet.constant(d[:, None])],
+                       axis=1)
+    mean, logvar = p.enc(nnet.constant(eg.node_features), e_in, eg.src, eg.dst,
+                         eg.n_nodes)
     return NodeGaussians(mean.data[:, 0], np.exp(logvar.data[:, 0]))
 
 
@@ -307,15 +290,10 @@ def decode(p: ModelParams, eg: ExtendedGraph, z) -> GaussianEdgeDist:
     if zv.ndim not in (1, 2) or zv.shape[-1] != eg.n_nodes:
         raise ShapeError(f"latent shape {zv.shape} does not match {eg.n_nodes} nodes")
     with nnet.inference():
-        mean, logvar = _decode_core(
-            p,
-            nnet.constant(eg.node_features),
-            nnet.constant(eg.edge_features),
-            eg.src,
-            eg.dst,
-            eg.n_nodes,
-            nnet.constant(zv[..., None]),
-        )
+        v_in = nnet.concat([nnet.constant(eg.node_features),
+                            nnet.constant(zv[..., None])], axis=-1)
+        mean, logvar = p.dec(v_in, nnet.constant(eg.edge_features), eg.src, eg.dst,
+                             eg.n_nodes)
     return GaussianEdgeDist(mean.data[..., 0], np.exp(logvar.data[..., 0]))
 
 
@@ -326,10 +304,12 @@ def _elbo_tensors(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes,
     e_const = nnet.constant(edge_feat)
     d_col = nnet.constant(d[:, None])
 
-    mean_z, logvar_z = _encode_core(p, v_const, e_const, src, dst, n_nodes, d_col)
+    mean_z, logvar_z = p.enc(v_const, nnet.concat([e_const, d_col], axis=1),
+                             src, dst, n_nodes)
     sigma_z = nnet.exp(nnet.scale(logvar_z, 0.5))
     z = nnet.add(mean_z, nnet.mul(sigma_z, nnet.constant(noise[:, None])))
-    mean_d, logvar_d = _decode_core(p, v_const, e_const, src, dst, n_nodes, z)
+    mean_d, logvar_d = p.dec(nnet.concat([v_const, z], axis=-1), e_const,
+                             src, dst, n_nodes)
 
     var_d = nnet.exp(logvar_d)
     diff = nnet.sub(d_col, mean_d)

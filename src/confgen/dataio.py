@@ -338,6 +338,52 @@ def _check_term_atoms(name: str, model: EnergyModel, n_atoms: int) -> None:
                     f"integer from 0 to {n_atoms - 1}")
 
 
+# energy term kind: its atom keys, then each value key and whether it must be > 0
+# (EnergyModel's rule); every value must also be a finite number
+_TERM_KEYS = {
+    "bonds": ("ij", {"rest": True, "stiffness": True}),
+    "angles": ("ijk", {"rest": False, "stiffness": True}),
+}
+
+
+def molecule_energy_model(name: str, d, n_atoms: int) -> EnergyModel:
+    """Molecule `name`'s energy model from its JSON form `d`, checked for a
+    molecule of `n_atoms` atoms.
+
+    Every bond and angle term needs all its keys, each rest, stiffness and
+    steric value must be a finite number, bond rest lengths and bond and
+    angle stiffnesses must be above 0, and the atoms must pass
+    `_check_term_atoms`. Raises ParseError naming the molecule and the term.
+    """
+    def check(term: str, t, atoms: str, values: dict) -> None:
+        if not isinstance(t, dict):
+            raise ParseError(f"molecule {name!r}: {term} must be an object, got {t!r}")
+        for key in [*atoms, *values]:
+            if key not in t:
+                raise ParseError(f"molecule {name!r}: {term} has no {key!r}")
+        for key, positive in values.items():
+            v = t[key]
+            if not (_number(v) and math.isfinite(v) and (v > 0 or not positive)):
+                rule = "a finite number" + (" > 0" if positive else "")
+                raise ParseError(f"molecule {name!r}: {term} {key} must be {rule}, "
+                                 f"got {v!r}")
+
+    if not isinstance(d, dict):
+        raise ParseError(f"molecule {name!r}: 'energy' must be an object of terms, "
+                         f"got {d!r}")
+    for kind, (atoms, values) in _TERM_KEYS.items():
+        terms = d.get(kind, ())
+        if not isinstance(terms, (list, tuple)):
+            raise ParseError(f"molecule {name!r}: {kind} must be a list, got {terms!r}")
+        for index, t in enumerate(terms):
+            check(f"{kind[:-1]} {index}", t, atoms, values)
+    if d.get("steric"):
+        check("steric term", d["steric"], "", {"floor": False, "stiffness": False})
+    model = energy_model_from_dict(d)
+    _check_term_atoms(name, model, n_atoms)
+    return model
+
+
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -406,11 +452,10 @@ def make_synthetic_benchmark(spec: dict, seed: int) -> tuple[list, list]:
             raise ParseError(f"molecule {name!r} appears more than once")
         try:
             graph = _molecule_graph(entry)
-            model = energy_model_from_dict(entry["energy"])
         except (KeyError, TypeError) as e:
-            raise ParseError(f"molecule {name!r}: bad topology or energy terms "
+            raise ParseError(f"molecule {name!r}: bad topology "
                              f"({type(e).__name__}: {e})") from e
-        _check_term_atoms(name, model, graph.n_atoms)
+        model = molecule_energy_model(name, entry.get("energy"), graph.n_atoms)
         molecules.append((name, graph, model, schedule))
 
     seeds = [np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(3)

@@ -19,7 +19,6 @@ from . import cvae, nnet
 from .cvae import GaussianEdgeDist
 from .errors import DomainError, NumericalError
 from .molgraph import Conformation, ExtendedGraph, GraphStructureError
-from .nnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 STERIC_FLOOR = 1.0
 DISTANCE_CEILING = 1000.0
@@ -371,13 +370,9 @@ def _refine_ragged(blocks, tol: float) -> list:
             np.copyto(kept, x, where=np.repeat(accepted, atoms))
         violation[active[accepted]] = worst[accepted]
         going = ~(accepted & (worst <= tol))
-        # nnet.Adam.step with t = step; samples that just stopped are dropped
-        # before their moved coordinates are used
-        c1 = 1.0 - ADAM_BETA1**step
-        c2 = 1.0 - ADAM_BETA2**step
-        m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * grad
-        v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * grad * grad
-        x -= REFINE_LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        # samples that just stopped are dropped before their moved
+        # coordinates are used
+        nnet.adam_update(x, grad, m, v, step, REFINE_LR)
         iterations[active[going]] = step
     best[:, placed] = kept
 

@@ -8,7 +8,8 @@ recording once in reverse topological order. Inside `inference()` nothing is
 recorded. The graph operations (`matmul`, `rows`, `scatter_sum`, `concat`)
 take an optional leading sample axis, so one pass runs a stack of inputs
 through the same weights. An Adam optimizer and a JSON checkpoint container
-round the module off.
+round the module off; its array update, `adam_update`, is also the step that
+`edg`'s coordinate refinement takes.
 """
 
 from __future__ import annotations
@@ -377,8 +378,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                t: int, lr: float) -> None:
+    """Adam step number `t` (from 1) with gradient `g`, in place: the moments
+    `m` and `v` and then `x` move, with bias correction."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    x -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+
+
 class Adam:
-    """Adam with bias correction and the module's ADAM_* constants."""
+    """Adam over a list of parameter tensors, one `adam_update` each per step."""
 
     def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
@@ -396,17 +408,11 @@ class Adam:
         if len(grads) != len(self.params):
             raise ShapeError("one gradient per parameter required")
         self.t += 1
-        c1 = 1.0 - ADAM_BETA1**self.t
-        c2 = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.data.shape:
                 raise ShapeError("gradient shape does not match its parameter")
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            adam_update(p.data, g, m, v, self.t, self.lr)
 
     def zero_grad(self) -> None:
         zero_grads(self.params)

@@ -126,6 +126,23 @@ class TestMakeData:
         assert "each must be a distinct integer from 0 to 8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, field, value, message", [
+        # was exit 1 with "bond terms need positive rest length and stiffness"
+        ("bonds", "stiffness", -5, "bond 0 stiffness must be a finite number > 0, got -5"),
+        # was a TypeError traceback
+        ("angles", "rest", "x", "angle 0 rest must be a finite number, got 'x'"),
+    ])
+    def test_bad_term_value_exits_2(self, tmp_path, capsys, kind, field, value, message):
+        spec = toy10_spec(3)
+        spec["molecules"] = spec["molecules"][:2]
+        spec["molecules"][1]["energy"][kind][0][field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.jsonl"
+        assert main(["make-data", str(spec_path), str(out)]) == 2
+        assert f"molecule 'ethanol': {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_metrics_log_has_per_epoch_elbo(self, workspace):
@@ -473,3 +490,34 @@ class TestEstimate:
         assert code == 2
         err = capsys.readouterr().err
         assert "'methanol'" in err and "6 atoms" in err
+
+    @pytest.mark.parametrize("form, field, value, message", [
+        # each was exit 1 with "energy term references a missing atom"
+        ("spec", "j", 99, "'ethanol': bond 0 names atoms (0, 99)"),
+        ("spec", "i", -1, "'ethanol': bond 0 names atoms (-1, 1)"),
+        # was a KeyError traceback
+        ("spec", "energy", None, "'ethanol': 'energy' must be an object"),
+        # was a TypeError traceback
+        ("models", "stiffness", "1500", "'ethanol': bond 0 stiffness must be a finite "
+                                        "number > 0, got '1500'"),
+        # was exit 1 with "no proposal has a finite energy"; a bare model is
+        # checked against each molecule, methanol first
+        ("bare", "rest", float("nan"), "'methanol': bond 0 rest must be a finite "
+                                       "number > 0, got nan"),
+    ])
+    def test_bad_energy_model_exits_2(self, workspace, tmp_path, capsys, form, field,
+                                      value, message):
+        _, spec_path, data_path, _, _ = workspace
+        spec = json.loads(spec_path.read_text())
+        energy = {m["name"]: m["energy"] for m in spec["molecules"]}
+        if field == "energy":
+            del spec["molecules"][1]["energy"]
+        else:
+            name = "methanol" if form == "bare" else "ethanol"
+            energy[name]["bonds"][0][field] = value
+        doc = {"spec": spec, "models": {"models": energy}, "bare": energy["methanol"]}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc[form]))
+        code = main(["estimate", str(data_path), "--energy-model", str(model_path)])
+        assert code == 2
+        assert f"molecule {message}" in capsys.readouterr().err

@@ -269,9 +269,10 @@ class TestStackedDecode:
     def test_single_decode_equals_taped_forward_pass(self, small_instance):
         p, eg, _ = small_instance
         z = np.random.default_rng(3).standard_normal(eg.n_nodes)
-        mean, logvar = cvae._decode_core(
-            p, nnet.constant(eg.node_features), nnet.constant(eg.edge_features),
-            eg.src, eg.dst, eg.n_nodes, nnet.constant(z[:, None]))
+        mean, logvar = p.dec(
+            nnet.concat([nnet.constant(eg.node_features), nnet.constant(z[:, None])],
+                        axis=-1),
+            nnet.constant(eg.edge_features), eg.src, eg.dst, eg.n_nodes)
         assert mean.requires_grad
         ged = cvae.decode(p, eg, z)
         assert ged.mean.tobytes() == mean.data[:, 0].tobytes()
@@ -320,7 +321,7 @@ class TestElbo:
 
     def test_nonfinite_loss_raises_with_term(self, small_instance):
         p, eg, d = small_instance
-        p.dec_mean.layers[-1].bias.data[:] = 1e200
+        p.dec.mean.layers[-1].bias.data[:] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError) as info:
                 cvae.elbo(p, eg, d, rng=np.random.default_rng(0))
@@ -476,6 +477,49 @@ class TestModelParams:
         assert not np.array_equal(
             first.data, next(iter(clone.named_parameters().values())).data
         )
+
+    def test_parameter_names_order_and_init_draws(self):
+        """Checkpoints store parameters by name, and one generator draws
+        every weight in this order, so a reordered construction would stop
+        old checkpoints loading and change every trained model."""
+        c = cvae.CvaeConfig(message_passes=2, node_state=5, edge_state=4,
+                            hidden=12, readout_hidden=7)
+        fv, fe = molgraph.NODE_FEATURE_DIM, molgraph.EDGE_FEATURE_DIM
+        h, r, nv, ne = c.hidden, c.readout_hidden, c.node_state, c.edge_state
+        edge_pass, node_pass = (ne + 2 * nv, h, h, ne), (nv + ne, h, h, nv)
+        # (MLP name, layer sizes, gain of the output layer), in draw order
+        mlps = [
+            ("enc.node_embed", (fv, h, h, nv), 1.0),
+            ("enc.edge_embed", (fe + 1, h, h, ne), 1.0),
+            ("enc.pass0.edge", edge_pass, 0.1),
+            ("enc.pass0.node", node_pass, 0.1),
+            ("enc.pass1.edge", edge_pass, 0.1),
+            ("enc.pass1.node", node_pass, 0.1),
+            ("enc.mean", (nv, r, r, 1), 0.01),
+            ("enc.logvar", (nv, r, r, 1), 0.01),
+            ("dec.node_embed", (fv + 1, h, h, nv), 1.0),
+            ("dec.edge_embed", (fe, h, h, ne), 1.0),
+            ("dec.pass0.edge", edge_pass, 0.1),
+            ("dec.pass0.node", node_pass, 0.1),
+            ("dec.pass1.edge", edge_pass, 0.1),
+            ("dec.pass1.node", node_pass, 0.1),
+            ("dec.mean", (ne, r, r, 1), 0.01),
+            ("dec.logvar", (ne, r, r, 1), 0.01),
+        ]
+        rng = np.random.default_rng(11)
+        expected = {}
+        for name, sizes, out_gain in mlps:
+            for li, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+                gain = out_gain if li == len(sizes) - 2 else 1.0
+                limit = gain * math.sqrt(6.0 / fan_in)
+                expected[f"{name}.{li}.weight"] = rng.uniform(-limit, limit,
+                                                              (fan_in, fan_out))
+                expected[f"{name}.{li}.bias"] = np.zeros(fan_out)
+
+        got = cvae.ModelParams(c, seed=11).named_parameters()
+        assert list(got) == list(expected)
+        for name, t in got.items():
+            assert t.data.tobytes() == expected[name].tobytes(), name
 
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import shortest_path
 from confgen import cvae, edg, nnet
 from confgen.cvae import GaussianEdgeDist
 from confgen.errors import DomainError
+from confgen.nnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from confgen.edg import (
     BoundsMatrix,
     InconsistentBoundsError,
@@ -390,7 +391,7 @@ class TestRefine:
 
 def oracle_refine(coords, b, tol):
     """Per-sample refinement as written before the stack: np.add.at gradients,
-    a separate distance pass for the violation and one nnet.Adam per sample."""
+    a separate distance pass for the violation and Adam written out per sample."""
     coords = np.asarray(coords, dtype=np.float64).copy()
     iu = np.triu_indices(coords.shape[0], k=1)
     lo2 = b.lower[iu] ** 2
@@ -420,18 +421,25 @@ def oracle_refine(coords, b, tol):
     violation = pair_violation(best)
     if violation <= tol:
         return best, True, violation, 0
-    x = nnet.param(coords)
-    adam = nnet.Adam([x], lr=edg.REFINE_LR)
+    x = coords.copy()
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
     iterations = 0
     for step in range(1, edg.REFINE_MAX_ITER + 1):
-        e, g = energy_grad(x.data)
+        e, g = energy_grad(x)
         if e <= best_energy + 1e-12:
             best_energy = e
-            best = x.data.copy()
+            best = x.copy()
             violation = pair_violation(best)
             if violation <= tol:
                 break
-        adam.step(grads=[g])
+        # Adam with bias correction, written out so that refine's shared
+        # update is checked against the rule, not against itself
+        c1 = 1.0 - ADAM_BETA1**step
+        c2 = 1.0 - ADAM_BETA2**step
+        m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+        v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+        x -= edg.REFINE_LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         iterations = step
     violation = pair_violation(best)
     return best, bool(violation <= tol), violation, iterations
