@@ -170,16 +170,21 @@ class ModelParams:
     def values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._named.items()}
 
-    def set_values(self, arrays: dict) -> None:
-        missing = set(self._named) - set(arrays)
+    def checked(self, arrays: dict, what: str = "checkpoint") -> dict[str, np.ndarray]:
+        """The entry of `arrays` for each parameter, in parameter order;
+        ShapeError names `what` if one is missing or of the wrong shape."""
+        missing = [name for name in self._named if name not in arrays]
         if missing:
-            raise ShapeError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
+            raise ShapeError(f"{what} is missing parameters: {missing[:3]}...")
+        out = {name: np.asarray(arrays[name], dtype=np.float64) for name in self._named}
         for name, t in self._named.items():
-            a = np.asarray(arrays[name], dtype=np.float64)
-            if a.shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name}: stored shape {a.shape} != expected {t.data.shape}"
-                )
+            if out[name].shape != t.data.shape:
+                raise ShapeError(f"{what}: parameter {name}: stored shape "
+                                 f"{out[name].shape} != expected {t.data.shape}")
+        return out
+
+    def set_values(self, arrays: dict) -> None:
+        for t, a in zip(self._named.values(), self.checked(arrays).values()):
             t.data = a.copy()
 
     def copy(self) -> "ModelParams":
@@ -529,41 +534,40 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
 # --- checkpoint io ---------------------------------------------------------
 
 def save_model(path, params: ModelParams, train_state: dict | None = None) -> None:
-    """Write best parameters plus optional resumable training state."""
+    """Write the weights plus optional resumable training state (version 2).
+    The state's `best` weights must be bitwise `params` (ValueError otherwise)
+    and are not stored again; Adam moments are stored by parameter name."""
+    values = params.values()
     extra = {"config": params.config.to_dict()}
     if train_state is not None:
-        extra["train_state"] = {
-            **train_state,
-            "current": nnet.encode_arrays(train_state["current"]),
-            "adam": {
-                "t": train_state["adam"]["t"],
-                "m": [m.tolist() for m in train_state["adam"]["m"]],
-                "v": [v.tolist() for v in train_state["adam"]["v"]],
-            },
-            "best": nnet.encode_arrays(train_state["best"]),
-        }
-    nnet.save_checkpoint(path, params.values(), extra=extra)
+        state = extra["train_state"] = dict(train_state)
+        if nnet.encode_arrays(state.pop("best")) != nnet.encode_arrays(values):
+            raise ValueError("the training state's best weights are not the weights saved")
+        state["current"] = nnet.encode_arrays(state["current"])
+        state["adam"] = {"t": state["adam"]["t"], **{
+            key: nnet.encode_arrays(dict(zip(values, state["adam"][key]))) for key in "mv"}}
+    nnet.save_checkpoint(path, values, extra=extra)
 
 
 def load_model(path) -> tuple[ModelParams, dict | None]:
-    """Load a checkpoint; returns (params, train_state or None)."""
-    arrays, extra = nnet.load_checkpoint(path)
-    config = CvaeConfig.from_dict(extra["config"])
-    params = ModelParams(config, seed=0)
+    """Load a checkpoint of version 1 or 2; returns (params, train_state or
+    None), where the state's `best` weights are `params`."""
+    arrays, extra, version = nnet.load_checkpoint(path)
+    params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
     params.set_values(arrays)
     state = extra.get("train_state")
     if state is not None:
-        shapes = [t.data.shape for t in params.parameters()]
-        state = {
-            **state,
-            "current": nnet.decode_arrays(state["current"]),
-            "adam": {
-                "t": state["adam"]["t"],
-                "m": [np.asarray(m, dtype=np.float64).reshape(shape)
-                      for m, shape in zip(state["adam"]["m"], shapes)],
-                "v": [np.asarray(v, dtype=np.float64).reshape(shape)
-                      for v, shape in zip(state["adam"]["v"], shapes)],
-            },
-            "best": nnet.decode_arrays(state["best"]),
-        }
+        state, adam = dict(state), state["adam"]
+        if version == 1:  # moments as bare lists by position, and a copy of params
+            del state["best"]
+            adam = {"t": adam["t"], **{key: {
+                name: {"shape": list(t.shape), "data": m}
+                for (name, t), m in zip(params.named_parameters().items(), adam[key])}
+                for key in "mv"}}
+        state["current"] = params.checked(nnet.decode_arrays(state["current"]),
+                                          "current weights")
+        state["adam"] = {"t": adam["t"], **{
+            key: list(params.checked(nnet.decode_arrays(adam[key]),
+                                     "Adam moments").values()) for key in "mv"}}
+        state["best"] = params.values()
     return params, state

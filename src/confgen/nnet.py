@@ -7,13 +7,14 @@ parent links and a backward closure on its output; `backward` replays the
 recording once in reverse topological order. Inside `inference()` nothing is
 recorded. The graph operations (`matmul`, `rows`, `scatter_sum`, `concat`)
 take an optional leading sample axis, so one pass runs a stack of inputs
-through the same weights. An Adam optimizer and a JSON checkpoint container
-round the module off; its array update, `adam_update`, is also the step that
-`edg`'s coordinate refinement takes.
+through the same weights. An Adam optimizer and a JSON checkpoint container,
+whose one array codec is exact, round the module off; the optimizer's array
+update, `adam_update`, is also the step of `edg`'s coordinate refinement.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -425,42 +426,35 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        shapes = [p.data.shape for p in self.params]
+        if [np.shape(m) for m in state["m"]] != shapes or \
+                [np.shape(v) for v in state["v"]] != shapes:
+            raise ShapeError(f"optimizer moments do not match the {len(shapes)} parameters")
         self.t = int(state["t"])
-        self.m = [np.asarray(m, dtype=np.float64).copy() for m in state["m"]]
-        self.v = [np.asarray(v, dtype=np.float64).copy() for v in state["v"]]
-        if len(self.m) != len(self.params) or len(self.v) != len(self.params):
-            raise ShapeError(
-                f"optimizer state has {len(self.m)} first and {len(self.v)} "
-                f"second moments for {len(self.params)} parameters"
-            )
-        for p, m, v in zip(self.params, self.m, self.v):
-            if m.shape != p.data.shape or v.shape != p.data.shape:
-                raise ShapeError("optimizer state does not match parameters")
+        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
+        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
 
 
 CHECKPOINT_FORMAT = "confgen-params"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 stored array data as JSON number lists
 
 
 def encode_arrays(arrays: dict) -> dict:
-    """Named arrays as JSON-ready {name: {shape, data}} entries.
-
-    Floats keep shortest round-trip precision through JSON, so decode_arrays
-    reproduces every value bit for bit.
-    """
-    return {
-        name: {
-            "shape": list(np.asarray(a).shape),
-            "data": np.asarray(a, dtype=np.float64).ravel().tolist(),
-        }
-        for name, a in arrays.items()
-    }
+    """Named arrays as JSON-ready {name: {shape, data}} entries, where `data`
+    is the base64 of the array's little-endian float64 bytes, so decode_arrays
+    reproduces every value bit for bit."""
+    return {name: {"shape": list(np.shape(a)),
+                   "data": base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode()}
+            for name, a in arrays.items()}
 
 
 def decode_arrays(doc: dict) -> dict:
-    """Inverse of encode_arrays."""
+    """Inverse of encode_arrays; it also reads version 1 entries, whose data is
+    a list of numbers."""
     return {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        name: (np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
+               if isinstance(entry["data"], str) else np.asarray(entry["data"]))
+        .astype(np.float64).reshape(entry["shape"])
         for name, entry in doc.items()
     }
 
@@ -476,10 +470,11 @@ def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def load_checkpoint(path) -> tuple[dict, dict]:
+def load_checkpoint(path) -> tuple[dict, dict, int]:
+    """(arrays, extra, version) of a version 1 or 2 checkpoint."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    return decode_arrays(doc["params"]), doc.get("extra", {})
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
+    if doc.get("version") not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    return decode_arrays(doc["params"]), doc.get("extra", {}), doc["version"]

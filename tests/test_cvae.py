@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from confgen.errors import NumericalError
 from confgen.molgraph import MolGraph, build_extended_graph, extract_distances
 from confgen.nnet import ShapeError
 
-from conftest import random_conformation, random_tree
+from conftest import random_conformation, random_tree, save_model_v1
 
 SMALL = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5, edge_state=5)
 
@@ -438,7 +439,7 @@ class TestModelParams:
                 "history": [{"epoch": i + 1, "train_elbo": data.draw(elbos),
                              "val_elbo": data.draw(elbos)}
                             for i in range(data.draw(st.integers(0, 3)))],
-                "best": random_values(),
+                "best": params.values(),
                 "best_val_elbo": data.draw(elbos),
                 "best_epoch": data.draw(st.integers(0, 10**4)),
             }
@@ -450,6 +451,13 @@ class TestModelParams:
             loaded, loaded_state = cvae.load_model(path)
             cvae.save_model(again, loaded, train_state=loaded_state)
             assert again.read_bytes() == path.read_bytes()
+            if state is not None:
+                # only params holds the best weights, so they must be its bits
+                wrong = params.values()
+                bias = next(name for name in wrong if name.endswith("bias"))
+                wrong[bias] = -wrong[bias]  # zeros: -0.0 equals 0.0 in value only
+                with pytest.raises(ValueError, match="best weights"):
+                    cvae.save_model(again, params, train_state={**state, "best": wrong})
 
         assert loaded.config == config
         for name, t in params.named_parameters().items():
@@ -468,6 +476,40 @@ class TestModelParams:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         for key in ("epoch", "rng", "history", "best_val_elbo", "best_epoch"):
             assert loaded_state[key] == state[key]
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_version_1_checkpoint_loads_bitwise(self, tmp_path, with_state):
+        records = TestTrain()._toy_records(n_molecules=2, n_conf=4)
+        config = cvae.CvaeConfig(hidden=6, readout_hidden=6, node_state=3,
+                                 edge_state=3, epochs=2, batch_size=4)
+        result = cvae.train(records, config, seed=5)
+        state = result.state if with_state else None
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        save_model_v1(v1, result.params, train_state=state)
+        cvae.save_model(v2, result.params, train_state=state)
+        assert json.loads(v1.read_text())["version"] == 1
+        old, old_state = cvae.load_model(v1)
+        new, new_state = cvae.load_model(v2)
+        for name, t in new.named_parameters().items():
+            assert old.named_parameters()[name].data.tobytes() == t.data.tobytes()
+        if not with_state:
+            assert old_state is None and new_state is None
+            return
+        assert list(old_state) == list(new_state)
+        for key in ("current", "best"):
+            assert old_state[key].keys() == new_state[key].keys()
+            for name, a in new_state[key].items():
+                assert old_state[key][name].tobytes() == a.tobytes(), (key, name)
+        for key in ("m", "v"):
+            for a, b in zip(old_state["adam"][key], new_state["adam"][key], strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for key in ("epoch", "rng", "history", "best_val_elbo", "best_epoch"):
+            assert old_state[key] == new_state[key]
+        assert old_state["adam"]["t"] == new_state["adam"]["t"]
+        # loading a version 1 file and saving it writes version 2
+        again = tmp_path / "again.json"
+        cvae.save_model(again, old, train_state=old_state)
+        assert again.read_bytes() == v2.read_bytes()
 
     def test_copy_is_independent(self, small_instance):
         p, _, _ = small_instance

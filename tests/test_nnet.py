@@ -241,8 +241,8 @@ class TestCheckpoint:
         arrays = {"a.weight": rng.normal(size=(3, 4)), "b.bias": rng.normal(size=5)}
         path = tmp_path / "params.json"
         nnet.save_checkpoint(path, arrays, extra={"note": 1})
-        loaded, extra = nnet.load_checkpoint(path)
-        assert extra == {"note": 1}
+        loaded, extra, version = nnet.load_checkpoint(path)
+        assert (extra, version) == ({"note": 1}, 2)
         for name, a in arrays.items():
             assert np.array_equal(loaded[name], a)
 
