@@ -111,6 +111,10 @@ def _load_config(args) -> cvae.CvaeConfig:
         "message_passes": args.message_passes,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
+    return _checked_config(values)
+
+
+def _checked_config(values: dict) -> cvae.CvaeConfig:
     try:
         return cvae.CvaeConfig.from_dict(values)
     except (TypeError, ValueError) as e:
@@ -136,7 +140,10 @@ def _cmd_train(args) -> int:
             raise UsageError(f"{args.resume}: checkpoint has no training state")
         config = params.config
         if args.epochs is not None:
-            config.epochs = args.epochs
+            config = _checked_config({**config.to_dict(), "epochs": args.epochs})
+        if config.epochs < resume_state["epoch"]:
+            raise UsageError(f"--epochs {config.epochs} is below the {resume_state['epoch']} "
+                             f"epochs that {args.resume} has already run")
     else:
         config = _load_config(args)
 
@@ -249,7 +256,8 @@ def _load_energy_models(path, grouped) -> dict:
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: not valid JSON: {e}") from e
     if "molecules" in doc:  # a benchmark spec
-        docs = {entry.get("name"): entry.get("energy") for entry in doc["molecules"]}
+        docs = {entry.get("name"): entry.get("energy")
+                for entry in dataio.spec_molecules(path, doc)}
     elif "models" in doc:
         docs = doc["models"]
     else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import molgraph, nnet
-from .errors import NumericalError
+from .errors import NumericalError, UsageError
 from .molgraph import DistanceSet, ExtendedGraph
 from .nnet import ShapeError, Tensor
 
@@ -31,9 +31,33 @@ MESSAGE_GAIN = 0.1
 READOUT_GAIN = 0.01
 
 
+def _integer_rule(low: int):
+    return (lambda v, c: type(v) is int and v >= low), f"an integer >= {low}"
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# config field: (whether a value is valid, given the whole config; what a valid
+# value is)
+_CONFIG_RULES = {
+    "message_passes": _integer_rule(0),
+    **dict.fromkeys(("node_state", "edge_state", "hidden", "readout_hidden",
+                     "batch_size", "epochs"), _integer_rule(1)),
+    "variance_floor": (lambda v, c: _real(v) and v > 0, "a finite number > 0"),
+    "variance_ceiling": (lambda v, c: _real(v) and v > c.variance_floor,
+                         "a finite number above variance_floor"),
+    "learning_rate": (lambda v, c: _real(v) and v > 0, "a finite number > 0"),
+    "validation_fraction": (lambda v, c: _real(v) and 0 <= v < 1,
+                            "a number >= 0 and < 1"),
+}
+
+
 @dataclass
 class CvaeConfig:
-    """Model and training hyperparameters.
+    """Model and training hyperparameters, checked on construction
+    (ValueError names the first bad field).
 
     Defaults: three message passes, state width 10, hidden layers of 50,
     minibatches of 32 at learning rate 0.001.
@@ -50,6 +74,12 @@ class CvaeConfig:
     learning_rate: float = 0.001
     epochs: int = 30
     validation_fraction: float = 0.1
+
+    def __post_init__(self):
+        for name, (valid, rule) in _CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not valid(value, self):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -170,12 +200,12 @@ class ModelParams:
     def values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._named.items()}
 
-    def checked(self, arrays: dict, what: str = "checkpoint") -> dict[str, np.ndarray]:
+    def checked(self, arrays: dict, what: str = "weights") -> dict[str, np.ndarray]:
         """The entry of `arrays` for each parameter, in parameter order;
         ShapeError names `what` if one is missing or of the wrong shape."""
         missing = [name for name in self._named if name not in arrays]
         if missing:
-            raise ShapeError(f"{what} is missing parameters: {missing[:3]}...")
+            raise ShapeError(f"{what} lack parameters: {missing[:3]}...")
         out = {name: np.asarray(arrays[name], dtype=np.float64) for name in self._named}
         for name, t in self._named.items():
             if out[name].shape != t.data.shape:
@@ -551,23 +581,28 @@ def save_model(path, params: ModelParams, train_state: dict | None = None) -> No
 
 def load_model(path) -> tuple[ModelParams, dict | None]:
     """Load a checkpoint of version 1 or 2; returns (params, train_state or
-    None), where the state's `best` weights are `params`."""
-    arrays, extra, version = nnet.load_checkpoint(path)
-    params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
-    params.set_values(arrays)
-    state = extra.get("train_state")
-    if state is not None:
-        state, adam = dict(state), state["adam"]
-        if version == 1:  # moments as bare lists by position, and a copy of params
-            del state["best"]
-            adam = {"t": adam["t"], **{key: {
-                name: {"shape": list(t.shape), "data": m}
-                for (name, t), m in zip(params.named_parameters().items(), adam[key])}
-                for key in "mv"}}
-        state["current"] = params.checked(nnet.decode_arrays(state["current"]),
-                                          "current weights")
-        state["adam"] = {"t": adam["t"], **{
-            key: list(params.checked(nnet.decode_arrays(adam[key]),
-                                     "Adam moments").values()) for key in "mv"}}
-        state["best"] = params.values()
+    None), where the state's `best` weights are `params`. UsageError names
+    `path` when the file is not a checkpoint of this model."""
+    try:
+        arrays, extra, version = nnet.load_checkpoint(path)
+        params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
+        params.set_values(arrays)
+        state = extra.get("train_state")
+        if state is not None:
+            state, adam = dict(state), state["adam"]
+            if version == 1:  # moments as bare lists by position, and a copy of params
+                del state["best"]
+                adam = {"t": adam["t"], **{key: {
+                    name: {"shape": list(t.shape), "data": m}
+                    for (name, t), m in zip(params.named_parameters().items(), adam[key])}
+                    for key in "mv"}}
+            state["current"] = params.checked(nnet.decode_arrays(state["current"]),
+                                              "current weights")
+            state["adam"] = {"t": adam["t"], **{
+                key: list(params.checked(nnet.decode_arrays(adam[key]),
+                                         "Adam moments").values()) for key in "mv"}}
+            state["best"] = params.values()
+    except (KeyError, TypeError, ValueError, ShapeError) as e:
+        detail = f"no {e}" if isinstance(e, KeyError) else e
+        raise UsageError(f"{path}: not a usable checkpoint: {detail}") from e
     return params, state

@@ -269,11 +269,26 @@ def load_benchmark_spec(path) -> dict:
         spec = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: not valid JSON: {e}") from e
-    if spec.get("format") != BENCHMARK_FORMAT:
+    if not isinstance(spec, dict) or spec.get("format") != BENCHMARK_FORMAT:
         raise ParseError(f"{path}: expected format {BENCHMARK_FORMAT!r}")
     if "molecules" not in spec or "temperature" not in spec:
         raise ParseError(f"{path}: benchmark spec needs molecules and temperature")
+    spec_molecules(path, spec)
     return spec
+
+
+def spec_molecules(path, spec: dict) -> list[dict]:
+    """The `molecules` of the spec read from `path`; ParseError unless they
+    are a list of objects."""
+    molecules = spec["molecules"]
+    if not isinstance(molecules, list):
+        raise ParseError(f"{path}: 'molecules' must be a list of objects, "
+                         f"got {type(molecules).__name__}")
+    for index, entry in enumerate(molecules):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: molecules entry {index} must be an object, "
+                             f"got {entry!r:.40}")
+    return molecules
 
 
 def _molecule_graph(entry: dict) -> MolGraph:

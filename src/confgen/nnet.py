@@ -450,13 +450,18 @@ def encode_arrays(arrays: dict) -> dict:
 
 def decode_arrays(doc: dict) -> dict:
     """Inverse of encode_arrays; it also reads version 1 entries, whose data is
-    a list of numbers."""
-    return {
-        name: (np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
-               if isinstance(entry["data"], str) else np.asarray(entry["data"]))
-        .astype(np.float64).reshape(entry["shape"])
-        for name, entry in doc.items()
-    }
+    a list of numbers. ValueError names an entry that is not an array."""
+    arrays = {}
+    for name, entry in dict(doc).items():
+        try:
+            data = entry["data"]
+            a = (np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+                 if isinstance(data, str) else np.asarray(data, dtype=np.float64))
+            arrays[name] = a.astype(np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
+            detail = f"no {e}" if isinstance(e, KeyError) else e
+            raise ValueError(f"array {name!r}: {detail}") from e
+    return arrays
 
 
 def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
@@ -471,7 +476,8 @@ def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict, int]:
-    """(arrays, extra, version) of a version 1 or 2 checkpoint."""
+    """(arrays, extra, version) of a version 1 or 2 checkpoint; ValueError if
+    the file is not one."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")

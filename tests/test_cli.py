@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from confgen import dataio, edg
+from confgen import cvae, dataio, edg
 from confgen.cli import main
 
-from conftest import toy10_spec
+from conftest import save_model_v1, toy10_spec
 
 FAST_CONFIG = {
     "hidden": 10,
@@ -144,6 +144,32 @@ class TestMakeData:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("form, message", [
+        ("entry", "molecules entry 10 must be an object, got 5"),
+        ("object", "'molecules' must be a list of objects, got dict"),
+    ])
+    def test_molecules_not_objects_exits_2(self, tmp_path, capsys, form, message):
+        # each was an AttributeError traceback
+        spec_path = write_bad_molecules_spec(tmp_path, form)
+        out = tmp_path / "out.jsonl"
+        assert main(["make-data", str(spec_path), str(out)]) == 2
+        assert f"{spec_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def write_bad_molecules_spec(tmp_path, form: str):
+    """The toy10 spec with 5 appended to `molecules` ("entry"), or with
+    `molecules` as an object ("object")."""
+    spec = toy10_spec(3)
+    if form == "entry":
+        spec["molecules"].append(5)
+    else:
+        spec["molecules"] = {m["name"]: m for m in spec["molecules"]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    return spec_path
+
+
 class TestTrain:
     def test_metrics_log_has_per_epoch_elbo(self, workspace):
         root, _, _, _, ckpt_path = workspace
@@ -200,6 +226,63 @@ class TestTrain:
         assert "moments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_resume_from_version_1_matches_version_2(self, workspace, tmp_path):
+        _, _, data_path, config_path, _ = workspace
+        half = tmp_path / "half.json"
+        assert main(["train", str(data_path), str(half), "--config", str(config_path),
+                     "--epochs", "2", "--seed", "9"]) == 0
+        half_v1 = tmp_path / "half_v1.json"
+        save_model_v1(half_v1, *cvae.load_model(half))
+        outs = []
+        for start in (half, half_v1):
+            out = tmp_path / f"resumed_{start.stem}.json"
+            assert main(["train", str(data_path), str(out), "--resume", str(start),
+                         "--epochs", "4", "--seed", "9"]) == 0
+            outs.append(json.loads(out.read_text()))
+        assert outs[0]["version"] == outs[1]["version"] == 2
+        assert outs[0]["params"] == outs[1]["params"]
+        assert outs[0] == outs[1]
+
+    def test_resume_below_checkpoint_epoch_exits_2(self, workspace, tmp_path, capsys):
+        # was exit 0 with an empty metrics file and a train state at epoch 1
+        # holding 3 epochs of history
+        _, _, data_path, _, ckpt_path = workspace
+        out = tmp_path / "resumed.json"
+        code = main(["train", str(data_path), str(out), "--resume", str(ckpt_path),
+                     "--epochs", "1"])
+        assert code == 2
+        assert f"--epochs 1 is below the 3 epochs that {ckpt_path}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "resumed.json.metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("args, config, message", [
+        # was exit 1 with "range() arg 3 must not be zero"
+        (["--batch-size", "0"], {}, "batch_size must be an integer >= 1, got 0"),
+        # was a ZeroDivisionError traceback
+        ([], {"hidden": 0}, "hidden must be an integer >= 1, got 0"),
+        # was exit 0, writing a checkpoint with best_val_elbo=-inf
+        (["--epochs", "0"], {}, "epochs must be an integer >= 1, got 0"),
+        (["--learning-rate", "nan"], {}, "learning_rate must be a finite number > 0"),
+        ([], {"variance_floor": 2.0, "variance_ceiling": 1.0},
+         "variance_ceiling must be a finite number above variance_floor, got 1.0"),
+        ([], {"validation_fraction": 1}, "validation_fraction must be a number >= 0 "
+                                         "and < 1, got 1"),
+        ([], {"message_passes": -1}, "message_passes must be an integer >= 0, got -1"),
+    ], ids=["batch_size", "hidden", "epochs", "learning_rate", "variance_ceiling",
+            "validation_fraction", "message_passes"])
+    def test_bad_config_exits_2(self, workspace, tmp_path, capsys, args, config,
+                                message):
+        _, _, data_path, _, _ = workspace
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, **config}))
+        out = tmp_path / "model.json"
+        code = main(["train", str(data_path), str(out), "--config", str(config_path),
+                     *args])
+        assert code == 2
+        assert f"bad training config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--config", None), ("--batch-size", "3"), ("--learning-rate", "0.5"),
         ("--message-passes", "2"),
@@ -227,6 +310,45 @@ class TestGenerate:
         assert 0.0 <= report["smoothing_rate"] <= 1.0
         assert 0.0 <= report["convergence_rate"] <= 1.0
         assert (root / "gen50.jsonl.report.json").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        # each was exit 1, apart from "no config" (a KeyError traceback)
+        ("not json", "Expecting value"),
+        ("foreign", "not a confgen-params file"),
+        ("version 3", "unsupported checkpoint version 3"),
+        ("no config", "no 'config'"),
+        ("bad config", "hidden must be an integer >= 1, got 0"),
+        ("missing array", "weights lack parameters: ['enc.node_embed.0.weight']"),
+        ("misshapen array", "parameter enc.node_embed.0.weight: stored shape"),
+        ("short data", "array 'enc.node_embed.0.weight': cannot reshape"),
+    ])
+    def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, capsys, case,
+                                          message):
+        _, _, data_path, _, ckpt_path = workspace
+        doc = json.loads(ckpt_path.read_text())
+        first = doc["params"]["enc.node_embed.0.weight"]
+        if case == "foreign":
+            doc["format"] = "something-else"
+        elif case == "version 3":
+            doc["version"] = 3
+        elif case == "no config":
+            del doc["extra"]["config"]
+        elif case == "bad config":
+            doc["extra"]["config"]["hidden"] = 0
+        elif case == "missing array":
+            del doc["params"]["enc.node_embed.0.weight"]
+        elif case == "misshapen array":
+            first["shape"] = first["shape"][::-1]
+        elif case == "short data":
+            first["data"] = first["data"][:-32]  # 24 bytes: 3 values short
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json" if case == "not json" else json.dumps(doc))
+        out = tmp_path / "gen.jsonl"
+        code = main(["generate", str(bad), str(data_path), str(out), "--n", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not a usable checkpoint: " in err and message in err
+        assert not out.exists()
 
     def test_seed_reproducible_and_thread_invariant(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace
@@ -490,6 +612,19 @@ class TestEstimate:
         assert code == 2
         err = capsys.readouterr().err
         assert "'methanol'" in err and "6 atoms" in err
+
+    @pytest.mark.parametrize("form, message", [
+        ("entry", "molecules entry 10 must be an object, got 5"),
+        ("object", "'molecules' must be a list of objects, got dict"),
+    ])
+    def test_spec_molecules_not_objects_exits_2(self, workspace, tmp_path, capsys,
+                                                form, message):
+        # each was an AttributeError traceback
+        _, _, data_path, _, _ = workspace
+        spec_path = write_bad_molecules_spec(tmp_path, form)
+        code = main(["estimate", str(data_path), "--energy-model", str(spec_path)])
+        assert code == 2
+        assert f"{spec_path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("form, field, value, message", [
         # each was exit 1 with "energy term references a missing atom"

@@ -566,3 +566,20 @@ class TestModelParams:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             cvae.CvaeConfig.from_dict({"message_passes": 2, "bogus": 1})
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_state", 0), ("edge_state", 2.0), ("hidden", True),
+        ("readout_hidden", -1), ("batch_size", "8"), ("epochs", 0),
+        ("message_passes", -1), ("learning_rate", 0.0),
+        ("learning_rate", float("inf")), ("variance_floor", 0.0),
+        ("variance_floor", float("nan")), ("variance_ceiling", 1e-6),
+        ("variance_ceiling", float("inf")), ("validation_fraction", 1.0),
+        ("validation_fraction", -0.1), ("validation_fraction", None),
+    ])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            cvae.CvaeConfig.from_dict({field: value})
+
+    def test_config_accepts_edge_values(self):
+        cvae.CvaeConfig(message_passes=0, validation_fraction=0.0, learning_rate=1,
+                        variance_floor=1e-300, variance_ceiling=1e300)

@@ -1,7 +1,10 @@
+import json
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confgen import nnet
 from confgen.nnet import ShapeError, Tensor
@@ -245,6 +248,42 @@ class TestCheckpoint:
         assert (extra, version) == ({"note": 1}, 2)
         for name, a in arrays.items():
             assert np.array_equal(loaded[name], a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays=st.dictionaries(
+        st.text(min_size=1, max_size=8),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                max_side=4),
+                   elements=st.floats(allow_nan=True, allow_infinity=True)),
+        max_size=3))
+    def test_codec_is_bitwise_for_any_float64(self, arrays):
+        # NaN payloads, -0.0, infinities, subnormals, empty and 0-d arrays
+        arrays = {**arrays, "nan": np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f")}
+        decoded = nnet.decode_arrays(json.loads(json.dumps(nnet.encode_arrays(arrays))))
+        assert decoded.keys() == arrays.keys()
+        for name, a in arrays.items():
+            assert decoded[name].shape == a.shape and decoded[name].dtype == np.float64
+            assert decoded[name].tobytes() == a.tobytes(), name
+            assert decoded[name].flags.writeable
+
+    def test_reads_version_1_number_lists(self):
+        a = np.random.default_rng(1).normal(size=(2, 3))
+        doc = {"w": {"shape": [2, 3], "data": a.ravel().tolist()}}
+        assert nnet.decode_arrays(doc)["w"].tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"shape": [3], "data": "AAAAAAAAAAA="}, "cannot reshape array of size 1"),
+        ({"shape": [1], "data": "AAAA"}, "multiple of element size"),
+        ({"shape": [1], "data": "not base64!"}, "array 'w'"),
+        ({"shape": [2], "data": [1.0]}, "cannot reshape array of size 1"),
+        ({"data": "AAAAAAAAAAA="}, "array 'w': no 'shape'"),
+        ({"shape": [1]}, "array 'w': no 'data'"),
+        (5, "array 'w'"),
+    ])
+    def test_bad_entry_names_the_array(self, entry, message):
+        with pytest.raises(ValueError, match="array 'w'") as info:
+            nnet.decode_arrays({"w": entry})
+        assert message in str(info.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
