@@ -104,6 +104,8 @@ def _load_config(args) -> cvae.CvaeConfig:
             values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise UsageError(f"{args.config}: not valid JSON: {e}") from e
+        if not isinstance(values, dict):
+            raise UsageError(f"{args.config}: a training config must be a JSON object")
     overrides = {
         "epochs": args.epochs,
         "batch_size": args.batch_size,

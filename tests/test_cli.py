@@ -239,9 +239,8 @@ class TestTrain:
             assert main(["train", str(data_path), str(out), "--resume", str(start),
                          "--epochs", "4", "--seed", "9"]) == 0
             outs.append(json.loads(out.read_text()))
-        assert outs[0]["version"] == outs[1]["version"] == 2
-        assert outs[0]["params"] == outs[1]["params"]
-        assert outs[0] == outs[1]
+        assert outs[0]["version"] == 2
+        assert outs[0] == outs[1]  # the params, the train state and the config
 
     def test_resume_below_checkpoint_epoch_exits_2(self, workspace, tmp_path, capsys):
         # was exit 0 with an empty metrics file and a train state at epoch 1
@@ -282,6 +281,17 @@ class TestTrain:
         assert code == 2
         assert f"bad training config: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_not_an_object_exits_2(self, workspace, tmp_path, capsys):
+        # was an AttributeError traceback
+        _, _, data_path, _, _ = workspace
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps([FAST_CONFIG]))
+        code = main(["train", str(data_path), str(tmp_path / "model.json"),
+                     "--config", str(config_path)])
+        assert code == 2
+        assert f"{config_path}: a training config must be a JSON object" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--config", None), ("--batch-size", "3"), ("--learning-rate", "0.5"),

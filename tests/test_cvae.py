@@ -329,22 +329,23 @@ class TestElbo:
         assert info.value.term == "reconstruction"
 
 
-class TestTrain:
-    def _toy_records(self, n_molecules=5, n_conf=30, seed=0):
-        rng = np.random.default_rng(seed)
-        records = []
-        for m in range(n_molecules):
-            g = random_tree(5, rng)
-            eg = build_extended_graph(g, seed=m)
-            base = random_conformation(g, rng)
-            base_d = extract_distances(eg, base).values
-            for _ in range(n_conf):
-                d = base_d * rng.uniform(0.95, 1.05, size=base_d.shape)
-                records.append((f"mol{m}", eg, d))
-        return records
+def toy_records(n_molecules=5, n_conf=30, seed=0):
+    rng = np.random.default_rng(seed)
+    records = []
+    for m in range(n_molecules):
+        g = random_tree(5, rng)
+        eg = build_extended_graph(g, seed=m)
+        base = random_conformation(g, rng)
+        base_d = extract_distances(eg, base).values
+        for _ in range(n_conf):
+            d = base_d * rng.uniform(0.95, 1.05, size=base_d.shape)
+            records.append((f"mol{m}", eg, d))
+    return records
 
+
+class TestTrain:
     def test_elbo_improves_and_best_selected(self):
-        records = self._toy_records()
+        records = toy_records()
         config = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5,
                                  edge_state=5, epochs=10, batch_size=16)
         result = cvae.train(records, config, seed=1)
@@ -359,7 +360,7 @@ class TestTrain:
             cvae.train([], cvae.CvaeConfig(), seed=0)
 
     def test_resume_matches_uninterrupted_run(self):
-        records = self._toy_records(n_molecules=3, n_conf=10)
+        records = toy_records(n_molecules=3, n_conf=10)
         config = cvae.CvaeConfig(hidden=8, readout_hidden=8, node_state=4,
                                  edge_state=4, epochs=4, batch_size=8)
         full = cvae.train(records, config, seed=9)
@@ -375,7 +376,7 @@ class TestTrain:
                [h["val_elbo"] for h in resumed.history]
 
     def test_batched_elbo_equals_sum_of_singles(self):
-        records = self._toy_records(n_molecules=2, n_conf=1)
+        records = toy_records(n_molecules=2, n_conf=1)
         p = cvae.ModelParams(SMALL, seed=5)
         items = [(eg, d) for _, eg, d in records]
         sizes = [eg.n_nodes for eg, _ in items]
@@ -479,7 +480,7 @@ class TestModelParams:
 
     @pytest.mark.parametrize("with_state", [False, True])
     def test_version_1_checkpoint_loads_bitwise(self, tmp_path, with_state):
-        records = TestTrain()._toy_records(n_molecules=2, n_conf=4)
+        records = toy_records(n_molecules=2, n_conf=4)
         config = cvae.CvaeConfig(hidden=6, readout_hidden=6, node_state=3,
                                  edge_state=3, epochs=2, batch_size=4)
         result = cvae.train(records, config, seed=5)
