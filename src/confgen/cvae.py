@@ -13,6 +13,7 @@ divergence from the per-node posterior to a standard-normal prior.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -437,21 +438,27 @@ def _stack_batch(items):
     )
 
 
-def _batch_elbo(p: ModelParams, items, noise: np.ndarray):
+def _batch_terms(p: ModelParams, items, noise: np.ndarray):
+    """(elbo, recon, kl) tensors of a minibatch, each summed over its records."""
     node_feat, edge_feat, src, dst, n_nodes, d = _stack_batch(items)
     value, recon, kl = _elbo_tensors(p, node_feat, edge_feat, src, dst, n_nodes, d, noise)
     _check_finite(recon, kl)
-    return value
+    return value, recon, kl
+
+
+def _batch_elbo(p: ModelParams, items, noise: np.ndarray) -> Tensor:
+    return _batch_terms(p, items, noise)[0]
 
 
 def _dataset_elbo(p: ModelParams, items, rng: np.random.Generator,
                   batch_size: int) -> float:
-    """Mean per-record single-sample ELBO over a dataset."""
+    """Mean per-record single-sample ELBO over a dataset; records no tape."""
     total = 0.0
     for lo in range(0, len(items), batch_size):
         chunk = items[lo : lo + batch_size]
         n_nodes = sum(eg.n_nodes for eg, _ in chunk)
-        total += _batch_elbo(p, chunk, rng.standard_normal(n_nodes)).item()
+        with nnet.inference():
+            total += _batch_elbo(p, chunk, rng.standard_normal(n_nodes)).item()
     return total / len(items)
 
 
@@ -483,7 +490,9 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
     one when two or more exist); with a single molecule the training set
     doubles as the validation set. `resume_state` restores the exact state a
     previous run saved, so a resumed run is bit-identical to an uninterrupted
-    one.
+    one. `log_fn` receives each epoch's history entry plus the per-record
+    means of the training reconstruction and KL terms, `train_reconstruction`
+    and `train_kl`, which the history does not keep.
     """
     records = list(records)
     if not records:
@@ -521,17 +530,19 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         order = train_rng.permutation(len(train_items))
-        elbo_sum = 0.0
+        elbo_sum = recon_sum = kl_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = [train_items[i] for i in order[lo : lo + config.batch_size]]
             n_nodes = sum(eg.n_nodes for eg, _ in batch)
             noise = train_rng.standard_normal(n_nodes)
-            value = _batch_elbo(params, batch, noise)
+            value, recon, kl = _batch_terms(params, batch, noise)
             loss = nnet.scale(value, -1.0 / len(batch))
             adam.zero_grad()
             nnet.backward(loss)
             adam.step()
             elbo_sum += value.item()
+            recon_sum += recon.item()
+            kl_sum += kl.item()
         val_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(104, epoch)))
         entry = {
             "epoch": epoch,
@@ -544,7 +555,8 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
             best_epoch = epoch
             best_values = params.values()
         if log_fn is not None:
-            log_fn(entry)
+            log_fn({**entry, "train_reconstruction": recon_sum / len(train_items),
+                    "train_kl": kl_sum / len(train_items)})
 
     best_params = ModelParams(config, seed=0)
     best_params.set_values(best_values)
@@ -562,6 +574,27 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
 
 
 # --- checkpoint io ---------------------------------------------------------
+
+def _pcg64_state(value) -> bool:
+    try:
+        np.random.PCG64(0).state = value
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+# train-state field besides the arrays: (whether a value is valid, given the
+# whole state; what a valid value is)
+_STATE_RULES = {
+    "epoch": _integer_rule(0),
+    "adam.t": _integer_rule(0),
+    "rng": (lambda v, s: _pcg64_state(v), "a PCG64 generator state"),
+    "history": (lambda v, s: type(v) is list and all(type(e) is dict for e in v),
+                "a list of objects"),
+    "best_val_elbo": (lambda v, s: _real(v), "a finite number"),
+    "best_epoch": _integer_rule(0),
+}
+
 
 def save_model(path, params: ModelParams, train_state: dict | None = None) -> None:
     """Write the weights plus optional resumable training state (version 2).
@@ -602,6 +635,11 @@ def load_model(path) -> tuple[ModelParams, dict | None]:
                 key: list(params.checked(nnet.decode_arrays(adam[key]),
                                          "Adam moments").values()) for key in "mv"}}
             state["best"] = params.values()
+            scalars = {**state, "adam.t": adam["t"]}
+            for key, (valid, rule) in _STATE_RULES.items():
+                if not valid(scalars[key], state):
+                    raise ValueError(f"train_state.{key} must be {rule}, "
+                                     f"got {reprlib.repr(scalars[key])}")
     except (KeyError, TypeError, ValueError, ShapeError) as e:
         detail = f"no {e}" if isinstance(e, KeyError) else e
         raise UsageError(f"{path}: not a usable checkpoint: {detail}") from e

@@ -4,8 +4,9 @@ Covers exactly what the distance model needs: dense layers with ReLU,
 elementwise math, concatenation, full-sum reduction, and row gather/scatter
 for message passing. Every operation whose inputs require gradients records
 parent links and a backward closure on its output; `backward` replays the
-recording once in reverse topological order. Inside `inference()` nothing is
-recorded. The graph operations (`matmul`, `rows`, `scatter_sum`, `concat`)
+recording once in reverse topological order and spends it as it goes, so
+afterwards only leaves (parameters) hold a gradient and recorded tensors hold
+no gradient, parents or closure. Inside `inference()` nothing is recorded. The graph operations (`matmul`, `rows`, `scatter_sum`, `concat`)
 take an optional leading sample axis, so one pass runs a stack of inputs
 through the same weights. An Adam optimizer and a JSON checkpoint container,
 whose one array codec is exact, round the module off; the optimizer's array
@@ -33,8 +34,10 @@ class ShapeError(DomainError):
 class Tensor:
     """A float64 array plus autodiff bookkeeping.
 
-    After `backward`, every reachable tensor with `requires_grad` holds the
-    accumulated gradient of the scalar loss in `grad`.
+    After `backward`, every reachable leaf with `requires_grad` (a tensor no
+    operation produced, such as a parameter) holds the accumulated gradient of
+    the scalar loss in `grad`; every recorded tensor has spent its tape and
+    holds no gradient, parents or closure.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
@@ -112,22 +115,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
+    """Add `g` into `t.grad`. The first gradient becomes `t.grad` as it is when
+    the caller computed it for `t` alone (`owned`) or unbroadcasting summed it
+    into a new array; another tensor's gradient or a view of one is copied."""
     if not t.requires_grad:
         return
-    g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
+    g = np.asarray(g, dtype=np.float64)
+    summed = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = summed if owned or summed is not g else summed.copy()
     else:
-        t.grad += g
+        t.grad += summed
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def grad_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g, owned=False)
+        _accumulate(b, g, owned=False)
 
     return _result(a.data + b.data, (a, b), grad_fn)
 
@@ -136,7 +143,7 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def grad_fn(g):
-        _accumulate(a, g)
+        _accumulate(a, g, owned=False)
         _accumulate(b, -g)
 
     return _result(a.data - b.data, (a, b), grad_fn)
@@ -172,33 +179,43 @@ def scale(a, c: float) -> Tensor:
     return _result(a.data * c, (a,), grad_fn)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; `a` may be a (S, rows, cols) stack of matrices.
+def matmul(a, b, bias: Tensor | None = None) -> Tensor:
+    """Matrix product, plus `bias` on every row if given, as one op; `a` may
+    be a (S, rows, cols) stack of matrices.
 
     A stack multiplies slice by slice, so each slice gets exactly the product
-    it would get alone.
+    it would get alone. The backward pass skips `g @ b.T` when `a` needs no
+    gradient.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim not in (2, 3) or b.data.ndim != 2:
         raise ShapeError("matmul expects a matrix or a stack of them, then a matrix")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
+    out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def grad_fn(g):
-        _accumulate(a, g @ b.data.T)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
         _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        if bias is not None:
+            _accumulate(bias, g, owned=False)
 
-    return _result(a.data @ b.data, (a, b), grad_fn)
+    return _result(out, (a, b) if bias is None else (a, b, bias), grad_fn)
 
 
 def relu(x) -> Tensor:
+    """max(x, 0) with np.where(x > 0, x, 0.0)'s bits: NaN and -0.0 give 0.0."""
     x = _as_tensor(x)
-    mask = x.data > 0.0
+    out = np.fmax(x.data, 0.0)  # fmax, unlike maximum, maps NaN to 0.0
+    out += 0.0  # -0.0 + 0.0 is 0.0
 
     def grad_fn(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (out > 0.0))
 
-    return _result(np.where(mask, x.data, 0.0), (x,), grad_fn)
+    return _result(out, (x,), grad_fn)
 
 
 def exp(x) -> Tensor:
@@ -237,7 +254,7 @@ def tsum(x) -> Tensor:
     x = _as_tensor(x)
 
     def grad_fn(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
+        _accumulate(x, np.broadcast_to(g, x.data.shape), owned=False)
 
     return _result(x.data.sum(), (x,), grad_fn)
 
@@ -263,53 +280,67 @@ def concat(parts, axis: int = 0) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(index)])
+            _accumulate(p, g[tuple(index)], owned=False)
 
     return _result(np.concatenate(arrays, axis=axis), tuple(parts), grad_fn)
 
 
-def _row_index(x: Tensor, index: np.ndarray, op: str):
-    """Index that selects rows of a matrix, or the same rows of each matrix in
-    a stack. A matrix keeps the bare array, np.add.at's fastest form."""
+def _row_index(x: Tensor, index, op: str, size: int | None = None) -> np.ndarray:
+    """`index` as int64 row numbers below `size` (default: the rows of `x`),
+    for a matrix `x` or a stack of them."""
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"{op} expects a matrix or a stack of them")
-    return index if x.data.ndim == 2 else (slice(None), index)
+    size = x.data.shape[-2] if size is None else size
+    index = np.asarray(index, dtype=np.int64)
+    if index.ndim != 1 or (index.size and not 0 <= index.min() <= index.max() < size):
+        raise ShapeError(f"{op} needs a vector of row numbers in [0, {size})")
+    return index
+
+
+def _segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """Rows of each matrix in `values` (..., len(index), width) summed into
+    `size` rows by `index`. One bincount over index * width + column adds each
+    cell's terms in row order, starting from 0.0, which is np.add.at's order,
+    so the sums are np.add.at's bit for bit."""
+    lead, width = values.shape[:-2], values.shape[-1]
+    matrices, cells = math.prod(lead), size * width
+    keys = ((np.arange(matrices) * cells)[:, None, None] + index[:, None] * width
+            + np.arange(width))
+    sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=matrices * cells)
+    return sums.reshape(lead + (size, width))
 
 
 def rows(x, index) -> Tensor:
     """Gather rows of a matrix (or of each matrix in a stack) by integer index,
     with repetition."""
     x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.int64)
-    at = _row_index(x, index, "rows")
+    index = _row_index(x, index, "rows")
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, at, g)
-        _accumulate(x, gx)
+        _accumulate(x, _segment_sum(g, index, x.data.shape[-2]))
 
-    return _result(x.data[at], (x,), grad_fn)
+    return _result(np.take(x.data, index, axis=-2), (x,), grad_fn)
 
 
 def scatter_sum(x, index, size: int) -> Tensor:
     """Sum rows of `x` into `size` buckets selected by `index` (segment sum);
     a stack sums each of its matrices."""
     x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.int64)
-    at = _row_index(x, index, "scatter_sum")
+    size = int(size)
+    index = _row_index(x, index, "scatter_sum", size)
     if index.shape[0] != x.data.shape[-2]:
         raise ShapeError("scatter_sum index length must match the row count")
-    out = np.zeros(x.data.shape[:-2] + (int(size), x.data.shape[-1]))
-    np.add.at(out, at, x.data)
 
     def grad_fn(g):
-        _accumulate(x, g[at])
+        _accumulate(x, np.take(g, index, axis=-2))
 
-    return _result(out, (x,), grad_fn)
+    return _result(_segment_sum(x.data, index, size), (x,), grad_fn)
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into `grad` for every reachable tensor."""
+    """Accumulate d(loss)/d(leaf) into `grad` for every reachable leaf. Each
+    recorded tensor drops its gradient, parents and closure as soon as its
+    closure has run, so intermediate buffers are freed during the pass."""
     if loss.data.shape != ():
         raise ShapeError("backward needs a scalar loss")
     order: list[Tensor] = []
@@ -325,9 +356,13 @@ def backward(loss: Tensor) -> None:
             visited.add(id(nxt))
             stack.append((nxt, iter(nxt._parents)))
     loss.grad = np.asarray(1.0)
-    for node in reversed(order):
-        if node._grad_fn is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._grad_fn is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._grad_fn(node.grad)
+        node.grad, node._parents, node._grad_fn = None, (), None
 
 
 def zero_grads(tensors) -> None:
@@ -336,7 +371,8 @@ def zero_grads(tensors) -> None:
 
 
 class Dense:
-    """Affine layer with He-style uniform fan-in initialization.
+    """Affine layer, one `matmul` op, with He-style uniform fan-in
+    initialization.
 
     `gain` scales the init limit; small gains keep a network's initial
     outputs near zero.
@@ -349,7 +385,7 @@ class Dense:
         self.bias = param(np.zeros(fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+        return matmul(x, self.weight, self.bias)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]

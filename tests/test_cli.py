@@ -255,6 +255,37 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "resumed.json.metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        # each was exit 1, after the metrics file was opened: a TypeError
+        # traceback, "state must be for a PCG64 RNG", a TypeError traceback,
+        # "could not convert string to float" and a TypeError traceback
+        ("epoch", "2", "an integer >= 0, got '2'"),
+        ("rng", {"x": 1}, "a PCG64 generator state, got {'x': 1}"),
+        ("history", 5, "a list of objects, got 5"),
+        ("best_val_elbo", "a", "a finite number, got 'a'"),
+        ("best_epoch", None, "an integer >= 0, got None"),
+        # was exit 0, resuming Adam's bias correction from step 1
+        ("adam.t", 1.5, "an integer >= 0, got 1.5"),
+        ("history", [{"epoch": 1}, 5], "a list of objects, got [{'epoch': 1}, 5]"),
+    ], ids=["epoch", "rng", "history", "best_val_elbo", "best_epoch", "adam.t",
+            "history-entry"])
+    def test_resume_rejects_bad_state_field(self, workspace, tmp_path, capsys, key,
+                                            value, rule):
+        _, _, data_path, _, ckpt_path = workspace
+        doc = json.loads(ckpt_path.read_text())
+        state = doc["extra"]["train_state"]
+        (state["adam"] if key == "adam.t" else state)[key.removeprefix("adam.")] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "resumed.json"
+        code = main(["train", str(data_path), str(out), "--resume", str(bad),
+                     "--epochs", "4"])
+        assert code == 2
+        assert f"{bad}: not a usable checkpoint: train_state.{key} must be {rule}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "resumed.json.metrics.jsonl").exists()
+
     @pytest.mark.parametrize("args, config, message", [
         # was exit 1 with "range() arg 3 must not be zero"
         (["--batch-size", "0"], {}, "batch_size must be an integer >= 1, got 0"),

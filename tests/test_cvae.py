@@ -359,6 +359,37 @@ class TestTrain:
         with pytest.raises(ShapeError):
             cvae.train([], cvae.CvaeConfig(), seed=0)
 
+    def test_log_gets_reconstruction_and_kl_means(self):
+        records = toy_records(n_molecules=3, n_conf=10)
+        config = cvae.CvaeConfig(hidden=8, readout_hidden=8, node_state=4,
+                                 edge_state=4, epochs=2, batch_size=8)
+        logged = []
+        result = cvae.train(records, config, seed=9, log_fn=logged.append)
+        assert [list(e) for e in logged] == [
+            ["epoch", "train_elbo", "val_elbo", "train_reconstruction", "train_kl"]] * 2
+        for entry, kept in zip(logged, result.history):
+            assert kept == {k: entry[k] for k in ("epoch", "train_elbo", "val_elbo")}
+            assert entry["train_kl"] > 0
+            assert entry["train_reconstruction"] - entry["train_kl"] == \
+                pytest.approx(entry["train_elbo"], rel=1e-12)
+
+    def test_validation_records_no_tape(self):
+        records = toy_records(n_molecules=2, n_conf=3)
+        p = cvae.ModelParams(SMALL, seed=5)
+        items = [(eg, d) for _, eg, d in records]
+        results = []
+        real_result = nnet._result
+
+        def spy(data, parents, grad_fn):
+            results.append(real_result(data, parents, grad_fn))
+            return results[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nnet, "_result", spy)
+            value = cvae._dataset_elbo(p, items, np.random.default_rng(0), 4)
+        assert math.isfinite(value)
+        assert results and not any(t.requires_grad or t._parents for t in results)
+
     def test_resume_matches_uninterrupted_run(self):
         records = toy_records(n_molecules=3, n_conf=10)
         config = cvae.CvaeConfig(hidden=8, readout_hidden=8, node_state=4,

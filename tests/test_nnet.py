@@ -173,6 +173,130 @@ class TestSampleAxis:
         with pytest.raises(ShapeError):
             nnet.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 4))))
 
+    @pytest.mark.parametrize("call", [
+        lambda: nnet.rows(Tensor(np.zeros((3, 4))), [-1]),
+        lambda: nnet.rows(Tensor(np.zeros((3, 4))), [0, 3]),
+        lambda: nnet.rows(Tensor(np.zeros((3, 4))), [[0]]),
+        lambda: nnet.scatter_sum(Tensor(np.zeros((2, 2, 4))), [0, 3], 3),
+        lambda: nnet.scatter_sum(Tensor(np.zeros((2, 2, 4))), [-1, 0], 3),
+    ], ids=["rows-negative", "rows-past-end", "rows-matrix-index", "scatter-past-end",
+            "scatter-negative"])
+    def test_row_numbers_checked(self, call):
+        # rows read row -1 as the last row, and its gradient followed
+        with pytest.raises(ShapeError, match="row numbers in"):
+            call()
+
+
+def _wide_normal(rng, shape):
+    """Normal values over 16 decades, so a sum in another order changes bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+class TestExactOps:
+    """The fused and bincount ops give their references' bits: forward values
+    and every gradient, of matrices and of stacks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=st.integers(0, 3), n=st.integers(1, 9), fan_in=st.integers(1, 6),
+           fan_out=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_dense_matches_add_of_matmul(self, stack, n, fan_in, fan_out, seed):
+        rng = np.random.default_rng(seed)
+        lead = (stack,) if stack else ()
+        x0 = _wide_normal(rng, lead + (n, fan_in))
+        layer = nnet.Dense(fan_in, fan_out, rng)
+        layer.bias.data = _wide_normal(rng, fan_out)
+        weights = Tensor(_wide_normal(rng, lead + (n, fan_out)))
+        x = nnet.param(x0)
+        xr, wr, br = (nnet.param(a.copy()) for a in
+                      (x0, layer.weight.data, layer.bias.data))
+        fused, reference = layer(x), nnet.add(nnet.matmul(xr, wr), br)
+        assert fused.data.tobytes() == reference.data.tobytes()
+        for out in (fused, reference):
+            nnet.backward(nnet.tsum(nnet.mul(out, weights)))
+        for got, want in ((x, xr), (layer.weight, wr), (layer.bias, br)):
+            assert got.grad.shape == want.grad.shape
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(x0=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                         elements=st.sampled_from([0.0, -0.0]) |
+                         st.floats(allow_nan=True, allow_infinity=True)))
+    def test_relu_matches_where(self, x0):
+        x = nnet.param(x0)
+        out = nnet.relu(x)
+        assert out.data.tobytes() == np.where(x0 > 0, x0, 0.0).tobytes()
+        weights = np.random.default_rng(0).normal(size=x0.shape)
+        with np.errstate(invalid="ignore"):  # the loss may be inf - inf
+            nnet.backward(nnet.tsum(nnet.mul(out, Tensor(weights))))
+        assert x.grad.tobytes() == (weights * (x0 > 0)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.integers(0, 3), n=st.integers(1, 6), width=st.integers(1, 4),
+           index=st.lists(st.integers(0, 5), max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_and_scatter_sum_match_add_at(self, stack, n, width, index, seed):
+        rng = np.random.default_rng(seed)
+        lead = (stack,) if stack else ()
+        index = np.array([i % n for i in index], dtype=np.int64)
+        at = (slice(None), index) if stack else index
+        x = nnet.param(_wide_normal(rng, lead + (n, width)))
+        e = nnet.param(_wide_normal(rng, lead + (len(index), width)))
+
+        gathered = nnet.rows(x, index)
+        assert gathered.data.tobytes() == x.data[at].tobytes()
+        summed = nnet.scatter_sum(e, index, n)
+        want = np.zeros(lead + (n, width))
+        np.add.at(want, at, e.data)
+        assert summed.data.tobytes() == want.tobytes()
+
+        g_rows = _wide_normal(rng, gathered.shape)
+        g_sum = _wide_normal(rng, summed.shape)
+        nnet.backward(nnet.add(nnet.tsum(nnet.mul(gathered, Tensor(g_rows))),
+                               nnet.tsum(nnet.mul(summed, Tensor(g_sum)))))
+        want = np.zeros_like(x.data)
+        np.add.at(want, at, g_rows)
+        assert x.grad.tobytes() == want.tobytes()
+        assert e.grad.tobytes() == g_sum[at].tobytes()
+
+
+class TestTape:
+    def test_backward_spends_the_tape(self):
+        rng = np.random.default_rng(3)
+        mlp = nnet.Mlp((3, 5, 2), rng)
+        x = nnet.param(rng.normal(size=(4, 3)))
+        idx = np.array([0, 2, 2, 1])
+        h = nnet.scatter_sum(mlp(nnet.rows(x, idx)), idx, 4)
+        loss = nnet.tsum(nnet.square(nnet.concat([h, nnet.exp(x)], axis=-1)))
+        seen, todo = {}, [loss]
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                todo.extend(t._parents)
+        recorded = [t for t in seen.values() if t._grad_fn is not None]
+        leaves = [t for t in seen.values() if t._grad_fn is None and t.requires_grad]
+        assert len(recorded) > 8 and set(map(id, leaves)) == \
+            set(map(id, [x, *mlp.parameters()]))
+
+        nnet.backward(loss)
+        assert all(t.grad is None and t._parents == () and t._grad_fn is None
+                   for t in recorded)
+        grads = [t.grad.copy() for t in leaves]
+        nnet.backward(loss)  # the spent tape reaches no leaf
+        assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(leaves, grads))
+
+    def test_pass_through_gradients_are_not_shared(self):
+        # add hands one gradient to both operands; a gradient one of them
+        # adopted would be changed by the later square term of `a`
+        a, b = nnet.param(np.ones(3)), nnet.param(np.ones(3))
+        weights = Tensor([1.0, 2.0, 3.0])
+        loss = nnet.add(nnet.tsum(nnet.square(a)),
+                        nnet.tsum(nnet.mul(nnet.add(a, b), weights)))
+        nnet.backward(loss)
+        assert a.grad.tolist() == [3.0, 4.0, 5.0]
+        assert b.grad.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(a.grad, b.grad)
+
 
 class TestInference:
     def test_records_no_tape(self):
