@@ -405,6 +405,7 @@ def metropolis_sample(m: EnergyModel, x0: Conformation, steps: int, cfg: ISConfi
     distribution. Keeps every `thin`-th of the `steps` post-burn-in states.
     A one-chain `metropolis_chains`.
     """
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
     chain = Chain(m, x0, steps, rng, step_size, burn_in, thin, tune)
     return metropolis_chains([chain], cfg)[0]
 

@@ -228,11 +228,16 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"{args.truth}: dataset is empty")
     graphs = dataio.extended_graphs(truth_records)
     truth = dataio.distance_matrix_by_molecule(truth_records)
+    topology = {mol: (g, s) for mol, (g, s, _) in dataio.group_records(truth_records).items()}
 
     methods: dict[str, dict] = {}
     for arg in args.generated:
         name, path = _method_name(arg)
         gen_records = dataio.read_dataset(path)
+        for r in gen_records:  # the build seed picks the edges that are compared
+            if topology.get(r.molecule, (r.graph, r.build_seed)) != (r.graph, r.build_seed):
+                raise UsageError(f"{path}: molecule {r.molecule!r} has another bond graph "
+                                 f"or build seed than in {args.truth}")
         methods[name] = dataio.distance_matrix_by_molecule(gen_records)
 
     report = evalmmd.protocol_report(graphs, truth, methods)
@@ -257,6 +262,9 @@ def _load_energy_models(path, grouped) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: not valid JSON: {e}") from e
+    if not (isinstance(doc, dict) and isinstance(doc.get("models", {}), dict)):
+        raise UsageError(f"{path}: an energy model file must be a JSON object, "
+                         f"with 'models', if present, an object")
     if "molecules" in doc:  # a benchmark spec
         docs = {entry.get("name"): entry.get("energy")
                 for entry in dataio.spec_molecules(path, doc)}

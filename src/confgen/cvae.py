@@ -333,45 +333,6 @@ def decode(p: ModelParams, eg: ExtendedGraph, z) -> GaussianEdgeDist:
     return GaussianEdgeDist(mean.data[..., 0], np.exp(logvar.data[..., 0]))
 
 
-def _elbo_tensors(p: ModelParams, node_feat, edge_feat, src, dst, n_nodes,
-                  d: np.ndarray, noise: np.ndarray):
-    """ELBO of one (possibly batched) graph as tensors: (elbo, recon, kl)."""
-    v_const = nnet.constant(node_feat)
-    e_const = nnet.constant(edge_feat)
-    d_col = nnet.constant(d[:, None])
-
-    mean_z, logvar_z = p.enc(v_const, nnet.concat([e_const, d_col], axis=1),
-                             src, dst, n_nodes)
-    sigma_z = nnet.exp(nnet.scale(logvar_z, 0.5))
-    z = nnet.add(mean_z, nnet.mul(sigma_z, nnet.constant(noise[:, None])))
-    mean_d, logvar_d = p.dec(nnet.concat([v_const, z], axis=-1), e_const,
-                             src, dst, n_nodes)
-
-    var_d = nnet.exp(logvar_d)
-    diff = nnet.sub(d_col, mean_d)
-    per_edge = nnet.add(
-        nnet.add(nnet.constant(LOG_TWO_PI), logvar_d),
-        nnet.div(nnet.square(diff), var_d),
-    )
-    recon = nnet.scale(nnet.tsum(per_edge), -0.5)
-
-    var_z = nnet.exp(logvar_z)
-    per_node = nnet.sub(
-        nnet.add(nnet.square(mean_z), var_z),
-        nnet.add(logvar_z, nnet.constant(1.0)),
-    )
-    kl = nnet.scale(nnet.tsum(per_node), 0.5)
-    return nnet.sub(recon, kl), recon, kl
-
-
-def _check_finite(recon: Tensor, kl: Tensor) -> None:
-    if not np.isfinite(recon.data):
-        raise NumericalError("reconstruction log-likelihood is not finite",
-                             term="reconstruction")
-    if not np.isfinite(kl.data):
-        raise NumericalError("KL term is not finite", term="kl")
-
-
 @dataclass
 class ElboResult:
     value: float
@@ -395,10 +356,7 @@ def elbo(p: ModelParams, eg: ExtendedGraph, distances, rng=None, noise=None) -> 
     if noise.shape != (eg.n_nodes,):
         raise ShapeError("noise must hold one value per node")
 
-    value, recon, kl = _elbo_tensors(
-        p, eg.node_features, eg.edge_features, eg.src, eg.dst, eg.n_nodes, d, noise
-    )
-    _check_finite(recon, kl)
+    value, recon, kl = _batch_terms(p, [(eg, d)], noise)
     nnet.zero_grads(p.parameters())
     nnet.backward(value)
     grads = {
@@ -441,13 +399,37 @@ def _stack_batch(items):
 def _batch_terms(p: ModelParams, items, noise: np.ndarray):
     """(elbo, recon, kl) tensors of a minibatch, each summed over its records."""
     node_feat, edge_feat, src, dst, n_nodes, d = _stack_batch(items)
-    value, recon, kl = _elbo_tensors(p, node_feat, edge_feat, src, dst, n_nodes, d, noise)
-    _check_finite(recon, kl)
-    return value, recon, kl
+    v_const = nnet.constant(node_feat)
+    e_const = nnet.constant(edge_feat)
+    d_col = nnet.constant(d[:, None])
 
+    mean_z, logvar_z = p.enc(v_const, nnet.concat([e_const, d_col], axis=1),
+                             src, dst, n_nodes)
+    sigma_z = nnet.exp(nnet.scale(logvar_z, 0.5))
+    z = nnet.add(mean_z, nnet.mul(sigma_z, nnet.constant(noise[:, None])))
+    mean_d, logvar_d = p.dec(nnet.concat([v_const, z], axis=-1), e_const,
+                             src, dst, n_nodes)
 
-def _batch_elbo(p: ModelParams, items, noise: np.ndarray) -> Tensor:
-    return _batch_terms(p, items, noise)[0]
+    var_d = nnet.exp(logvar_d)
+    diff = nnet.sub(d_col, mean_d)
+    per_edge = nnet.add(
+        nnet.add(nnet.constant(LOG_TWO_PI), logvar_d),
+        nnet.div(nnet.square(diff), var_d),
+    )
+    recon = nnet.scale(nnet.tsum(per_edge), -0.5)
+
+    var_z = nnet.exp(logvar_z)
+    per_node = nnet.sub(
+        nnet.add(nnet.square(mean_z), var_z),
+        nnet.add(logvar_z, nnet.constant(1.0)),
+    )
+    kl = nnet.scale(nnet.tsum(per_node), 0.5)
+    if not np.isfinite(recon.data):
+        raise NumericalError("reconstruction log-likelihood is not finite",
+                             term="reconstruction")
+    if not np.isfinite(kl.data):
+        raise NumericalError("KL term is not finite", term="kl")
+    return nnet.sub(recon, kl), recon, kl
 
 
 def _dataset_elbo(p: ModelParams, items, rng: np.random.Generator,
@@ -458,7 +440,7 @@ def _dataset_elbo(p: ModelParams, items, rng: np.random.Generator,
         chunk = items[lo : lo + batch_size]
         n_nodes = sum(eg.n_nodes for eg, _ in chunk)
         with nnet.inference():
-            total += _batch_elbo(p, chunk, rng.standard_normal(n_nodes)).item()
+            total += _batch_terms(p, chunk, rng.standard_normal(n_nodes))[0].item()
     return total / len(items)
 
 
@@ -537,7 +519,7 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
             noise = train_rng.standard_normal(n_nodes)
             value, recon, kl = _batch_terms(params, batch, noise)
             loss = nnet.scale(value, -1.0 / len(batch))
-            adam.zero_grad()
+            nnet.zero_grads(params.parameters())
             nnet.backward(loss)
             adam.step()
             elbo_sum += value.item()

@@ -335,6 +335,7 @@ def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conf
     refined to a tolerance of INITIAL_TOL. Residual strain is left for MCMC
     burn-in to relax.
     """
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
     [result] = edg.embed_bounds([_initial_job(graph, model, seed)], tol=INITIAL_TOL)
     return result.conformation
 
@@ -445,9 +446,9 @@ def make_synthetic_benchmark(spec: dict, seed: int) -> tuple[list, list]:
     function of (spec, seed). Every molecule's name, topology, energy terms
     (with the atoms they name) and schedule, and the temperature, are checked
     before any chain starts (ParseError names the molecule and the field).
-    The starting conformations are refined in one lockstep loop
-    (`edg.embed_bounds`) and the chains then run in another
-    (`boltzmann.metropolis_chains`), each exactly as it would alone.
+    The starting conformations come from `edg.embed_bounds` (one bound set
+    per molecule through `generate`'s pipeline) and the chains then run in
+    one lockstep loop (`boltzmann.metropolis_chains`), each exactly as alone.
     Acceptance below 1% aborts with a hint.
 
     Returns the records, molecule by molecule in spec order, and one report

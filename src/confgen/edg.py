@@ -5,7 +5,8 @@ and plus one standard deviation), every unconstrained atom pair gets a steric
 floor and a large ceiling, and the classical three-step procedure follows:
 triangle-inequality bound smoothing, drawing a random distance matrix from
 within the bounds, and a spectral best-fit embedding refined against a hinge
-penalty on bound violations.
+penalty on bound violations. One function, `_embed_stacks`, runs these steps
+for `generate` and for `embed_bounds` (make-data's starting conformations).
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ class BoundsMatrix:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def copy(self) -> "BoundsMatrix":
-        return BoundsMatrix(self.lower.copy(), self.upper.copy())
-
     @classmethod
     def from_distance_matrix(cls, d: np.ndarray) -> "BoundsMatrix":
         d = np.asarray(d, dtype=np.float64)
@@ -106,6 +104,7 @@ def make_bounds(eg: ExtendedGraph, ged: GaussianEdgeDist) -> BoundsMatrix:
     Both edge bounds are floored at EDGE_LOWER_FLOOR, which keeps
     lower <= upper even for overdispersed predictions.
     """
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
     if ged.mean.ndim != 1:
         raise nnet.ShapeError("make_bounds takes the edge distributions of one sample")
     lower, upper = _bounds_stack(eg, ged)
@@ -182,6 +181,7 @@ def smooth_bounds(b: BoundsMatrix) -> BoundsMatrix:
     upper bound raises InconsistentBoundsError naming the pair. A one-set
     `_smooth_stack`.
     """
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
     lower, upper, errors = _smooth_stack(b.lower[None], b.upper[None])
     if errors[0] is not None:
         raise errors[0]
@@ -289,20 +289,19 @@ def _hinge_energy_grad(x: np.ndarray, i: np.ndarray, j: np.ndarray,
 def _refine_ragged(blocks, tol: float) -> list:
     """`refine` for the samples of several graphs, run in one lockstep loop.
 
-    `blocks` holds one (coords, lower, upper) per graph: coords (S, n, 3),
-    lower and upper (S, P) bounds over the pairs np.triu_indices(n, k=1);
-    S, n and P may differ from block to block. Every sample accepts steps,
-    keeps its best iterate and stops on its own, exactly as `refine` would
-    alone; the samples still running share one Adam step count. Their
-    coordinates are one (3, atoms) array and their pairs one flat run, so a
-    step costs the same few numpy calls, plus one row sum per block, however
-    many graphs take part; stopped samples are masked out of both.
+    `blocks` holds one (coords, lower, upper) per graph, float64 arrays:
+    coords (S, n, 3), lower and upper (S, P) bounds over the pairs
+    np.triu_indices(n, k=1); S, n and P may differ from block to block.
+    Every sample accepts steps, keeps its best iterate and stops on its own,
+    exactly as `refine` would alone; the samples still running share one
+    Adam step count. Their coordinates are one (3, atoms) array and their
+    pairs one flat run, so a step costs the same few numpy calls, plus one
+    row sum per block, however many graphs take part; stopped samples are
+    masked out of both.
 
     Returns one (coords, converged, max_violation, iterations) per block,
     indexed by sample.
     """
-    blocks = [(np.asarray(c, dtype=np.float64), np.asarray(lo, dtype=np.float64),
-               np.asarray(up, dtype=np.float64)) for c, lo, up in blocks]
     counts = np.array([len(c) for c, _, _ in blocks], dtype=np.int64)
     sizes = np.array([c.shape[1] for c, _, _ in blocks], dtype=np.int64)
     per_sample = sizes * (sizes - 1) // 2
@@ -400,39 +399,67 @@ def refine(coords: np.ndarray, b: BoundsMatrix, tol: float = 1e-3):
 
     Returns (coords, converged, max_violation, iterations).
     """
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
+    iu = np.triu_indices(b.n, k=1)
     [(coords, converged, violation, iterations)] = _refine_ragged(
-        [_one_sample(coords, b)], tol)
+        [(np.asarray(coords, dtype=np.float64)[None], b.lower[iu][None],
+          b.upper[iu][None])], tol)
     return coords[0], bool(converged[0]), float(violation[0]), int(iterations[0])
 
 
-def _one_sample(coords, b: BoundsMatrix) -> tuple:
-    """A `_refine_ragged` block of one start and its bounds."""
-    iu = np.triu_indices(b.n, k=1)
-    return np.asarray(coords, dtype=np.float64)[None], b.lower[iu][None], b.upper[iu][None]
+def _embed_stacks(stacks, tol: float) -> list:
+    """The distance-geometry pipeline of `generate` and `embed_bounds`.
+
+    `stacks` yields, one graph at a time, (elements, lower, upper, rngs):
+    (S, n, n) bounds and one generator per set. Each stack is smoothed as
+    one `_smooth_stack`, every set that passes is metrized on its own
+    generator and embedded, and the survivors of all graphs are refined in
+    one `_refine_ragged` loop, each set exactly as it would be alone.
+    Returns one list per graph of one outcome per set: an EmbedResult, the
+    InconsistentBoundsError that rejected the set, or the GraphStructureError
+    of a set whose refined atoms coincide.
+    """
+    graphs, blocks = [], []
+    for elements, lower, upper, rngs in stacks:
+        lower, upper, outcomes = _smooth_stack(lower, upper)
+        passed = [k for k, error in enumerate(outcomes) if error is None]
+        starts = [gram_embed(metrize(BoundsMatrix(lower[k], upper[k]), rngs[k]))
+                  for k in passed]
+        iu = np.triu_indices(lower.shape[-1], k=1)
+        blocks.append((np.reshape(starts, (len(passed), lower.shape[-1], 3)),
+                       lower[passed][:, iu[0], iu[1]], upper[passed][:, iu[0], iu[1]]))
+        graphs.append((elements, outcomes, passed))
+    for (elements, outcomes, passed), refined in zip(graphs, _refine_ragged(blocks, tol)):
+        for k, (coords, converged, violation, iterations) in zip(passed, zip(*refined)):
+            try:
+                outcomes[k] = EmbedResult(Conformation(elements, coords), bool(converged),
+                                          float(violation), int(iterations))
+            except GraphStructureError as e:
+                outcomes[k] = e
+    return [outcomes for _, outcomes, _ in graphs]
 
 
 def embed_bounds(jobs, tol: float = 1e-3) -> list:
-    """Smooth, metrize and embed each (elements, bounds, rng) job, then refine
-    all of them in one `_refine_ragged` loop; one EmbedResult per job.
-
-    Each job gets exactly the conformation it would get alone. Bound
-    smoothing failures raise InconsistentBoundsError; refinement that stops
+    """One EmbedResult per (elements, bounds, rng) job, each a one-set
+    `_embed_stacks` stack and exactly as it would be alone. The first job
+    rejected by bound smoothing raises its InconsistentBoundsError, else the
+    first degenerate job its GraphStructureError; refinement that stops
     short of `tol` is reported through the `converged` flag instead.
     """
-    jobs = list(jobs)
-    blocks = []
-    for _, b, rng in jobs:
-        bounds = smooth_bounds(b)
-        blocks.append(_one_sample(gram_embed(metrize(bounds, rng)), bounds))
-    return [EmbedResult(Conformation(elements, coords[0]), bool(converged[0]),
-                        float(violation[0]), int(iterations[0]))
-            for (elements, _, _), (coords, converged, violation, iterations)
-            in zip(jobs, _refine_ragged(blocks, tol))]
+    outcomes = [outcome for [outcome] in _embed_stacks(
+        ((elements, b.lower[None], b.upper[None], [rng]) for elements, b, rng in jobs),
+        tol)]
+    failed = ([o for o in outcomes if isinstance(o, InconsistentBoundsError)]
+              + [o for o in outcomes if isinstance(o, GraphStructureError)])
+    if failed:
+        raise failed[0]
+    return outcomes
 
 
 def embed_conformation(eg: ExtendedGraph, ged: GaussianEdgeDist,
                        rng: np.random.Generator, tol: float = 1e-3) -> EmbedResult:
     """Full pipeline from predicted edge Gaussians to one conformation."""
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
     [result] = embed_bounds([(eg.source_graph.elements, make_bounds(eg, ged), rng)], tol)
     return result
 
@@ -514,50 +541,32 @@ def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
     depend on how samples or graphs are grouped or scheduled.
 
     Each graph's samples move through the pipeline as one stack: one
-    tape-free `cvae.decode` of all n latents, one bound construction and
-    smoothing of all n bound sets (`_smooth_stack`), then metrization and
-    embedding per sample. The samples of every graph that passed smoothing
-    are then refined in one lockstep loop (`_refine_ragged`). Each stacked
-    step gives every sample exactly the values it would get alone, so sample
-    k of a graph depends neither on n nor on the other jobs.
+    tape-free `cvae.decode` of all n latents and one bound construction,
+    handed to `_embed_stacks` one graph at a time. Each stacked step gives
+    every sample exactly the values it would get alone, so sample k of a
+    graph depends neither on n nor on the other jobs.
 
     Returns one (results, report) per job, in order, where `results` holds an
     EmbedResult for every sample that passed smoothing and kept its atoms
     apart, in sample order.
     """
-    jobs = list(jobs)
-    blocks, rejections = [], []
-    for eg, seed in jobs:
-        rngs = [np.random.default_rng(np.random.SeedSequence(
-            seed.entropy, spawn_key=(*seed.spawn_key, k))) for k in range(n)]
-        latents = np.array([rng.standard_normal(eg.n_nodes) for rng in rngs])
-        ged = cvae.decode(params, eg, latents.reshape(n, eg.n_nodes))  # n may be 0
-        lower, upper, errors = _smooth_stack(*_bounds_stack(eg, ged))
-        passed = [k for k in range(n) if errors[k] is None]
-        rejections.append(Counter("-".join(map(str, sorted(errors[k].pair)))
-                                  for k in range(n) if errors[k] is not None))
-        starts = [gram_embed(metrize(BoundsMatrix(lower[k], upper[k]), rngs[k]))
-                  for k in passed]
-        iu = np.triu_indices(eg.n_nodes, k=1)
-        blocks.append((np.reshape(starts, (len(passed), eg.n_nodes, 3)),
-                       lower[passed][:, iu[0], iu[1]], upper[passed][:, iu[0], iu[1]]))
+    def stacks():
+        for eg, seed in jobs:
+            rngs = [np.random.default_rng(np.random.SeedSequence(
+                seed.entropy, spawn_key=(*seed.spawn_key, k))) for k in range(n)]
+            latents = np.array([rng.standard_normal(eg.n_nodes) for rng in rngs])
+            ged = cvae.decode(params, eg, latents.reshape(n, eg.n_nodes))  # n may be 0
+            yield (eg.source_graph.elements, *_bounds_stack(eg, ged), rngs)
 
-    outcomes = []
-    for (eg, _), rejected, refined in zip(jobs, rejections, _refine_ragged(blocks, tol)):
-        results = []
-        n_degenerate = 0
-        for coords, converged, violation, iterations in zip(*refined):
-            try:
-                conformation = Conformation(eg.source_graph.elements, coords)
-            except GraphStructureError:
-                n_degenerate += 1
-                continue
-            results.append(EmbedResult(conformation, bool(converged),
-                                       float(violation), int(iterations)))
+    reports = []
+    for samples in _embed_stacks(stacks(), tol):
+        results = [s for s in samples if isinstance(s, EmbedResult)]
+        rejected = Counter("-".join(map(str, sorted(s.pair))) for s in samples
+                           if isinstance(s, InconsistentBoundsError))
         report = EmbedBatchReport(
             n_samples=n,
             n_smoothing_ok=len(results),
-            n_degenerate=n_degenerate,
+            n_degenerate=sum(isinstance(s, GraphStructureError) for s in samples),
             n_converged=sum(r.converged for r in results),
             violations=[r.max_violation for r in results],
             iterations=[r.iterations for r in results],
@@ -565,5 +574,5 @@ def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
                                    for r in results),
             smoothing_rejections=dict(rejected),
         )
-        outcomes.append((results, report))
-    return outcomes
+        reports.append((results, report))
+    return reports

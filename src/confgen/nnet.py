@@ -451,9 +451,6 @@ class Adam:
                 raise ShapeError("gradient shape does not match its parameter")
             adam_update(p.data, g, m, v, self.t, self.lr)
 
-    def zero_grad(self) -> None:
-        zero_grads(self.params)
-
     def state_dict(self) -> dict:
         return {
             "t": self.t,

@@ -580,6 +580,29 @@ class TestEvaluate:
         assert code == 1
 
 
+    @pytest.mark.parametrize("change", ["graph", "seed"])
+    def test_generated_molecule_must_match_truth(self, workspace, tmp_path, capsys,
+                                                 change):
+        # each exited 0 with an MMD between misaligned distance columns
+        _, _, data_path, _, _ = workspace
+        records = dataio.read_dataset(data_path)
+        if change == "graph":  # methanol's records under ethanol's name
+            generated = [dataio.DatasetRecord("ethanol", r.graph, r.build_seed,
+                                              r.conformation)
+                         for r in records if r.molecule == "methanol"]
+        else:
+            generated = [dataio.DatasetRecord(r.molecule, r.graph,
+                                              r.build_seed + (r.molecule == "ethanol"),
+                                              r.conformation) for r in records]
+        gen_path = tmp_path / "gen.jsonl"
+        dataio.write_dataset(gen_path, generated)
+        code = main(["evaluate", str(data_path), f"m={gen_path}",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert (f"{gen_path}: molecule 'ethanol' has another bond graph or build seed "
+                f"than in {data_path}") in capsys.readouterr().err
+
+
 class TestEstimate:
     def test_constant_observable_is_one(self, workspace, tmp_path, capsys):
         root, spec_path, data_path, _, ckpt_path = workspace
@@ -666,6 +689,20 @@ class TestEstimate:
         code = main(["estimate", str(data_path), "--energy-model", str(spec_path)])
         assert code == 2
         assert f"{spec_path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [5, None, True, "molecules", [], {"models": 5},
+                                     {"models": None}, {"models": ["methanol"]}])
+    def test_energy_model_file_not_an_object_exits_2(self, workspace, tmp_path, capsys,
+                                                     doc):
+        # the scalars and a bare models value were TypeError tracebacks; the
+        # string was searched for "molecules" as a substring
+        _, _, data_path, _, _ = workspace
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        code = main(["estimate", str(data_path), "--energy-model", str(model_path)])
+        assert code == 2
+        assert (f"{model_path}: an energy model file must be a JSON object, with "
+                f"'models', if present, an object") in capsys.readouterr().err
 
     @pytest.mark.parametrize("form, field, value, message", [
         # each was exit 1 with "energy term references a missing atom"

@@ -19,6 +19,7 @@ from confgen.edg import (
 )
 from confgen.molgraph import (
     Conformation,
+    GraphStructureError,
     MolGraph,
     build_extended_graph,
     extract_distances,
@@ -274,6 +275,20 @@ class TestMetrize:
         assert abs(draws.mean() - 2.0) < 3.0 * se
         assert draws.min() >= 1.0 and draws.max() <= 3.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_draws_are_symmetric_hollow_and_within_bounds(self, n, seed):
+        rng = np.random.default_rng(seed)
+        b = smooth_bounds(random_bounds(n, rng))
+        d = metrize(b, rng)
+        assert d.shape == (n, n)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        iu = np.triu_indices(n, k=1)
+        assert np.all(d[iu] >= b.lower[iu])
+        # lower + (upper - lower) * u, u < 1, may round up by one unit
+        assert np.all(d[iu] - b.upper[iu] <= np.spacing(b.upper[iu]))
+
 
 class TestGramEmbed:
     def test_equilateral_triangle(self):
@@ -288,6 +303,16 @@ class TestGramEmbed:
             x = gram_embed(d)
             err = point_distance_matrix(x) - d
             assert np.sqrt((err**2).mean()) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), spread=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reproduces_distances_of_3d_points(self, n, spread, seed):
+        points = np.random.default_rng(seed).normal(0.0, spread, (n, 3))
+        d = point_distance_matrix(points)
+        x = gram_embed(d)
+        assert x.shape == (n, 3)
+        assert np.abs(point_distance_matrix(x) - d).max() <= 1e-9 * max(1.0, d.max())
 
     def test_four_dimensional_simplex_is_flattened(self):
         d = np.ones((5, 5)) - np.eye(5)  # regular 4-simplex, not 3-embeddable
@@ -557,6 +582,101 @@ class TestRefineRagged:
         for k in range(2):
             assert coords[k].tobytes() == oracle_refine(starts[k], stack[k],
                                                         1e-3)[0].tobytes()
+
+
+def pipeline_set(n: int, kind: int, rng: np.random.Generator) -> BoundsMatrix:
+    """One bound set of a pipeline stack: kinds 0-2 cross (`crossing_bounds`,
+    at least 3 atoms), kind 3 is consistent, and kind 4 (at least 2 atoms)
+    pins every distance to 0, so that refine leaves all atoms on one point."""
+    if kind == 4 and n >= 2:
+        return BoundsMatrix(np.zeros((n, n)), np.zeros((n, n)))
+    if kind < 3 and n >= 3:
+        return crossing_bounds(n, rng, kind)
+    return random_bounds(n, rng)
+
+
+def oracle_embed(elements, b: BoundsMatrix, rng, tol):
+    """One set alone, through the per-set oracles of smoothing and refine:
+    the InconsistentBoundsError or GraphStructureError it ends in, or
+    (coords, converged, max_violation, iterations)."""
+    try:
+        bounds = oracle_smooth(b)
+    except InconsistentBoundsError as e:
+        return e
+    coords, converged, violation, iterations = oracle_refine(
+        gram_embed(metrize(bounds, rng)), bounds, tol)
+    try:
+        Conformation(elements, coords)
+    except GraphStructureError as e:
+        return e
+    return coords, converged, violation, iterations
+
+
+def assert_same_outcome(outcome, expected, where):
+    if isinstance(expected, Exception):
+        assert type(outcome) is type(expected), where
+        assert str(outcome) == str(expected), where
+        assert getattr(outcome, "pair", None) == getattr(expected, "pair", None), where
+        return
+    assert isinstance(outcome, edg.EmbedResult), where
+    coords, converged, violation, iterations = expected
+    assert outcome.conformation.positions.tobytes() == coords.tobytes(), where
+    assert (outcome.converged, outcome.max_violation, outcome.iterations) == \
+           (converged, violation, iterations), where
+    assert (type(outcome.converged), type(outcome.max_violation),
+            type(outcome.iterations)) == (bool, float, int), where
+
+
+class TestEmbedStacks:
+    @settings(max_examples=25, deadline=None)
+    @example(graphs=[(1, [3, 3]), (2, [4, 3]), (5, [0, 3, 4, 1, 2]), (20, [3, 2])],
+             cap=120, tol=1e-3, seed=5)
+    @given(graphs=st.lists(st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 20)),
+                                     st.lists(st.integers(0, 4), min_size=1, max_size=5)),
+                           min_size=1, max_size=5),
+           cap=st.integers(0, 120), tol=st.sampled_from([1e-3, 1e-2, 0.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_set_oracle(self, graphs, cap, tol, seed):
+        """Each set of every stack gets exactly the outcome it gets alone;
+        `embed_bounds` over all sets raises the first smoothing rejection,
+        else the first degenerate set, else returns every result. In the
+        example a degenerate set comes before the first crossing one."""
+        rng = np.random.default_rng(seed)
+        stacks = [(("C",) * n, [pipeline_set(n, kind, rng) for kind in kinds])
+                  for n, kinds in graphs]
+
+        def streams(g):
+            return [np.random.default_rng([seed, g, k]) for k in range(len(stacks[g][1]))]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edg, "REFINE_MAX_ITER", cap)
+            outcomes = edg._embed_stacks(
+                ((elements, np.stack([b.lower for b in sets]),
+                  np.stack([b.upper for b in sets]), streams(g))
+                 for g, (elements, sets) in enumerate(stacks)), tol)
+            expected = [[oracle_embed(elements, b, stream, tol)
+                         for b, stream in zip(sets, streams(g))]
+                        for g, (elements, sets) in enumerate(stacks)]
+            jobs = [(elements, b, stream) for g, (elements, sets) in enumerate(stacks)
+                    for b, stream in zip(sets, streams(g))]
+            try:
+                embedded = edg.embed_bounds(jobs, tol)
+            except (InconsistentBoundsError, GraphStructureError) as e:
+                embedded = e
+        assert [len(o) for o in outcomes] == [len(kinds) for _, kinds in graphs]
+        for g, (got, alone) in enumerate(zip(outcomes, expected)):
+            for k, (outcome, oracle) in enumerate(zip(got, alone)):
+                assert_same_outcome(outcome, oracle, (g, k))
+
+        flat = [oracle for alone in expected for oracle in alone]
+        failed = ([e for e in flat if isinstance(e, InconsistentBoundsError)]
+                  + [e for e in flat if isinstance(e, GraphStructureError)])
+        if failed:
+            assert_same_outcome(embedded, failed[0], "embed_bounds")
+        else:
+            assert len(embedded) == len(flat)
+            for k, (outcome, oracle) in enumerate(zip(embedded, flat)):
+                assert_same_outcome(outcome, oracle, k)
 
 
 class TestEmbedConformation:
