@@ -227,7 +227,7 @@ def _cmd_evaluate(args) -> int:
     if not truth_records:
         raise UsageError(f"{args.truth}: dataset is empty")
     graphs = dataio.extended_graphs(truth_records)
-    truth = dataio.distance_matrix_by_molecule(truth_records)
+    truth = dataio.distance_matrix_by_molecule(truth_records, graphs)
     topology = {mol: (g, s) for mol, (g, s, _) in dataio.group_records(truth_records).items()}
 
     methods: dict[str, dict] = {}
@@ -238,7 +238,8 @@ def _cmd_evaluate(args) -> int:
             if topology.get(r.molecule, (r.graph, r.build_seed)) != (r.graph, r.build_seed):
                 raise UsageError(f"{path}: molecule {r.molecule!r} has another bond graph "
                                  f"or build seed than in {args.truth}")
-        methods[name] = dataio.distance_matrix_by_molecule(gen_records)
+        # the checked records share the truth's extended graphs
+        methods[name] = dataio.distance_matrix_by_molecule(gen_records, graphs)
 
     report = evalmmd.protocol_report(graphs, truth, methods)
     if not report.rows:

@@ -118,8 +118,15 @@ def _record_to_dict(r: DatasetRecord) -> dict:
     }
 
 
-def _record_from_dict(d: dict) -> DatasetRecord:
-    graph = graph_from_dict(d["graph"])
+def _record_from_dict(d: dict, graphs: dict) -> DatasetRecord:
+    """The record of `d`; its graph is taken from `graphs`, keyed by the
+    repr of the graph entry, or built and added there. The repr tells 1,
+    1.0 and true apart, which compare equal but are written back as they
+    were read."""
+    key = repr(d["graph"])
+    graph = graphs.get(key)
+    if graph is None:
+        graph = graphs[key] = graph_from_dict(d["graph"])
     return DatasetRecord(
         molecule=str(d["molecule"]),
         graph=graph,
@@ -138,8 +145,10 @@ def write_dataset(path, records) -> None:
 
 
 def read_dataset(path) -> list[DatasetRecord]:
-    """Read records back; an empty file is an empty dataset."""
+    """Read records back; an empty file is an empty dataset. Records whose
+    graph entries are identical share one MolGraph."""
     records: list[DatasetRecord] = []
+    graphs: dict[str, MolGraph] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -156,7 +165,7 @@ def read_dataset(path) -> list[DatasetRecord]:
             if not line.strip():
                 continue
             try:
-                records.append(_record_from_dict(json.loads(line)))
+                records.append(_record_from_dict(json.loads(line), graphs))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     DomainError) as e:
                 raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
@@ -191,13 +200,19 @@ def training_pairs(records) -> list[tuple]:
     return pairs
 
 
-def distance_matrix_by_molecule(records) -> dict:
-    """molecule id -> (n_conformations x n_edges) distance matrix."""
-    graphs = extended_graphs(records)
+def distance_matrix_by_molecule(records, graphs: dict | None = None) -> dict:
+    """molecule id -> (n_conformations x n_edges) distance matrix.
+
+    `graphs` (molecule id -> ExtendedGraph) defaults to `extended_graphs(records)`;
+    records of a molecule it lacks are left out.
+    """
+    if graphs is None:
+        graphs = extended_graphs(records)
     out: dict[str, list] = {mol: [] for mol in graphs}
     for r in records:
-        eg = graphs[r.molecule]
-        out[r.molecule].append(extract_distances(eg, r.conformation).values)
+        if r.molecule in graphs:
+            out[r.molecule].append(
+                extract_distances(graphs[r.molecule], r.conformation).values)
     return {mol: np.stack(rows) for mol, rows in out.items() if rows}
 
 

@@ -6,6 +6,13 @@ Gaussian kernel, bandwidth from the median pairwise distance of the pooled
 sample). Comparisons run at three granularities over heavy-atom edges:
 one-dimensional marginals, two-dimensional pairwise joints, and the full
 joint. Methods are then aggregated into median MMDs and mean rankings.
+
+All comparisons of one graph and one method with the same column count run
+as one (comparisons, rows, columns) stack through `_mmd2_stack`, in chunks
+under the fixed element budget _KERNEL_ELEMENTS. `median_bandwidth`,
+`mmd2_unbiased` and `permutation_null` are the same kernel run on one
+comparison or one stack of permutations, and every value is bit for bit
+that of the comparison computed alone.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from .molgraph import ExtendedGraph
 from .nnet import ShapeError
 
 HEAVY_ELEMENTS = ("C", "O")
+# float64 kernel entries per chunk of a comparison stack (about 1 MB per block)
+_KERNEL_ELEMENTS = 1 << 17
 
 
 class DegenerateBandwidthError(DomainError):
@@ -27,9 +36,13 @@ class DegenerateBandwidthError(DomainError):
 
 
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x2 = (x**2).sum(axis=1)
-    y2 = (y**2).sum(axis=1)
-    sq = x2[:, None] + y2[None, :] - 2.0 * (x @ y.T)
+    """Squared distances between the rows of x and y, slice by slice for
+    (..., rows, w) stacks. np.matmul computes each slice of a stack as it
+    computes a 2-D array (syrk for x @ x.T, else gemm, or its own loop for one
+    column), so a slice's bits do not depend on the stack around it."""
+    x2 = (x**2).sum(axis=-1)
+    y2 = (y**2).sum(axis=-1)
+    sq = x2[..., :, None] + y2[..., None, :] - 2.0 * (x @ np.swapaxes(y, -1, -2))
     return np.maximum(sq, 0.0)
 
 
@@ -42,14 +55,72 @@ def _as_matrix(rows) -> np.ndarray:
     return m
 
 
+def _median_dists(pooled: np.ndarray) -> np.ndarray:
+    """Median pairwise distance between the rows of each slice of a
+    (P, R, w) stack."""
+    iu = np.triu_indices(pooled.shape[1], k=1)
+    sq = _pairwise_sq_dists(pooled, pooled)
+    return np.median(np.sqrt(sq[:, iu[0], iu[1]]), axis=1)
+
+
+def _mmd2_stack(x: np.ndarray, y: np.ndarray, bandwidth=None) -> tuple:
+    """Bandwidths and unbiased MMD^2 values of a stack of comparisons.
+
+    Comparison p sets the rows of x[p] against those of y[p]; x is (P, m, w)
+    and y (P, n, w), with m and n at least 2. With `bandwidth` None each
+    comparison's bandwidth is the median pairwise distance of its pooled rows
+    (`median_bandwidth`); otherwise `bandwidth` serves every comparison.
+    Returns the (P,) bandwidths and values; a value is NaN where its
+    bandwidth is not positive.
+
+    Comparisons run in chunks of at most _KERNEL_ELEMENTS entries per
+    pooled-rows block. Every step is numpy's per slice, and a slice keeps the
+    memory layout of its 2-D array, which fixes the order of the row sums; so
+    each value is bit for bit that of its comparison run alone.
+    """
+    count, m, _ = x.shape
+    n = y.shape[1]
+    bandwidths = np.full(count, np.nan if bandwidth is None else bandwidth)
+    values = np.full(count, np.nan)
+    step = max(1, _KERNEL_ELEMENTS // max(1, (m + n) ** 2))
+    for start in range(0, count, step):
+        chunk = slice(start, start + step)
+        xs, ys = x[chunk], y[chunk]
+        if bandwidth is None:
+            bandwidths[chunk] = _median_dists(np.concatenate([xs, ys], axis=1))
+        ok = bandwidths[chunk] > 0.0
+        # Python's bw**2 (libm pow), which is not always bw * bw
+        c = np.array([-0.5 / bw**2 if bw > 0.0 else 0.0
+                      for bw in bandwidths[chunk].tolist()])[:, None, None]
+        kxx = np.exp(c * _pairwise_sq_dists(xs, xs)).reshape(len(c), -1)
+        kyy = np.exp(c * _pairwise_sq_dists(ys, ys)).reshape(len(c), -1)
+        kxy = np.exp(c * _pairwise_sq_dists(xs, ys)).reshape(len(c), -1)
+        xx = (kxx.sum(axis=1) - kxx[:, ::m + 1].sum(axis=1)) / (m * (m - 1))
+        yy = (kyy.sum(axis=1) - kyy[:, ::n + 1].sum(axis=1)) / (n * (n - 1))
+        values[chunk] = np.where(ok, xx + yy - 2.0 * kxy.mean(axis=1), np.nan)
+    return bandwidths, values
+
+
+def _check_samples(x, y, bandwidth) -> tuple:
+    """x and y as matrices; ShapeError or DegenerateBandwidthError unless
+    they can be compared at `bandwidth`."""
+    x = _as_matrix(x)
+    y = _as_matrix(y)
+    if x.shape[1] != y.shape[1]:
+        raise ShapeError(f"column mismatch: {x.shape[1]} vs {y.shape[1]}")
+    if x.shape[0] < 2 or y.shape[0] < 2:
+        raise ShapeError("each sample needs at least two rows")
+    if bandwidth <= 0.0:
+        raise DegenerateBandwidthError("bandwidth must be positive")
+    return x, y
+
+
 def median_bandwidth(pooled) -> float:
     """Median pairwise Euclidean distance between rows of the pooled sample."""
     m = _as_matrix(pooled)
     if m.shape[0] < 2:
         raise ShapeError("bandwidth needs at least two rows")
-    sq = _pairwise_sq_dists(m, m)
-    iu = np.triu_indices(m.shape[0], k=1)
-    bw = float(np.median(np.sqrt(sq[iu])))
+    bw = float(_median_dists(m[None])[0])
     if bw <= 0.0:
         raise DegenerateBandwidthError("median pairwise distance is zero")
     return bw
@@ -61,22 +132,8 @@ def mmd2_unbiased(x, y, bandwidth: float) -> float:
     Uses exp(-|a-b|^2 / (2 bandwidth^2)); being a U-statistic the estimate can
     dip below zero when the two distributions match.
     """
-    x = _as_matrix(x)
-    y = _as_matrix(y)
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"column mismatch: {x.shape[1]} vs {y.shape[1]}")
-    m, n = x.shape[0], y.shape[0]
-    if m < 2 or n < 2:
-        raise ShapeError("each sample needs at least two rows")
-    if bandwidth <= 0.0:
-        raise DegenerateBandwidthError("bandwidth must be positive")
-    c = -0.5 / bandwidth**2
-    kxx = np.exp(c * _pairwise_sq_dists(x, x))
-    kyy = np.exp(c * _pairwise_sq_dists(y, y))
-    kxy = np.exp(c * _pairwise_sq_dists(x, y))
-    xx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    yy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    return float(xx + yy - 2.0 * kxy.mean())
+    x, y = _check_samples(x, y, bandwidth)
+    return float(_mmd2_stack(x[None], y[None], bandwidth)[1][0])
 
 
 def permutation_null(x, y, bandwidth: float, n_permutations: int,
@@ -85,12 +142,13 @@ def permutation_null(x, y, bandwidth: float, n_permutations: int,
     x = _as_matrix(x)
     y = _as_matrix(y)
     pooled = np.concatenate([x, y], axis=0)
-    m = x.shape[0]
-    null = np.empty(n_permutations)
+    if n_permutations:
+        _check_samples(x, y, bandwidth)
+    perms = np.empty((n_permutations, pooled.shape[0]), dtype=np.intp)
     for b in range(n_permutations):
-        perm = rng.permutation(pooled.shape[0])
-        null[b] = mmd2_unbiased(pooled[perm[:m]], pooled[perm[m:]], bandwidth)
-    return null
+        perms[b] = rng.permutation(pooled.shape[0])
+    m = x.shape[0]
+    return _mmd2_stack(pooled[perms[:, :m]], pooled[perms[:, m:]], bandwidth)[1]
 
 
 def heavy_edge_indices(eg: ExtendedGraph) -> list[int]:
@@ -161,9 +219,7 @@ def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
 
     instance_values: dict = {}
     for gid in sorted(graphs):
-        eg = graphs[gid]
-        truth = np.asarray(truth_samples[gid], dtype=np.float64)
-        heavy = heavy_edge_indices(eg)
+        heavy = heavy_edge_indices(graphs[gid])
         if not heavy:
             continue
         comparisons: list[tuple[str, str, list[int]]] = [
@@ -172,26 +228,37 @@ def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
         comparisons += [("pairwise", f"edge{k}-edge{l}", [k, l])
                         for k, l in itertools.combinations(heavy, 2)]
         comparisons.append(("joint", "all-heavy", heavy))
+        by_width: dict[int, list[int]] = {}  # columns -> comparison indices
+        for index, (_, _, cols) in enumerate(comparisons):
+            by_width.setdefault(len(cols), []).append(index)
 
-        for comparison, key, cols in comparisons:
-            values_here: dict[str, float] = {}
-            for method in methods:
-                sample = method_samples[method].get(gid)
-                if sample is None:
-                    report.warnings[method] += 1
-                    continue
-                gen = np.asarray(sample, dtype=np.float64)[:, cols]
-                ref = truth[:, cols]
-                try:
-                    bw = median_bandwidth(np.concatenate([ref, gen], axis=0))
-                    value = mmd2_unbiased(ref, gen, bw)
-                except (DegenerateBandwidthError, ShapeError):
-                    report.warnings[method] += 1
-                    continue
-                values_here[method] = value
+        truth = np.asarray(truth_samples[gid], dtype=np.float64)
+        values: dict[tuple, float] = {}  # (comparison index, method) -> mmd2
+        for method in methods:
+            sample = method_samples[method].get(gid)
+            if sample is None:
+                report.warnings[method] += len(comparisons)
+                continue
+            gen = np.asarray(sample, dtype=np.float64)
+            if len(truth) < 2 or len(gen) < 2:
+                report.warnings[method] += len(comparisons)
+                continue
+            for indices in by_width.values():
+                cols = np.array([comparisons[i][2] for i in indices])
+                # (P, rows, w) views whose slices are laid out as truth[:, cols]
+                bandwidths, mmd2 = _mmd2_stack(truth[:, cols].transpose(1, 0, 2),
+                                               gen[:, cols].transpose(1, 0, 2))
+                for i, bw, value in zip(indices, bandwidths.tolist(), mmd2.tolist()):
+                    if bw <= 0.0:
+                        report.warnings[method] += 1
+                    else:
+                        values[(i, method)] = value
+
+        for index, (comparison, key, _) in enumerate(comparisons):
+            values_here = {m: values[(index, m)] for m in methods if (index, m) in values}
+            for method, value in values_here.items():
                 report.rows.append(
-                    MmdRow(gid, splits.get(gid, ""), comparison, key, method, value)
-                )
+                    MmdRow(gid, splits.get(gid, ""), comparison, key, method, value))
             if values_here:
                 instance_values[(gid, comparison, key)] = values_here
 

@@ -603,6 +603,34 @@ class TestEvaluate:
                 f"than in {data_path}") in capsys.readouterr().err
 
 
+    def test_generated_molecule_missing_from_truth_is_ignored(self, workspace,
+                                                               tmp_path, monkeypatch):
+        _, _, data_path, _, _ = workspace
+        records = dataio.read_dataset(data_path)
+        truth_path = tmp_path / "truth.jsonl"
+        dataio.write_dataset(truth_path, [r for r in records if r.molecule != "oxirane"])
+        shifted = [dataio.DatasetRecord(r.molecule, r.graph, r.build_seed,
+                                        dataio.Conformation(r.conformation.elements,
+                                                            r.conformation.positions * 1.05))
+                   for r in records]
+        all_path, known_path = tmp_path / "all.jsonl", tmp_path / "known.jsonl"
+        dataio.write_dataset(all_path, shifted)
+        dataio.write_dataset(known_path, [r for r in shifted if r.molecule != "oxirane"])
+
+        builds = []
+        build = dataio.build_extended_graph
+        monkeypatch.setattr(dataio, "build_extended_graph",
+                            lambda graph, seed: builds.append(seed) or build(graph, seed))
+        assert main(["evaluate", str(truth_path), f"m={all_path}",
+                     "--out", str(tmp_path / "all")]) == 0
+        assert len(builds) == 2  # one per truth molecule, shared by both files
+        assert main(["evaluate", str(truth_path), f"m={known_path}",
+                     "--out", str(tmp_path / "known")]) == 0
+        for suffix in (".tsv", ".txt", ".marginals.tsv"):
+            assert (tmp_path / f"all{suffix}").read_bytes() == \
+                (tmp_path / f"known{suffix}").read_bytes()
+
+
 class TestEstimate:
     def test_constant_observable_is_one(self, workspace, tmp_path, capsys):
         root, spec_path, data_path, _, ckpt_path = workspace

@@ -149,6 +149,45 @@ class TestRoundTrip:
             assert a.conformation.positions.tobytes() == \
                    b.conformation.positions.tobytes()
 
+    def test_identical_graph_entries_share_one_graph(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=3, n_conf=4))
+        loaded = read_dataset(path)
+        graphs = {}
+        for r in loaded:
+            assert graphs.setdefault(r.molecule, r.graph) is r.graph
+        assert len({id(g) for g in graphs.values()}) == 3
+
+    def test_entries_equal_only_as_numbers_keep_their_own_graph(self, tmp_path):
+        # true, 1 and 1.0 compare equal, but each is written back as it was read
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=1))
+        header, line = path.read_text().splitlines()
+        lines = [header]
+        for flag in (True, 1, 1.0, True):
+            doc = json.loads(line)
+            doc["graph"]["bonds"][0]["aromatic"] = flag
+            lines.append(json.dumps(doc))
+        path.write_text("\n".join(lines) + "\n")
+        loaded = read_dataset(path)
+        assert loaded[0].graph == loaded[1].graph == loaded[2].graph
+        assert len({id(r.graph) for r in loaded}) == 3
+        assert loaded[3].graph is loaded[0].graph
+        again = tmp_path / "again.jsonl"
+        write_dataset(again, loaded)
+        assert again.read_text() == path.read_text()
+
+    def test_bad_graph_after_a_good_copy_names_its_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=3))
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["graph"]["bonds"][0]["j"] = doc["graph"]["bonds"][0]["i"]  # a self-loop
+        lines[3] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r":4: bad record: .*self-loop"):
+            read_dataset(path)
+
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"format": "something-else", "version": 1}\n')

@@ -1,7 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from confgen import evalmmd
 from confgen.evalmmd import (
@@ -200,6 +202,193 @@ class TestProtocolReport:
                                  splits={"g1": "s0", "g2": "s1"})
         assert ("m", "marginal") in report.std_over_splits
         assert ("m", "marginal") in report.std_over_graphs
+
+
+def oracle_sq_dists(x, y):
+    x2 = (x**2).sum(axis=1)
+    y2 = (y**2).sum(axis=1)
+    sq = x2[:, None] + y2[None, :] - 2.0 * (x @ y.T)
+    return np.maximum(sq, 0.0)
+
+
+def oracle_median_bandwidth(pooled):
+    """median_bandwidth as one comparison at a time computed it."""
+    if pooled.shape[0] < 2:
+        raise ShapeError("bandwidth needs at least two rows")
+    sq = oracle_sq_dists(pooled, pooled)
+    iu = np.triu_indices(pooled.shape[0], k=1)
+    bw = float(np.median(np.sqrt(sq[iu])))
+    if bw <= 0.0:
+        raise DegenerateBandwidthError("median pairwise distance is zero")
+    return bw
+
+
+def oracle_mmd2(x, y, bandwidth):
+    """mmd2_unbiased as one comparison at a time computed it."""
+    m, n = x.shape[0], y.shape[0]
+    if m < 2 or n < 2:
+        raise ShapeError("each sample needs at least two rows")
+    c = -0.5 / bandwidth**2
+    kxx = np.exp(c * oracle_sq_dists(x, x))
+    kyy = np.exp(c * oracle_sq_dists(y, y))
+    kxy = np.exp(c * oracle_sq_dists(x, y))
+    xx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+    yy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    return float(xx + yy - 2.0 * kxy.mean())
+
+
+def oracle_protocol_report(graphs, truth_samples, method_samples):
+    """protocol_report's rows, as (graph, comparison, key, method, value), and
+    warnings, computed one comparison and one method at a time."""
+    methods = sorted(method_samples)
+    rows, warnings = [], {m: 0 for m in methods}
+    for gid in sorted(graphs):
+        truth = np.asarray(truth_samples[gid], dtype=np.float64)
+        heavy = heavy_edge_indices(graphs[gid])
+        if not heavy:
+            continue
+        comparisons = [("marginal", f"edge{k}", [k]) for k in heavy]
+        comparisons += [("pairwise", f"edge{k}-edge{l}", [k, l])
+                        for k, l in itertools.combinations(heavy, 2)]
+        comparisons.append(("joint", "all-heavy", heavy))
+        for comparison, key, cols in comparisons:
+            for method in methods:
+                sample = method_samples[method].get(gid)
+                if sample is None:
+                    warnings[method] += 1
+                    continue
+                gen = np.asarray(sample, dtype=np.float64)[:, cols]
+                ref = truth[:, cols]
+                try:
+                    bw = oracle_median_bandwidth(np.concatenate([ref, gen], axis=0))
+                    value = oracle_mmd2(ref, gen, bw)
+                except (DegenerateBandwidthError, ShapeError):
+                    warnings[method] += 1
+                    continue
+                rows.append((gid, comparison, key, method, value))
+    return rows, warnings
+
+
+def edge_graph(elements, edges):
+    """The parts of an ExtendedGraph that protocol_report reads."""
+    return SimpleNamespace(src=[i for i, _ in edges], dst=[j for _, j in edges],
+                           source_graph=SimpleNamespace(elements=tuple(elements)))
+
+
+def bits(rows):
+    """Rows with each value as its IEEE bytes, so NaN and signed zeros compare."""
+    return [(*row[:-1], np.float64(row[-1]).tobytes()) for row in rows]
+
+
+@st.composite
+def report_inputs(draw):
+    """1-3 graphs of 1-10 heavy edges among hydrogen edges, 2-30 truth rows,
+    and 1-3 methods of 0-30 rows each or none for a graph. Rows are drawn
+    from 1-3 base rows or from a normal law, so zero bandwidths are common."""
+    graphs, truth, samples = {}, {}, {}
+    methods = [f"m{k}" for k in range(draw(st.integers(1, 3)))]
+    for g in range(draw(st.integers(1, 3))):
+        gid = f"g{g}"
+        kinds = draw(st.lists(st.booleans(), min_size=1, max_size=14).filter(
+            lambda ks: 1 <= sum(ks) <= 10))
+        graphs[gid] = edge_graph("CCH", [(0, 1) if heavy else (1, 2) for heavy in kinds])
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        bases = draw(st.one_of(st.none(), st.integers(1, 3)))
+        if bases is not None:
+            base = np.round(rng.normal(1.5, 0.3, size=(bases, len(kinds))), 1)
+
+        def rows(count):
+            if bases is None:
+                return rng.normal(1.5, 0.3, size=(count, len(kinds)))
+            return base[rng.integers(0, bases, size=count)]
+
+        truth[gid] = rows(draw(st.integers(2, 30)))
+        for method in methods:
+            count = draw(st.one_of(st.none(), st.integers(0, 30), st.just(1)))
+            if count is not None:
+                samples.setdefault(method, {})[gid] = rows(count)
+    return graphs, truth, {m: samples.get(m, {}) for m in methods}
+
+
+class TestStackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=report_inputs())
+    def test_protocol_report_matches_oracle(self, inputs):
+        graphs, truth, samples = inputs
+        rows, warnings = oracle_protocol_report(graphs, truth, samples)
+        report = protocol_report(graphs, truth, samples)
+        assert bits([(r.graph, r.comparison, r.key, r.method, r.value)
+                     for r in report.rows]) == bits(rows)
+        assert report.warnings == warnings
+
+    def test_oracle_sees_skips_and_zero_bandwidths(self):
+        rng = np.random.default_rng(11)
+        graphs = {"g": edge_graph("CCH", [(0, 1), (1, 2), (0, 1), (0, 1)])}
+        truth = {"g": np.repeat(rng.normal(1.5, 0.3, size=(1, 4)), 12, axis=0)}
+        samples = {"absent": {}, "one": {"g": truth["g"][:1]},
+                   "same": {"g": truth["g"][:5].copy()},
+                   "spread": {"g": rng.normal(1.5, 0.3, size=(9, 4))}}
+        rows, warnings = oracle_protocol_report(graphs, truth, samples)
+        report = protocol_report(graphs, truth, samples)
+        # 3 marginals, 3 pairs and the joint, each skipped but for "spread"
+        assert warnings == {"absent": 7, "one": 7, "same": 7, "spread": 0}
+        assert report.warnings == warnings
+        assert bits([(r.graph, r.comparison, r.key, r.method, r.value)
+                     for r in report.rows]) == bits(rows)
+
+    def test_tiny_chunks_give_the_same_report(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        graphs = {"g": edge_graph("CCH", [(0, 1)] * 9 + [(1, 2)])}
+        truth = {"g": rng.normal(1.5, 0.2, size=(25, 10))}
+        samples = {"a": {"g": truth["g"][:20] + 0.1},
+                   "b": {"g": rng.normal(1.6, 0.3, size=(7, 10))}}
+        default = protocol_report(graphs, truth, samples)
+        monkeypatch.setattr(evalmmd, "_KERNEL_ELEMENTS", 1)
+        tiny = protocol_report(graphs, truth, samples)
+        assert tiny == default
+        assert len(default.rows) == 2 * (9 + 36 + 1)
+
+    def test_permutation_null_matches_one_permutation_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(15, 2))
+        y = rng.normal(0.5, 1.0, size=(11, 2))
+        bw = median_bandwidth(np.concatenate([x, y]))
+        draws = np.random.default_rng(14)
+        pooled = np.concatenate([x, y])
+        expected = []
+        for _ in range(40):
+            perm = draws.permutation(len(pooled))
+            expected.append(oracle_mmd2(pooled[perm[:15]], pooled[perm[15:]], bw))
+        null = permutation_null(x, y, bw, 40, np.random.default_rng(14))
+        assert null.tobytes() == np.array(expected).tobytes()
+        monkeypatch.setattr(evalmmd, "_KERNEL_ELEMENTS", 1)
+        assert permutation_null(x, y, bw, 40, np.random.default_rng(14)).tobytes() \
+            == null.tobytes()
+
+    def test_one_comparison_functions_match_oracle(self):
+        rng = np.random.default_rng(15)
+        # column-major rows sum their squares in another order, as before
+        for m, n, w, order in ((2, 2, 1, "C"), (5, 9, 2, "C"), (30, 20, 7, "C"),
+                               (12, 12, 38, "C"), (12, 9, 38, "F"), (4, 3, 5, "F")):
+            x = np.asarray(rng.normal(size=(m, w)), order=order)
+            y = np.asarray(rng.normal(size=(n, w)), order=order)
+            pooled = np.concatenate([x, y])
+            bw = median_bandwidth(pooled)
+            assert bw == oracle_median_bandwidth(pooled)
+            assert mmd2_unbiased(x, y, bw) == oracle_mmd2(x, y, bw)
+
+    def test_one_comparison_checks(self):
+        with pytest.raises(ShapeError):
+            mmd2_unbiased(np.zeros((1, 2)), np.ones((4, 2)), 1.0)
+        with pytest.raises(DegenerateBandwidthError):
+            mmd2_unbiased(np.zeros((3, 2)), np.ones((4, 2)), 0.0)
+        with pytest.raises(ShapeError):
+            median_bandwidth(np.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            permutation_null(np.zeros((1, 2)), np.ones((4, 2)), 1.0, 5,
+                             np.random.default_rng(0))
+        assert permutation_null(np.zeros((1, 2)), np.ones((4, 2)), 1.0, 0,
+                                np.random.default_rng(0)).shape == (0,)
 
 
 class TestReportOutputs:
