@@ -206,11 +206,6 @@ def _row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     return (p[:, 0] + p[:, 1]) + p[:, 2]
 
 
-def energy(m: EnergyModel, x: Conformation) -> float:
-    """Total energy in kJ/mol of a conformation under the surrogate model."""
-    return m.energy_of(x.positions)
-
-
 @dataclass
 class ISConfig:
     """Temperature for Boltzmann weights and Metropolis acceptance."""

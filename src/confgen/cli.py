@@ -223,6 +223,12 @@ def _method_name(arg: str) -> tuple[str, str]:
 
 
 def _cmd_evaluate(args) -> int:
+    paths: dict[str, str] = {}  # method name -> generated dataset
+    for arg in args.generated:
+        name, path = _method_name(arg)
+        if name in paths:
+            raise UsageError(f"method {name!r} is given twice: {paths[name]} and {path}")
+        paths[name] = path
     truth_records = dataio.read_dataset(args.truth)
     if not truth_records:
         raise UsageError(f"{args.truth}: dataset is empty")
@@ -231,8 +237,7 @@ def _cmd_evaluate(args) -> int:
     topology = {mol: (g, s) for mol, (g, s, _) in dataio.group_records(truth_records).items()}
 
     methods: dict[str, dict] = {}
-    for arg in args.generated:
-        name, path = _method_name(arg)
+    for name, path in paths.items():
         gen_records = dataio.read_dataset(path)
         for r in gen_records:  # the build seed picks the edges that are compared
             if topology.get(r.molecule, (r.graph, r.build_seed)) != (r.graph, r.build_seed):

@@ -7,7 +7,8 @@ reads out on the nodes for the encoder and on the edges for the decoder; its
 weights are shared across graphs of any size.
 Training maximizes the evidence lower bound, i.e. a single-sample
 reparameterized reconstruction log-likelihood minus the closed-form KL
-divergence from the per-node posterior to a standard-normal prior.
+divergence from the per-node posterior to a standard-normal prior; the latent
+draw z = mean + std * noise is part of the taped pass (`_batch_terms`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import molgraph, nnet
 from .errors import NumericalError, UsageError
-from .molgraph import DistanceSet, ExtendedGraph
+from .molgraph import ExtendedGraph
 from .nnet import ShapeError, Tensor
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -218,11 +219,6 @@ class ModelParams:
         for t, a in zip(self._named.values(), self.checked(arrays).values()):
             t.data = a.copy()
 
-    def copy(self) -> "ModelParams":
-        clone = ModelParams(self.config, seed=0)
-        clone.set_values(self.values())
-        return clone
-
 
 @dataclass
 class NodeGaussians:
@@ -238,24 +234,6 @@ class NodeGaussians:
             raise ShapeError("mean and variance must be equal-length vectors")
         if not (self.var > 0.0).all():
             raise ShapeError("latent variances must be positive")
-
-    def __len__(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass
-class LatentCode:
-    """One latent scalar per node."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        if self.z.ndim != 1:
-            raise ShapeError("latent code must be a flat vector")
-
-    def __len__(self) -> int:
-        return self.z.shape[0]
 
 
 @dataclass
@@ -287,8 +265,7 @@ class GaussianEdgeDist:
 
 
 def _distance_values(distances, eg: ExtendedGraph) -> np.ndarray:
-    d = distances.values if isinstance(distances, DistanceSet) else np.asarray(distances)
-    d = np.asarray(d, dtype=np.float64)
+    d = np.asarray(distances, dtype=np.float64)
     if d.shape != (eg.n_edges,):
         raise ShapeError(
             f"{d.shape[0] if d.ndim == 1 else d.shape} distances for a graph "
@@ -298,19 +275,14 @@ def _distance_values(distances, eg: ExtendedGraph) -> np.ndarray:
 
 
 def encode(p: ModelParams, eg: ExtendedGraph, distances) -> NodeGaussians:
-    """Posterior Gaussians for the latent code given observed edge distances."""
+    """Posterior Gaussians for the latent code given the (n_edges,) vector of
+    observed edge distances."""
     d = _distance_values(distances, eg)
     e_in = nnet.concat([nnet.constant(eg.edge_features), nnet.constant(d[:, None])],
                        axis=1)
     mean, logvar = p.enc(nnet.constant(eg.node_features), e_in, eg.src, eg.dst,
                          eg.n_nodes)
     return NodeGaussians(mean.data[:, 0], np.exp(logvar.data[:, 0]))
-
-
-def reparameterize(ng: NodeGaussians, rng: np.random.Generator) -> LatentCode:
-    """Draw z = mean + std * eps with eps standard normal."""
-    eps = rng.standard_normal(len(ng))
-    return LatentCode(ng.mean + np.sqrt(ng.var) * eps)
 
 
 def decode(p: ModelParams, eg: ExtendedGraph, z) -> GaussianEdgeDist:
@@ -322,7 +294,7 @@ def decode(p: ModelParams, eg: ExtendedGraph, z) -> GaussianEdgeDist:
     exactly the values that decoding z[s] alone gives, whatever S is. No
     autodiff tape is recorded.
     """
-    zv = z.z if isinstance(z, LatentCode) else np.asarray(z, dtype=np.float64)
+    zv = np.asarray(z, dtype=np.float64)
     if zv.ndim not in (1, 2) or zv.shape[-1] != eg.n_nodes:
         raise ShapeError(f"latent shape {zv.shape} does not match {eg.n_nodes} nodes")
     with nnet.inference():
@@ -341,17 +313,12 @@ class ElboResult:
     gradients: dict
 
 
-def elbo(p: ModelParams, eg: ExtendedGraph, distances, rng=None, noise=None) -> ElboResult:
+def elbo(p: ModelParams, eg: ExtendedGraph, distances, noise) -> ElboResult:
     """Single-sample ELBO and its gradients with respect to all parameters.
 
-    `noise` fixes the reparameterization draw (one standard-normal value per
-    node); otherwise it is drawn from `rng`.
+    `noise` is the reparameterization draw: one standard-normal value per node.
     """
     d = _distance_values(distances, eg)
-    if noise is None:
-        if rng is None:
-            raise ShapeError("elbo needs either an rng or an explicit noise vector")
-        noise = rng.standard_normal(eg.n_nodes)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != (eg.n_nodes,):
         raise ShapeError("noise must hold one value per node")

@@ -263,22 +263,6 @@ def select_split(records, molecule_ids) -> list[DatasetRecord]:
 
 # --- synthetic benchmark -----------------------------------------------------
 
-def energy_model_from_dict(d: dict) -> EnergyModel:
-    bonds = tuple(
-        BondTerm(t["i"], t["j"], t["rest"], t["stiffness"]) for t in d.get("bonds", ())
-    )
-    angles = tuple(
-        AngleTerm(t["i"], t["j"], t["k"], t["rest"], t["stiffness"])
-        for t in d.get("angles", ())
-    )
-    steric = d.get("steric")
-    return EnergyModel(
-        bonds,
-        angles,
-        StericTerm(steric["floor"], steric["stiffness"]) if steric else None,
-    )
-
-
 def load_benchmark_spec(path) -> dict:
     try:
         spec = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -288,6 +272,9 @@ def load_benchmark_spec(path) -> dict:
         raise ParseError(f"{path}: expected format {BENCHMARK_FORMAT!r}")
     if "molecules" not in spec or "temperature" not in spec:
         raise ParseError(f"{path}: benchmark spec needs molecules and temperature")
+    if not isinstance(spec.get("defaults", {}), dict):
+        raise ParseError(f"{path}: 'defaults' must be an object, "
+                         f"got {spec['defaults']!r:.40}")
     spec_molecules(path, spec)
     return spec
 
@@ -355,20 +342,6 @@ def initial_conformation(graph: MolGraph, model: EnergyModel, seed: int) -> Conf
     return result.conformation
 
 
-def _check_term_atoms(name: str, model: EnergyModel, n_atoms: int) -> None:
-    """ParseError unless every bond and angle term names distinct atoms of
-    the molecule by integer index."""
-    for kind, terms, fields in (("bond", model.bonds, "ij"), ("angle", model.angles, "ijk")):
-        for index, term in enumerate(terms):
-            atoms = [getattr(term, f) for f in fields]
-            if not all(type(a) is int and 0 <= a < n_atoms for a in atoms) \
-                    or len(set(atoms)) < len(atoms):
-                raise ParseError(
-                    f"molecule {name!r}: {kind} {index} names atoms "
-                    f"({', '.join(map(repr, atoms))}); each must be a distinct "
-                    f"integer from 0 to {n_atoms - 1}")
-
-
 # energy term kind: its atom keys, then each value key and whether it must be > 0
 # (EnergyModel's rule); every value must also be a finite number
 _TERM_KEYS = {
@@ -379,12 +352,13 @@ _TERM_KEYS = {
 
 def molecule_energy_model(name: str, d, n_atoms: int) -> EnergyModel:
     """Molecule `name`'s energy model from its JSON form `d`, checked for a
-    molecule of `n_atoms` atoms.
+    molecule of `n_atoms` atoms; the one way from JSON to an EnergyModel.
 
     Every bond and angle term needs all its keys, each rest, stiffness and
     steric value must be a finite number, bond rest lengths and bond and
-    angle stiffnesses must be above 0, and the atoms must pass
-    `_check_term_atoms`. Raises ParseError naming the molecule and the term.
+    angle stiffnesses must be above 0, and then each term must name distinct
+    atoms of the molecule by integer index. Raises ParseError naming the
+    molecule and the term.
     """
     def check(term: str, t, atoms: str, values: dict) -> None:
         if not isinstance(t, dict):
@@ -402,17 +376,30 @@ def molecule_energy_model(name: str, d, n_atoms: int) -> EnergyModel:
     if not isinstance(d, dict):
         raise ParseError(f"molecule {name!r}: 'energy' must be an object of terms, "
                          f"got {d!r}")
+    terms = {kind: d.get(kind, ()) for kind in _TERM_KEYS}
     for kind, (atoms, values) in _TERM_KEYS.items():
-        terms = d.get(kind, ())
-        if not isinstance(terms, (list, tuple)):
-            raise ParseError(f"molecule {name!r}: {kind} must be a list, got {terms!r}")
-        for index, t in enumerate(terms):
+        if not isinstance(terms[kind], (list, tuple)):
+            raise ParseError(f"molecule {name!r}: {kind} must be a list, "
+                             f"got {terms[kind]!r}")
+        for index, t in enumerate(terms[kind]):
             check(f"{kind[:-1]} {index}", t, atoms, values)
-    if d.get("steric"):
-        check("steric term", d["steric"], "", {"floor": False, "stiffness": False})
-    model = energy_model_from_dict(d)
-    _check_term_atoms(name, model, n_atoms)
-    return model
+    steric = d.get("steric")
+    if steric:
+        check("steric term", steric, "", {"floor": False, "stiffness": False})
+    for kind, (fields, _) in _TERM_KEYS.items():
+        for index, t in enumerate(terms[kind]):
+            atoms = [t[f] for f in fields]
+            if not all(type(a) is int and 0 <= a < n_atoms for a in atoms) \
+                    or len(set(atoms)) < len(atoms):
+                raise ParseError(
+                    f"molecule {name!r}: {kind[:-1]} {index} names atoms "
+                    f"({', '.join(map(repr, atoms))}); each must be a distinct "
+                    f"integer from 0 to {n_atoms - 1}")
+    return EnergyModel(
+        tuple(BondTerm(t["i"], t["j"], t["rest"], t["stiffness"]) for t in terms["bonds"]),
+        tuple(AngleTerm(t["i"], t["j"], t["k"], t["rest"], t["stiffness"])
+              for t in terms["angles"]),
+        StericTerm(steric["floor"], steric["stiffness"]) if steric else None)
 
 
 def _number(value) -> bool:

@@ -64,11 +64,6 @@ class BoundsMatrix:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    @classmethod
-    def from_distance_matrix(cls, d: np.ndarray) -> "BoundsMatrix":
-        d = np.asarray(d, dtype=np.float64)
-        return cls(d.copy(), d.copy())
-
 
 def _bounds_stack(eg: ExtendedGraph, ged: GaussianEdgeDist) -> tuple:
     """`make_bounds` for a stacked GaussianEdgeDist: (S, n, n) lower and upper."""

@@ -27,6 +27,7 @@ from .molgraph import ExtendedGraph
 from .nnet import ShapeError
 
 HEAVY_ELEMENTS = ("C", "O")
+MARGINAL_BINS = 40
 # float64 kernel entries per chunk of a comparison stack (about 1 MB per block)
 _KERNEL_ELEMENTS = 1 << 17
 
@@ -164,7 +165,6 @@ def heavy_edge_indices(eg: ExtendedGraph) -> list[int]:
 @dataclass
 class MmdRow:
     graph: str
-    split: str
     comparison: str  # marginal | pairwise | joint
     key: str
     method: str
@@ -179,7 +179,6 @@ class MmdReport:
     medians: dict = field(default_factory=dict)          # (method, comparison) -> float
     mean_rankings: dict = field(default_factory=dict)    # (method, comparison) -> float
     std_over_graphs: dict = field(default_factory=dict)  # (method, comparison) -> float
-    std_over_splits: dict = field(default_factory=dict)  # (method, comparison) -> float
     methods: tuple = ()
     warnings: dict = field(default_factory=dict)         # method -> skipped instances
 
@@ -200,8 +199,7 @@ def _average_ranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
-                    splits: dict | None = None) -> MmdReport:
+def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict) -> MmdReport:
     """Marginal, pairwise, and joint MMDs per graph, plus method aggregates.
 
     `graphs` maps graph id to ExtendedGraph; `truth_samples` maps graph id to a
@@ -214,7 +212,6 @@ def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
     if not method_samples:
         raise ShapeError("at least one method is required")
     methods = tuple(sorted(method_samples))
-    splits = splits or {}
     report = MmdReport(methods=methods, warnings={m: 0 for m in methods})
 
     instance_values: dict = {}
@@ -257,8 +254,7 @@ def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
         for index, (comparison, key, _) in enumerate(comparisons):
             values_here = {m: values[(index, m)] for m in methods if (index, m) in values}
             for method, value in values_here.items():
-                report.rows.append(
-                    MmdRow(gid, splits.get(gid, ""), comparison, key, method, value))
+                report.rows.append(MmdRow(gid, comparison, key, method, value))
             if values_here:
                 instance_values[(gid, comparison, key)] = values_here
 
@@ -278,30 +274,16 @@ def protocol_report(graphs: dict, truth_samples: dict, method_samples: dict, *,
                 report.medians[(m, comparison)] = float(np.median(per_method[m]))
                 report.mean_rankings[(m, comparison)] = float(np.mean(rank_sums[m]))
                 report.std_over_graphs[(m, comparison)] = float(np.std(per_method[m]))
-        if splits:
-            labels = sorted(set(splits.values()))
-            for m in methods:
-                split_medians = []
-                for label in labels:
-                    vals = [
-                        row.value
-                        for row in report.rows
-                        if row.method == m and row.comparison == comparison
-                        and row.split == label
-                    ]
-                    if vals:
-                        split_medians.append(np.median(vals))
-                if len(split_medians) > 1:
-                    report.std_over_splits[(m, comparison)] = float(np.std(split_medians))
     return report
 
 
 def write_report_tsv(report: MmdReport, path) -> None:
+    """One line per row; the `split` column is kept, and is empty on every row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph\tsplit\tcomparison\tkey\tmethod\tmmd2\n")
         for row in report.rows:
             fh.write(
-                f"{row.graph}\t{row.split}\t{row.comparison}\t{row.key}\t"
+                f"{row.graph}\t\t{row.comparison}\t{row.key}\t"
                 f"{row.method}\t{row.value:.10g}\n"
             )
 
@@ -318,9 +300,7 @@ def format_report(report: MmdReport) -> str:
             med = report.medians[(m, comparison)]
             rank = report.mean_rankings[(m, comparison)]
             sg = report.std_over_graphs.get((m, comparison))
-            ss = report.std_over_splits.get((m, comparison))
             spread = f" std_graphs={sg:.6g}" if sg is not None else ""
-            spread += f" std_splits={ss:.6g}" if ss is not None else ""
             lines.append(
                 f"  {m}: median_mmd2={med:.6g} mean_ranking={rank:.6g}{spread}"
             )
@@ -333,8 +313,9 @@ def format_report(report: MmdReport) -> str:
 
 
 def write_marginal_histograms(path, graphs: dict, truth_samples: dict,
-                              method_samples: dict, *, bins: int = 40) -> None:
-    """Binned marginal distance distributions for external plotting."""
+                              method_samples: dict) -> None:
+    """Binned marginal distance distributions for external plotting: per heavy
+    edge, MARGINAL_BINS bins over the pooled truth and method samples."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph\tedge\tmethod\tbin_lo\tbin_hi\tdensity\n")
         for gid in sorted(graphs):
@@ -348,10 +329,9 @@ def write_marginal_histograms(path, graphs: dict, truth_samples: dict,
                     series[method] = np.asarray(sample, dtype=np.float64)
             for k in heavy:
                 pooled = np.concatenate([s[:, k] for s in series.values()])
-                edges = np.histogram_bin_edges(pooled, bins=bins)
+                edges = np.histogram_bin_edges(pooled, bins=MARGINAL_BINS)
+                bins = [f"{lo:.10g}\t{hi:.10g}" for lo, hi in zip(edges[:-1], edges[1:])]
                 for name, s in series.items():
                     dens, _ = np.histogram(s[:, k], bins=edges, density=True)
-                    for lo, hi, d in zip(edges[:-1], edges[1:], dens):
-                        fh.write(
-                            f"{gid}\tedge{k}\t{name}\t{lo:.10g}\t{hi:.10g}\t{d:.10g}\n"
-                        )
+                    for b, d in zip(bins, dens):
+                        fh.write(f"{gid}\tedge{k}\t{name}\t{b}\t{d:.10g}\n")

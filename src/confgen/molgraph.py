@@ -228,9 +228,6 @@ class ExtendedGraph:
     def n_edges(self) -> int:
         return self.src.shape[0]
 
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(self.src, self.dst)]
-
 
 def build_extended_graph(g: MolGraph, seed: int) -> ExtendedGraph:
     """Extend a bond graph with angle and dihedral edges and featurize it.
@@ -313,8 +310,9 @@ class Conformation:
         if n > 1:
             diff = self.positions[:, None, :] - self.positions[None, :, :]
             dist2 = (diff**2).sum(axis=2)
-            iu = np.triu_indices(n, k=1)
-            if not (dist2[iu] > 0.0).all():
+            # exactly symmetric, so every off-diagonal entry is each pair's test
+            np.fill_diagonal(dist2, 1.0)
+            if not (dist2 > 0.0).all():
                 raise GraphStructureError("conformation has coincident atoms")
 
 
@@ -330,9 +328,6 @@ class DistanceSet:
             raise GraphStructureError("distances must form a flat vector")
         if not (self.values > 0.0).all():
             raise GraphStructureError("distances must be strictly positive")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def extract_distances(eg: ExtendedGraph, x: Conformation) -> DistanceSet:

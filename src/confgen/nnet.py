@@ -237,7 +237,7 @@ def square(x) -> Tensor:
     return _result(x.data**2, (x,), grad_fn)
 
 
-def clip(x, floor: float, ceiling: float = math.inf) -> Tensor:
+def clip(x, floor: float, ceiling: float) -> Tensor:
     """Clamp to [floor, ceiling]; gradient is zero where a clamp is active."""
     x = _as_tensor(x)
     floor, ceiling = float(floor), float(ceiling)
@@ -387,9 +387,6 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.weight, self.bias)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
 
 class Mlp:
     """Dense stack with ReLU between layers and a linear output layer."""
@@ -404,9 +401,6 @@ class Mlp:
         for layer in self.layers[:-1]:
             x = relu(layer(x))
         return self.layers[-1](x)
-
-    def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
 
 
 # Adam's moment decay rates and denominator offset, as common practice sets them
@@ -427,7 +421,8 @@ def adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 
 
 class Adam:
-    """Adam over a list of parameter tensors, one `adam_update` each per step."""
+    """Adam over a list of parameter tensors, one `adam_update` each per step,
+    from each parameter's `grad` (a zero gradient where that is None)."""
 
     def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
@@ -436,19 +431,10 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads=None) -> None:
-        if grads is None:
-            grads = [
-                p.grad if p.grad is not None else np.zeros_like(p.data)
-                for p in self.params
-            ]
-        if len(grads) != len(self.params):
-            raise ShapeError("one gradient per parameter required")
+    def step(self) -> None:
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.data.shape:
-                raise ShapeError("gradient shape does not match its parameter")
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             adam_update(p.data, g, m, v, self.t, self.lr)
 
     def state_dict(self) -> dict:

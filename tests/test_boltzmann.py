@@ -14,7 +14,6 @@ from confgen.boltzmann import (
     EnergyModel,
     ISConfig,
     StericTerm,
-    energy,
     is_estimate,
     metropolis_chains,
     metropolis_sample,
@@ -45,12 +44,13 @@ def water_at_rest():
 class TestEnergy:
     def test_zero_at_rest_geometry(self):
         # steric floor 1.5 is below the H..H separation, so nothing engages
-        assert energy(water_model(), water_at_rest()) == pytest.approx(0.0, abs=1e-20)
+        energy = water_model().energy_of(water_at_rest().positions)
+        assert energy == pytest.approx(0.0, abs=1e-20)
 
     def test_single_stretched_bond(self):
         m = EnergyModel(bonds=(BondTerm(0, 1, 1.0, 300.0),))
         x = Conformation(("C", "C"), [[0, 0, 0], [1.25, 0, 0]])
-        assert energy(m, x) == pytest.approx(300.0 * 0.25**2)
+        assert m.energy_of(x.positions) == pytest.approx(300.0 * 0.25**2)
 
     def test_matches_term_by_term_recomputation(self):
         rng = np.random.default_rng(0)
@@ -71,14 +71,14 @@ class TestEnergy:
             d_hh = np.linalg.norm(pos[1] - pos[2])
             expected += m.steric.stiffness * max(m.steric.floor - d_hh, 0.0) ** 2
 
-            assert energy(m, x) == pytest.approx(expected, rel=1e-12)
+            assert m.energy_of(x.positions) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_terms_rejected(self):
         with pytest.raises(ValueError):
             EnergyModel(bonds=(BondTerm(0, 1, -1.0, 300.0),))
         m = EnergyModel(bonds=(BondTerm(0, 5, 1.0, 300.0),))
         with pytest.raises(ValueError):
-            energy(m, Conformation(("C", "C"), [[0, 0, 0], [1, 0, 0]]))
+            m.energy_of(Conformation(("C", "C"), [[0, 0, 0], [1, 0, 0]]).positions)
 
 
 class TestMetropolis:
@@ -252,7 +252,8 @@ class TestTermStack:
         rng = np.random.default_rng(3)
         models, positions = [], []
         for entry in toy10_spec(2000)["molecules"]:
-            models.append(dataio.energy_model_from_dict(entry["energy"]))
+            models.append(dataio.molecule_energy_model(
+                entry["name"], entry["energy"], len(entry["elements"])))
             positions.append(rng.normal(0.0, 1.2, (len(entry["elements"]), 3)))
         stack = boltzmann._TermStack.join(
             m._terms(len(p)) for m, p in zip(models, positions))

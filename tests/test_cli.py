@@ -143,6 +143,18 @@ class TestMakeData:
         assert f"molecule 'ethanol': {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [[1], 5, None, "count"])
+    def test_defaults_not_an_object_exits_2(self, tmp_path, capsys, value):
+        # [1] was an AttributeError traceback, 5 a TypeError traceback
+        spec = toy10_spec(3)
+        spec["defaults"] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.jsonl"
+        assert main(["make-data", str(spec_path), str(out)]) == 2
+        assert f"{spec_path}: 'defaults' must be an object, got {value!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("form, message", [
         ("entry", "molecules entry 10 must be an object, got 5"),
@@ -579,6 +591,22 @@ class TestEvaluate:
                      "--out", str(tmp_path / "r")])
         assert code == 1
 
+    @pytest.mark.parametrize("named", [False, True])
+    def test_repeated_method_name_exits_2(self, workspace, tmp_path, capsys, named):
+        # each exited 0 with the second file's report alone
+        _, _, data_path, _, _ = workspace
+        paths = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            paths.append(tmp_path / d / "gen.jsonl")
+            dataio.write_dataset(paths[-1], dataio.read_dataset(data_path))
+        method = "x" if named else "gen"
+        args = [f"x={p}" if named else str(p) for p in paths]
+        out = tmp_path / "r"
+        assert main(["evaluate", str(data_path), *args, "--out", str(out)]) == 2
+        assert f"method {method!r} is given twice: {paths[0]} and {paths[1]}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
 
     @pytest.mark.parametrize("change", ["graph", "seed"])
     def test_generated_molecule_must_match_truth(self, workspace, tmp_path, capsys,

@@ -332,7 +332,8 @@ class TestSyntheticBenchmark:
         cfg = ISConfig(temperature=spec["temperature"])
         for index, entry in enumerate(spec["molecules"]):
             sched = {**spec["defaults"], **entry}
-            model = dataio.energy_model_from_dict(entry["energy"])
+            model = dataio.molecule_energy_model(
+                entry["name"], entry["energy"], len(entry["elements"]))
             graph = dataio._molecule_graph(entry)
             init_seed, build_seed, chain_seed = np.random.SeedSequence(
                 17, spawn_key=(index,)).generate_state(3)
@@ -396,7 +397,9 @@ class TestSyntheticBenchmark:
         for index, (entry, chain) in enumerate(zip(spec["molecules"], chains)):
             init_seed = np.random.SeedSequence(23, spawn_key=(index,)).generate_state(3)[0]
             alone = dataio.initial_conformation(
-                dataio._molecule_graph(entry), dataio.energy_model_from_dict(entry["energy"]),
+                dataio._molecule_graph(entry),
+                dataio.molecule_energy_model(entry["name"], entry["energy"],
+                                             len(entry["elements"])),
                 int(init_seed))
             assert chain.x0.elements == alone.elements
             assert chain.x0.positions.tobytes() == alone.positions.tobytes(), entry["name"]
@@ -437,6 +440,26 @@ class TestSyntheticBenchmark:
         spec["molecules"][1]["name"] = name
         with pytest.raises(ParseError, match="molecule name"):
             make_synthetic_benchmark(spec, seed=0)
+
+    @pytest.mark.parametrize("later, message", [
+        (("angles", "rest", "x"), "angle 0 rest must be a finite number, got 'x'"),
+        (("steric", "floor", None), "steric term floor must be a finite number, got None"),
+        (None, "bond 0 names atoms (0, 99)"),
+    ])
+    def test_term_values_are_checked_before_atoms(self, later, message):
+        """Bond 0 names a missing atom; a bad value in any term, even a later
+        one, is the error reported."""
+        entry = toy10_spec(5)["molecules"][1]
+        energy = entry["energy"]
+        energy["bonds"][0]["j"] = 99
+        energy.setdefault("steric", {"floor": 1.5, "stiffness": 10.0})
+        if later is not None:
+            kind, key, value = later
+            (energy[kind][0] if kind == "angles" else energy[kind])[key] = value
+        with pytest.raises(ParseError) as raised:
+            dataio.molecule_energy_model("ethanol", energy, len(entry["elements"]))
+        assert str(raised.value) == f"molecule 'ethanol': {message}" + (
+            "; each must be a distinct integer from 0 to 8" if later is None else "")
 
     def test_default_spec_loads_from_file(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import itertools
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,12 +196,10 @@ class TestProtocolReport:
         squashed = evalmmd._average_ranks([np.tanh(v) for v in values])
         assert direct == squashed
 
-    def test_split_spread_is_reported(self):
+    def test_graph_spread_is_reported(self):
         rng, eg, graphs, truth = self._fixture(seed=4)
         gen = {gid: s + 0.1 for gid, s in truth.items()}
-        report = protocol_report(graphs, truth, {"m": gen},
-                                 splits={"g1": "s0", "g2": "s1"})
-        assert ("m", "marginal") in report.std_over_splits
+        report = protocol_report(graphs, truth, {"m": gen})
         assert ("m", "marginal") in report.std_over_graphs
 
 
@@ -391,7 +390,54 @@ class TestStackedKernel:
                                 np.random.default_rng(0)).shape == (0,)
 
 
+def oracle_marginal_histograms(path, graphs, truth_samples, method_samples):
+    """The marginal histogram writer that formats both bin edges again on
+    every line, at 40 bins."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("graph\tedge\tmethod\tbin_lo\tbin_hi\tdensity\n")
+        for gid in sorted(graphs):
+            truth = np.asarray(truth_samples[gid], dtype=np.float64)
+            series = {"truth": truth}
+            for method in sorted(method_samples):
+                sample = method_samples[method].get(gid)
+                if sample is not None:
+                    series[method] = np.asarray(sample, dtype=np.float64)
+            for k in evalmmd.heavy_edge_indices(graphs[gid]):
+                pooled = np.concatenate([s[:, k] for s in series.values()])
+                edges = np.histogram_bin_edges(pooled, bins=40)
+                for name, s in series.items():
+                    dens, _ = np.histogram(s[:, k], bins=edges, density=True)
+                    for lo, hi, d in zip(edges[:-1], edges[1:], dens):
+                        fh.write(f"{gid}\tedge{k}\t{name}\t{lo:.10g}\t{hi:.10g}\t"
+                                 f"{d:.10g}\n")
+
+
+def missing_molecule_inputs():
+    """Two graphs and three methods, one of them without samples of g1."""
+    rng = np.random.default_rng(12)
+    graphs = {"g0": edge_graph("CCH", [(0, 1), (1, 2), (0, 1)]),
+              "g1": edge_graph("CCH", [(0, 1)])}
+    truth = {"g0": rng.normal(1.5, 0.3, size=(9, 3)), "g1": rng.normal(1.2, 0.1, (7, 1))}
+    samples = {"m0": {gid: t + 0.1 for gid, t in truth.items()},
+               "m1": {"g0": rng.normal(1.4, 0.2, size=(5, 3))},
+               "m2": {gid: t[:3] * 1.1 for gid, t in truth.items()}}
+    return graphs, truth, samples
+
+
 class TestReportOutputs:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=report_inputs())
+    @example(inputs=missing_molecule_inputs())
+    def test_marginal_histograms_match_oracle(self, inputs):
+        with tempfile.TemporaryDirectory() as tmp:
+            written = f"{tmp}/marginals.tsv"
+            expected = f"{tmp}/oracle.tsv"
+            with np.errstate(invalid="ignore"):  # a method with no rows has no density
+                evalmmd.write_marginal_histograms(written, *inputs)
+                oracle_marginal_histograms(expected, *inputs)
+            with open(written, "rb") as a, open(expected, "rb") as b:
+                assert a.read() == b.read()
+
     def test_tsv_and_text_agree(self, tmp_path):
         rng = np.random.default_rng(7)
         eg = make_graph_with_heavy_edges()
@@ -406,6 +452,7 @@ class TestReportOutputs:
         assert lines[0].split("\t") == ["graph", "split", "comparison", "key",
                                         "method", "mmd2"]
         parsed = [line.split("\t") for line in lines[1:]]
+        assert {p[1] for p in parsed} == {""}  # the split column is always empty
         marginal_values = [float(p[5]) for p in parsed if p[2] == "marginal"]
         text = evalmmd.format_report(report)
         printed = float(text.split("median_mmd2=")[1].split()[0])
@@ -418,8 +465,10 @@ class TestReportOutputs:
         truth = {"g": rng.normal(1.5, 0.1, size=(50, eg.n_edges))}
         gen = {"m": {"g": truth["g"] + 0.1}}
         path = tmp_path / "marginals.tsv"
-        evalmmd.write_marginal_histograms(path, graphs, truth, gen, bins=10)
+        evalmmd.write_marginal_histograms(path, graphs, truth, gen)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("graph\tedge\tmethod")
         methods = {line.split("\t")[2] for line in lines[1:]}
         assert methods == {"truth", "m"}
+        heavy = evalmmd.heavy_edge_indices(eg)
+        assert len(lines) - 1 == 2 * len(heavy) * evalmmd.MARGINAL_BINS

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confgen import molgraph
 from confgen.molgraph import (
@@ -21,9 +23,13 @@ from confgen.molgraph import (
 from conftest import random_conformation, random_tree
 
 
+def edge_pairs(eg):
+    return list(zip(eg.src.tolist(), eg.dst.tolist()))
+
+
 def edge_sets(eg):
     by_kind = {"bond": set(), "angle": set(), "dihedral": set()}
-    for kind, (i, j) in zip(eg.edge_kinds, eg.edge_pairs()):
+    for kind, (i, j) in zip(eg.edge_kinds, edge_pairs(eg)):
         by_kind[kind].add(frozenset((i, j)))
     return by_kind
 
@@ -171,7 +177,7 @@ class TestBuildExtendedGraph:
                 assert hops[i, j] == 3
             # edge-count lower bound and pair uniqueness
             assert eg.n_edges >= len(bonds) + len(angles)
-            all_pairs = [frozenset(p) for p in eg.edge_pairs()]
+            all_pairs = [frozenset(p) for p in edge_pairs(eg)]
             assert len(all_pairs) == len(set(all_pairs))
 
     def test_deterministic_for_fixed_seed(self):
@@ -220,6 +226,31 @@ class TestBuildExtendedGraph:
             assert new[kind] == mapped
 
 
+def oracle_has_coincident_atoms(positions) -> bool:
+    """The coincidence check over the upper-triangle pairs (triu_indices)."""
+    n = len(positions)
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist2 = (diff**2).sum(axis=2)
+    iu = np.triu_indices(n, k=1)
+    return not (dist2[iu] > 0.0).all()
+
+
+@st.composite
+def near_duplicate_positions(draw):
+    """1-8 atoms; each after the first keeps its drawn row, copies an
+    earlier row, or copies one and moves a coordinate by up to 1e-150."""
+    n = draw(st.integers(1, 8))
+    coords = st.one_of(st.just(0.0), st.floats(-10, 10), st.floats(-1e-150, 1e-150))
+    x = draw(hnp.arrays(np.float64, (n, 3), elements=coords))
+    for i in range(1, n):
+        how = draw(st.sampled_from(["keep", "copy", "nudge"]))
+        if how != "keep":
+            x[i] = x[draw(st.integers(0, i - 1))]
+        if how == "nudge":
+            x[i, draw(st.integers(0, 2))] += draw(st.floats(-1e-150, 1e-150))
+    return x
+
+
 class TestExtractDistances:
     def test_axis_aligned_pair(self):
         g = MolGraph.from_elements(["C", "C"], [(0, 1)])
@@ -245,7 +276,7 @@ class TestExtractDistances:
         eg = build_extended_graph(g, seed=2)
         x = random_conformation(g, rng)
         d = extract_distances(eg, x).values
-        for k, (i, j) in enumerate(eg.edge_pairs()):
+        for k, (i, j) in enumerate(edge_pairs(eg)):
             expected = np.linalg.norm(x.positions[i] - x.positions[j])
             assert d[k] == pytest.approx(expected, abs=0)
 
@@ -258,6 +289,19 @@ class TestExtractDistances:
     def test_coincident_atoms_rejected(self):
         with pytest.raises(GraphStructureError):
             Conformation(("C", "C"), [[0, 0, 0], [0, 0, 0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(positions=near_duplicate_positions())
+    def test_coincidence_check_matches_pair_oracle(self, positions):
+        """Rows that are copies, or copies nudged by about 1e-160 (whose
+        squared gaps may underflow to 0), are coincident exactly when the
+        check over the upper-triangle pairs says so."""
+        elements = ("C",) * len(positions)
+        if oracle_has_coincident_atoms(positions):
+            with pytest.raises(GraphStructureError, match="coincident atoms"):
+                Conformation(elements, positions)
+        else:
+            Conformation(elements, positions)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_positions_rejected(self, bad):

@@ -26,6 +26,10 @@ def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def mlp_parameters(mlp):
+    return [t for layer in mlp.layers for t in (layer.weight, layer.bias)]
+
+
 class TestForwardPrimitives:
     def test_relu(self):
         out = nnet.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -91,10 +95,10 @@ class TestBackward:
         def loss_value():
             return nnet.tsum(nnet.square(mlp(Tensor(x0)))).item()
 
-        nnet.zero_grads(mlp.parameters())
+        nnet.zero_grads(mlp_parameters(mlp))
         nnet.backward(nnet.tsum(nnet.square(mlp(Tensor(x0)))))
         worst = 0.0
-        for p in mlp.parameters():
+        for p in mlp_parameters(mlp):
             fd = finite_difference(lambda _: loss_value(), p.data)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(p.grad)), 1e-6)
             worst = max(worst, float((np.abs(fd - p.grad) / denom).max()))
@@ -276,7 +280,7 @@ class TestTape:
         recorded = [t for t in seen.values() if t._grad_fn is not None]
         leaves = [t for t in seen.values() if t._grad_fn is None and t.requires_grad]
         assert len(recorded) > 8 and set(map(id, leaves)) == \
-            set(map(id, [x, *mlp.parameters()]))
+            set(map(id, [x, *mlp_parameters(mlp)]))
 
         nnet.backward(loss)
         assert all(t.grad is None and t._parents == () and t._grad_fn is None
@@ -333,12 +337,13 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = nnet.param(np.array([1.0, -2.0]))
         before = p.data.copy()
-        nnet.Adam([p]).step(grads=[np.zeros(2)])
+        nnet.Adam([p]).step()  # no gradient reads as zero
         assert np.array_equal(p.data, before)
 
     def test_descends_on_quadratic(self):
         p = nnet.param(np.array(1.0))
-        nnet.Adam([p], lr=0.001).step(grads=[np.asarray(2.0)])
+        p.grad = np.asarray(2.0)
+        nnet.Adam([p], lr=0.001).step()
         assert p.data < 1.0
 
     def test_converges_to_quadratic_minimizer(self):
@@ -346,14 +351,16 @@ class TestAdam:
         p = nnet.param(np.zeros(3))
         adam = nnet.Adam([p], lr=0.01)
         for _ in range(10_000):
-            adam.step(grads=[2.0 * (p.data - target)])
+            p.grad = 2.0 * (p.data - target)
+            adam.step()
         assert np.abs(p.data - target).max() < 1e-3
 
     def test_state_roundtrip(self):
         p = nnet.param(np.array([1.0, 2.0]))
         adam = nnet.Adam([p], lr=0.05)
         for _ in range(3):
-            adam.step(grads=[np.array([0.1, -0.2])])
+            p.grad = np.array([0.1, -0.2])
+            adam.step()
         state = adam.state_dict()
         fresh = nnet.Adam([p], lr=0.05)
         fresh.load_state_dict(state)
