@@ -228,6 +228,8 @@ def _cmd_evaluate(args) -> int:
         name, path = _method_name(arg)
         if name in paths:
             raise UsageError(f"method {name!r} is given twice: {paths[name]} and {path}")
+        if name == evalmmd.TRUTH_SERIES:
+            raise UsageError(f"method name {name!r} is reserved for the ground truth: {path}")
         paths[name] = path
     truth_records = dataio.read_dataset(args.truth)
     if not truth_records:

@@ -4,9 +4,10 @@ Per-edge Gaussian distance predictions become lower/upper bounds (mean minus
 and plus one standard deviation), every unconstrained atom pair gets a steric
 floor and a large ceiling, and the classical three-step procedure follows:
 triangle-inequality bound smoothing, drawing a random distance matrix from
-within the bounds, and a spectral best-fit embedding refined against a hinge
-penalty on bound violations. One function, `_embed_stacks`, runs these steps
-for `generate` and for `embed_bounds` (make-data's starting conformations).
+within the bounds by partial metrization, and a spectral best-fit embedding
+refined against a hinge penalty on bound violations. One function,
+`_embed_stacks`, runs these steps for `generate` and for `embed_bounds`
+(make-data's starting conformations).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ DISTANCE_CEILING = 1000.0
 EDGE_LOWER_FLOOR = 0.5
 REFINE_MAX_ITER = 2000
 REFINE_LR = 0.05
+METRIZE_FIXED_PER_ATOM = 2  # partial metrization fixes this many pairs per atom
 
 
 class InconsistentBoundsError(DomainError):
@@ -183,13 +185,56 @@ def smooth_bounds(b: BoundsMatrix) -> BoundsMatrix:
     return BoundsMatrix(lower[0], upper[0])
 
 
+def _metrize_stack(lower: np.ndarray, upper: np.ndarray, rngs) -> np.ndarray:
+    """Partial metrization of a stack of S smoothed bound sets of one size,
+    (S, n, n), after Kuszewski, Nilges & Brünger (J. Biomol. NMR 2, 1992).
+
+    Set s draws from rngs[s] alone: a random order of its atom pairs
+    (i < j), one uniform per fixed pair, then an (n, n) block of uniforms.
+    Its first min(METRIZE_FIXED_PER_ATOM * n, pairs) pairs, in that order,
+    are fixed one at a time to lower + (upper - lower) * u within their
+    current bounds. After fixing (a, b) at d, each upper(i, j) takes the
+    shorter of the paths (upper(i, a) + d) + upper(b, j) and
+    (upper(j, a) + d) + upper(b, i), which is exact for shortest-path-closed
+    uppers; the lowers then grow through atom a and then atom b, one
+    Floyd-Warshall lower step each, as in `_smooth_stack`.
+    The other pairs are drawn the same way within the bounds that result.
+    A crossing left by rounding is clamped, not rejected: every distance is
+    clipped into its set's smoothed [lower, upper].
+
+    Returns (S, n, n) symmetric distance matrices with zero diagonals. Every
+    step is elementwise per set, so each set gets exactly what it gets alone.
+    """
+    lo = np.array(lower, dtype=np.float64)
+    up = np.array(upper, dtype=np.float64)
+    count, n = lo.shape[0], lo.shape[-1]
+    iu = np.triu_indices(n, k=1)
+    fixed = min(METRIZE_FIXED_PER_ATOM * n, len(iu[0]))
+    order = np.array([rng.permutation(len(iu[0]))[:fixed] for rng in rngs],
+                     dtype=np.int64).reshape(count, fixed)
+    draws = np.reshape([rng.random(fixed) for rng in rngs], (count, fixed))
+    rows = np.arange(count)
+    for t in range(fixed):
+        a, b = iu[0][order[:, t]], iu[1][order[:, t]]
+        d = lo[rows, a, b] + (up[rows, a, b] - lo[rows, a, b]) * draws[:, t]
+        lo[rows, a, b] = lo[rows, b, a] = up[rows, a, b] = up[rows, b, a] = d
+        path = (up[rows, a] + d[:, None])[:, :, None] + up[rows, b][:, None, :]
+        np.minimum(up, path, out=up)
+        np.minimum(up, path.transpose(0, 2, 1), out=up)
+        for k in (a, b):
+            grown = lo[rows, k][:, :, None] - up[rows, k][:, None, :]
+            np.maximum(lo, grown, out=lo)
+            np.maximum(lo, grown.transpose(0, 2, 1), out=lo)
+    u = np.reshape([rng.random((n, n)) for rng in rngs], (count, n, n))
+    d = np.triu(np.clip(lo + (up - lo) * u, lower, upper), k=1)
+    return d + d.transpose(0, 2, 1)
+
+
 def metrize(b: BoundsMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Draw one symmetric distance matrix uniformly from within the bounds."""
-    n = b.n
-    u = rng.random((n, n))
-    d = b.lower + (b.upper - b.lower) * u
-    d = np.triu(d, k=1)
-    return d + d.T
+    """Draw one symmetric distance matrix from within smoothed bounds by
+    partial metrization: a one-set `_metrize_stack`."""
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
+    return _metrize_stack(b.lower[None], b.upper[None], [rng])[0]
 
 
 def gram_embed(d: np.ndarray) -> np.ndarray:
@@ -407,9 +452,10 @@ def _embed_stacks(stacks, tol: float) -> list:
 
     `stacks` yields, one graph at a time, (elements, lower, upper, rngs):
     (S, n, n) bounds and one generator per set. Each stack is smoothed as
-    one `_smooth_stack`, every set that passes is metrized on its own
-    generator and embedded, and the survivors of all graphs are refined in
-    one `_refine_ragged` loop, each set exactly as it would be alone.
+    one `_smooth_stack`, the sets that pass are metrized as one
+    `_metrize_stack`, each on its own generator, and embedded, and the
+    survivors of all graphs are refined in one `_refine_ragged` loop, each
+    set exactly as it would be alone.
     Returns one list per graph of one outcome per set: an EmbedResult, the
     InconsistentBoundsError that rejected the set, or the GraphStructureError
     of a set whose refined atoms coincide.
@@ -418,11 +464,12 @@ def _embed_stacks(stacks, tol: float) -> list:
     for elements, lower, upper, rngs in stacks:
         lower, upper, outcomes = _smooth_stack(lower, upper)
         passed = [k for k, error in enumerate(outcomes) if error is None]
-        starts = [gram_embed(metrize(BoundsMatrix(lower[k], upper[k]), rngs[k]))
-                  for k in passed]
+        lower, upper = lower[passed], upper[passed]
+        starts = [gram_embed(d)
+                  for d in _metrize_stack(lower, upper, [rngs[k] for k in passed])]
         iu = np.triu_indices(lower.shape[-1], k=1)
         blocks.append((np.reshape(starts, (len(passed), lower.shape[-1], 3)),
-                       lower[passed][:, iu[0], iu[1]], upper[passed][:, iu[0], iu[1]]))
+                       lower[:, iu[0], iu[1]], upper[:, iu[0], iu[1]]))
         graphs.append((elements, outcomes, passed))
     for (elements, outcomes, passed), refined in zip(graphs, _refine_ragged(blocks, tol)):
         for k, (coords, converged, violation, iterations) in zip(passed, zip(*refined)):
@@ -532,8 +579,9 @@ def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
     `jobs` lists (ExtendedGraph, SeedSequence) pairs. Sample k of a job draws
     from its own stream, SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key,
     k)): first a standard-normal latent per node, then the metrization of its
-    bounds. The seeds themselves are left untouched, so output does not
-    depend on how samples or graphs are grouped or scheduled.
+    bounds (pair order, fixed-pair draws, remaining draws; `_metrize_stack`).
+    The seeds themselves are left untouched, so output does not depend on how
+    samples or graphs are grouped or scheduled.
 
     Each graph's samples move through the pipeline as one stack: one
     tape-free `cvae.decode` of all n latents and one bound construction,

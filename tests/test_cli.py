@@ -608,6 +608,25 @@ class TestEvaluate:
             capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    @pytest.mark.parametrize("named", [False, True])
+    def test_method_named_truth_exits_2(self, workspace, tmp_path, capsys, named):
+        # exited 0, and PREFIX.marginals.tsv carried the method's densities as
+        # the ground truth's
+        _, _, data_path, _, _ = workspace
+        gen = tmp_path / "truth.jsonl"
+        dataio.write_dataset(gen, dataio.read_dataset(data_path))
+        arg = f"truth={gen}" if named else str(gen)
+        out = tmp_path / "r"
+        assert main(["evaluate", str(data_path), arg, "--out", str(out)]) == 2
+        assert f"method name 'truth' is reserved for the ground truth: {gen}" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+        # checked before any file is read
+        missing = tmp_path / "missing.jsonl"
+        assert main(["evaluate", str(missing), f"truth={missing}",
+                     "--out", str(out)]) == 2
+        assert "reserved for the ground truth" in capsys.readouterr().err
+
     @pytest.mark.parametrize("change", ["graph", "seed"])
     def test_generated_molecule_must_match_truth(self, workspace, tmp_path, capsys,
                                                  change):

@@ -290,6 +290,99 @@ class TestMetrize:
         assert np.all(d[iu] - b.upper[iu] <= np.spacing(b.upper[iu]))
 
 
+def oracle_metrize(b: BoundsMatrix, rng, fixed_per_atom: int) -> np.ndarray:
+    """Partial metrization of one smoothed set, a pair at a time: draw the
+    pair order, then the fixed pairs' uniforms, then an (n, n) block."""
+    n = b.n
+    lower, upper = b.lower.copy(), b.upper.copy()
+    pairs = list(zip(*np.triu_indices(n, k=1)))
+    fixed = min(fixed_per_atom * n, len(pairs))
+    order = rng.permutation(len(pairs))[:fixed]
+    draws = rng.random(fixed)
+    for index, u in zip(order, draws):
+        a, b_ = pairs[index]
+        d = lower[a, b_] + (upper[a, b_] - lower[a, b_]) * u
+        lower[a, b_] = lower[b_, a] = upper[a, b_] = upper[b_, a] = d
+        # shortest paths i-a-b-j and j-a-b-i through the fixed pair
+        path = (upper[:, a] + d)[:, None] + upper[b_][None, :]
+        upper = np.minimum(upper, np.minimum(path, path.T))
+        for k in (a, b_):  # Floyd-Warshall lower steps through a, then b
+            grown = lower[:, k, None] - upper[None, k, :]
+            lower = np.maximum(lower, np.maximum(grown, grown.T))
+    u = rng.random((n, n))
+    out = np.zeros((n, n))
+    for i, j in pairs:
+        d = lower[i, j] + (upper[i, j] - lower[i, j]) * u[i, j]
+        out[i, j] = out[j, i] = min(max(d, b.lower[i, j]), b.upper[i, j])
+    return out
+
+
+def metrize_set(n: int, kind: int, rng: np.random.Generator) -> BoundsMatrix:
+    """A smoothed set: realizable bounds (kind 0), every distance pinned to a
+    point set's (kind 1), or a point set's distances pinned on a random third
+    of the pairs and about STERIC_FLOOR to DISTANCE_CEILING elsewhere, as the
+    decoder's bounds are (kind 2)."""
+    if kind == 0:
+        return smooth_bounds(random_bounds(n, rng))
+    d = point_distance_matrix(rng.normal(0.0, 2.0, (n, 3)))
+    pinned = np.triu(rng.random((n, n)) < (1.0 if kind == 1 else 1 / 3), k=1)
+    pinned |= pinned.T
+    lower = np.where(pinned, d, np.minimum(edg.STERIC_FLOOR, d))
+    upper = np.where(pinned, d, edg.DISTANCE_CEILING)
+    np.fill_diagonal(upper, 0.0)
+    return smooth_bounds(BoundsMatrix(lower, upper))
+
+
+class TestMetrizeStack:
+    @settings(max_examples=40, deadline=None)
+    @example(n=2, kinds=[0, 1], fixed_per_atom=2, seed=0)
+    @example(n=20, kinds=[2, 0, 1, 2], fixed_per_atom=2, seed=1)
+    @given(n=st.integers(2, 20), kinds=st.lists(st.integers(0, 2), min_size=1,
+                                                max_size=8),
+           fixed_per_atom=st.sampled_from([0, 1, 2, 4, 100]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_set_oracle(self, n, kinds, fixed_per_atom, seed):
+        """Bit for bit, set by set, each set on its own stream; every
+        distance lies within its set's smoothed bounds."""
+        rng = np.random.default_rng(seed)
+        stack = [metrize_set(n, kind, rng) for kind in kinds]
+
+        def streams():
+            return [np.random.default_rng([seed, k]) for k in range(len(stack))]
+
+        lower = np.stack([b.lower for b in stack])
+        upper = np.stack([b.upper for b in stack])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edg, "METRIZE_FIXED_PER_ATOM", fixed_per_atom)
+            d = edg._metrize_stack(lower, upper, streams())
+            alone = [metrize(b, stream) for b, stream in zip(stack, streams())]
+        assert d.shape == (len(stack), n, n)
+        assert lower.tobytes() == np.stack([b.lower for b in stack]).tobytes()
+        iu = np.triu_indices(n, k=1)
+        for k, (b, stream) in enumerate(zip(stack, streams())):
+            expected = oracle_metrize(b, stream, fixed_per_atom)
+            assert d[k].tobytes() == expected.tobytes(), k
+            assert alone[k].tobytes() == expected.tobytes(), k
+            assert np.array_equal(d[k], d[k].T) and not np.diag(d[k]).any()
+            assert np.all(b.lower[iu] <= d[k][iu]) and np.all(d[k][iu] <= b.upper[iu])
+
+    def test_pinned_pairs_stay_pinned(self):
+        """A fixed pair's bounds close on its draw, so pairs pinned by the
+        bounds come out exactly, however many pairs are fixed."""
+        rng = np.random.default_rng(8)
+        for fixed_per_atom in (0, 2, 100):
+            b = metrize_set(12, 2, rng)
+            pinned = b.lower == b.upper
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(edg, "METRIZE_FIXED_PER_ATOM", fixed_per_atom)
+                d = metrize(b, rng)
+            assert np.array_equal(d[pinned], b.lower[pinned])
+
+    def test_no_sets(self):
+        d = edg._metrize_stack(np.zeros((0, 5, 5)), np.zeros((0, 5, 5)), [])
+        assert d.shape == (0, 5, 5)
+
+
 class TestGramEmbed:
     def test_equilateral_triangle(self):
         d = np.ones((3, 3)) - np.eye(3)
@@ -415,6 +508,13 @@ class TestRefine:
         assert (diffs <= 1e-12).all()
 
 
+def uniform_metrize(b: BoundsMatrix, rng) -> np.ndarray:
+    """Every distance drawn uniformly within the bounds at once, as `metrize`
+    drew before partial metrization: a start that refine has work to do on."""
+    d = np.triu(b.lower + (b.upper - b.lower) * rng.random((b.n, b.n)), k=1)
+    return d + d.T
+
+
 def oracle_refine(coords, b, tol):
     """Per-sample refinement as written before the stack: np.add.at gradients,
     a separate distance pass for the violation and Adam written out per sample."""
@@ -510,7 +610,7 @@ class TestRefineStack:
     def test_refine_is_one_sample_stack(self):
         rng = np.random.default_rng(13)
         b = smooth_bounds(random_bounds(7, rng))
-        start = gram_embed(metrize(b, rng))
+        start = gram_embed(uniform_metrize(b, rng))
         coords, converged, violation, iterations = refine(start, b)
         x, ok, worst, steps = oracle_refine(start, b, 1e-3)
         assert coords.tobytes() == x.tobytes()

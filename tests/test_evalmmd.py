@@ -52,6 +52,36 @@ class TestMedianBandwidth:
         with pytest.raises(DegenerateBandwidthError):
             median_bandwidth(np.ones((5, 2)))
 
+    @settings(max_examples=60, deadline=None)
+    @example(rows=1, count=2, values=[1.0, 1.0])
+    @example(rows=1, count=3, values=[0.0, -0.0, 0.0, -0.0])
+    @example(rows=2, count=5, values=[0.0, 3.0, 3.0, 1e308, 3.0])
+    @given(rows=st.integers(1, 4), count=st.integers(1, 12),
+           values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 2.5 + 1e-15]),
+                                     st.floats(-1e308, 1e308)),
+                           min_size=48, max_size=48))
+    def test_medians_match_np_median(self, rows, count, values):
+        """Bit for bit, with odd and even counts, ties (0.0 and -0.0 among
+        them) and values whose middle pair overflows when added."""
+        a = np.resize(np.array(values), (rows, count))
+        with np.errstate(over="ignore"):
+            expected = np.median(a, axis=-1)
+            got = evalmmd._medians(a)
+        assert got.tobytes() == expected.tobytes()
+        assert evalmmd._medians(a[0]).tobytes() == np.median(a[0]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(slices=st.integers(1, 3), rows=st.integers(2, 9), width=st.integers(1, 3),
+           ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_median_dists_match_np_median(self, slices, rows, width, ties, seed):
+        rng = np.random.default_rng(seed)
+        pooled = (rng.integers(0, 3, (slices, rows, width)).astype(float) if ties
+                  else rng.normal(size=(slices, rows, width)))
+        iu = np.triu_indices(rows, k=1)
+        dists = np.sqrt(evalmmd._pairwise_sq_dists(pooled, pooled)[:, iu[0], iu[1]])
+        assert evalmmd._median_dists(pooled).tobytes() == \
+            np.median(dists, axis=1).tobytes()
+
 
 class TestMmd2Unbiased:
     def test_matches_hand_expansion_on_tiny_samples(self):
