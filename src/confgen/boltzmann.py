@@ -97,102 +97,108 @@ class EnergyModel:
                 dtype=bool,
             )
             si, sj = iu[0][mask], iu[1][mask]
-            floor, stiffness = np.full(si.size, self.steric.floor), self.steric.stiffness
+            floor = np.full(si.size, self.steric.floor)
+            stiffness = self.steric.stiffness if si.size else 0.0
         cached = _TermStack(
-            n, (bi, bj, br, bk), (ai, aj, ak, ar, astiff), (si, sj, floor),
-            [(0, bi.size, 0, ai.size, 0, si.size, stiffness)],
+            n, np.array([stiffness]),
+            (bi, bj, br, bk, np.zeros(bi.size, dtype=np.int64)),
+            (ai, aj, ak, ar, astiff, np.zeros(ai.size, dtype=np.int64)),
+            (si, sj, floor, np.zeros(si.size, dtype=np.int64)),
         )
         self._compiled[n] = cached
         return cached
 
-    def energy_of(self, positions: np.ndarray) -> float:
+    def energy_of(self, positions: np.ndarray) -> float | np.ndarray:
+        """The energy at `positions` (n, 3), a float; or, for a stack of K
+        conformations (K, n, 3), a (K,) array, bit for bit what K calls on
+        the conformations one at a time give."""
         positions = np.asarray(positions, dtype=np.float64)
-        return self._terms(positions.shape[0]).energies(positions)[0]
-
-
-_EMPTY = np.empty(0)
+        if positions.ndim == 2:
+            return float(self._terms(positions.shape[0]).energies(positions)[0])
+        k, n = positions.shape[:2]
+        stack = _TermStack.join([self._terms(n)] * k)
+        return stack.energies(positions.reshape(k * n, 3))
 
 
 class _TermStack:
     """The energy terms of several molecules, laid end to end.
 
-    Atoms, bond terms, angle terms and steric pairs are each concatenated in
-    molecule order, so one pass computes every term of every molecule, and
-    each molecule owns one contiguous slice of each term array. A molecule's
-    energy sums its own slices with `ndarray.sum`, which gives exactly the
-    sums of the molecule's terms on their own: the energies do not depend on
-    what else is in the stack. (`np.add.reduceat` and `np.bincount` sum in
-    other orders and do not.) `EnergyModel.energy_of` is the one-molecule
-    case.
+    Bond, angle and steric terms are each concatenated in molecule order,
+    and each term carries its molecule's index. One row list (`row_i`,
+    `row_j`) holds every atom pair the terms need: the bond pairs, the i-j
+    leg of each angle, its k-j leg, then the steric pairs. So one pass makes one
+    difference, one squared norm and one square root per row, and every term
+    comes from slices of them. A molecule's energy sums each kind of its own
+    terms left to right, in term order (`np.bincount` by molecule index),
+    as bonds + angles + steric stiffness * steric gaps: it does not depend
+    on what else is in the stack, and dropping a steric pair whose squared
+    gap is exactly +0.0 does not change it (see `near`).
+    `EnergyModel.energy_of` is the one-molecule case.
     """
 
-    def __init__(self, n_atoms: int, bonds: tuple, angles: tuple, steric: tuple,
-                 segments: list):
+    # per kind: its atom index fields, then its values, then molecule indices
+    _ATOM_FIELDS = {"bonds": 2, "angles": 3, "steric": 2}
+
+    def __init__(self, n_atoms: int, stiffness: np.ndarray, bonds: tuple,
+                 angles: tuple, steric: tuple):
         self.n_atoms = n_atoms
-        self.bi, self.bj, self.br, self.bk = bonds
-        self.ai, self.aj, self.ak, self.ar, self.astiff = angles
-        self.si, self.sj, self.floor = steric
-        # per molecule: bond, angle and steric-pair ranges, steric stiffness
-        self.segments = segments
+        self.stiffness = stiffness  # steric stiffness per molecule
+        self.bonds, self.angles, self.steric = bonds, angles, steric
+        bi, bj, self.br, self.bk, self.bmol = bonds
+        ai, aj, ak, self.ar, self.astiff, self.amol = angles
+        si, sj, self.floor, self.smol = steric
+        self.nb, self.na = bi.size, ai.size
+        self.row_i = np.concatenate([bi, ai, ak, si])
+        self.row_j = np.concatenate([bj, aj, aj, sj])
 
     @classmethod
     def join(cls, stacks) -> _TermStack:
-        """One stack of `stacks` in order, atom indices offset to match."""
+        """One stack of `stacks` in order, atom and molecule indices offset
+        to match."""
         stacks = list(stacks)
         atom = np.cumsum([0] + [s.n_atoms for s in stacks[:-1]])
-        counts = np.cumsum([(0, 0, 0)] + [(s.bi.size, s.ai.size, s.si.size)
-                                          for s in stacks[:-1]], axis=0)
+        mol = np.cumsum([0] + [s.stiffness.size for s in stacks[:-1]])
 
-        def cat(name, offset=False):
-            parts = [getattr(s, name) + (a if offset else 0)
-                     for s, a in zip(stacks, atom)]
-            return np.concatenate(parts)
+        def cat(kind: str) -> tuple:
+            fields = [np.concatenate(parts)
+                      for parts in zip(*(getattr(s, kind) for s in stacks))]
+            sizes = [getattr(s, kind)[0].size for s in stacks]
+            atom_shift = np.repeat(atom, sizes)
+            for f in range(cls._ATOM_FIELDS[kind]):
+                fields[f] += atom_shift
+            fields[-1] += np.repeat(mol, sizes)
+            return tuple(fields)
 
-        segments = [(b0 + nb, b1 + nb, a0 + na, a1 + na, s0 + ns, s1 + ns, k)
-                    for s, (nb, na, ns) in zip(stacks, counts.tolist())
-                    for b0, b1, a0, a1, s0, s1, k in s.segments]
-        return cls(
-            sum(s.n_atoms for s in stacks),
-            (cat("bi", True), cat("bj", True), cat("br"), cat("bk")),
-            (cat("ai", True), cat("aj", True), cat("ak", True), cat("ar"),
-             cat("astiff")),
-            (cat("si", True), cat("sj", True), cat("floor")),
-            segments,
-        )
+        return cls(sum(s.n_atoms for s in stacks),
+                   np.concatenate([s.stiffness for s in stacks]),
+                   cat("bonds"), cat("angles"), cat("steric"))
 
-    def energies(self, positions: np.ndarray) -> list[float]:
+    def near(self, positions: np.ndarray, skin: float) -> _TermStack:
+        """This stack with only the steric pairs closer than their floor plus
+        `skin` at `positions`. While no atom moves `skin`/2 from `positions`,
+        every dropped pair stays above its floor, its squared gap is exactly
+        +0.0, and the energies equal this stack's bit for bit."""
+        si, sj, floor, _ = self.steric
+        d = np.sqrt(_row_dots(positions.take(si, axis=0) - positions.take(sj, axis=0)))
+        keep = d < floor + skin
+        return _TermStack(self.n_atoms, self.stiffness, self.bonds, self.angles,
+                          tuple(a[keep] for a in self.steric))
+
+    def energies(self, positions: np.ndarray) -> np.ndarray:
         """Energy of each molecule in the stack at `positions` (n_atoms, 3)."""
-        bond = angle = gap2 = _EMPTY
-        if self.bi.size:
-            d = np.sqrt(_row_dots(_gather_diff(positions, self.bi, self.bj)))
-            bond = self.bk * (d - self.br) ** 2
-        if self.ai.size:
-            va = _gather_diff(positions, self.ai, self.aj)
-            vb = _gather_diff(positions, self.ak, self.aj)
-            # the norms and the clip of np.linalg.norm and np.clip, without
-            # their call overhead
-            cosang = _row_dots(va, vb) / (np.sqrt(_row_dots(va)) * np.sqrt(_row_dots(vb)))
-            theta = np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0))
-            angle = self.astiff * (theta - self.ar) ** 2
-        if self.si.size:
-            d = np.sqrt(_row_dots(_gather_diff(positions, self.si, self.sj)))
-            gap2 = np.maximum(self.floor - d, 0.0) ** 2
-        out = []
-        add = np.add.reduce  # what ndarray.sum calls
-        for b0, b1, a0, a1, s0, s1, stiffness in self.segments:
-            e = 0.0
-            if b1 > b0:
-                e += float(add(bond[b0:b1]))
-            if a1 > a0:
-                e += float(add(angle[a0:a1]))
-            if s1 > s0:
-                e += float(stiffness * add(gap2[s0:s1]))
-            out.append(e)
-        return out
-
-
-def _gather_diff(positions: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return positions.take(i, axis=0) - positions.take(j, axis=0)
+        nb, na, m = self.nb, self.na, self.stiffness.size
+        diff = positions.take(self.row_i, axis=0) - positions.take(self.row_j, axis=0)
+        d = np.sqrt(_row_dots(diff))
+        bond = self.bk * (d[:nb] - self.br) ** 2
+        # the norms and the clip of np.linalg.norm and np.clip, without their
+        # call overhead
+        cosang = _row_dots(diff[nb:nb + na], diff[nb + na:nb + 2 * na]) / (
+            d[nb:nb + na] * d[nb + na:nb + 2 * na])
+        theta = np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0))
+        angle = self.astiff * (theta - self.ar) ** 2
+        gap2 = np.maximum(self.floor - d[nb + 2 * na:], 0.0) ** 2
+        return ((np.bincount(self.bmol, bond, m) + np.bincount(self.amol, angle, m))
+                + self.stiffness * np.bincount(self.smol, gap2, m))
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -243,6 +249,12 @@ class MetropolisResult:
 CHUNK = 4096
 REPLAY = 256
 TUNE_WINDOW = 50
+# The steric pairs of a lockstep stretch are listed afresh (Verlet 1967)
+# whenever an atom of a proposal lies STERIC_SKIN/2 from where it was at the
+# last listing, less a margin far above the rounding of a distance; the list
+# keeps the pairs closer than floor + STERIC_SKIN (see metropolis_chains).
+STERIC_SKIN = 0.5  # ångström
+_SKIN_MARGIN = 1e-9  # ångström
 
 
 @dataclass
@@ -329,19 +341,29 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
     blocks that `metropolis_sample` draws it, its own step size, tuning
     window and schedule, and leaves the loop when its own steps are done;
     so each chain's result is bit for bit the one it gets alone.
+
+    The energies come from a steric neighbour list: the stack with only the
+    steric pairs closer than floor + STERIC_SKIN, listed afresh at each
+    stretch's start and whenever an atom of the proposal has moved
+    STERIC_SKIN/2 (less _SKIN_MARGIN) from where it was at the last listing.
+    Until then every pair left out stays above its floor and adds exactly
+    +0.0, so the energies are the full stack's bit for bit.
     """
     kbt = cfg.kbt
+    reach2 = (STERIC_SKIN / 2 - _SKIN_MARGIN) ** 2
     states = [_ChainState(c) for c in chains]
     active, start = states, 0
     while active:
         # one stretch of steps with a fixed set of chains, until one is done
-        stack = _TermStack.join(s.chain.model._terms(s.n_atoms) for s in active)
+        full = _TermStack.join(s.chain.model._terms(s.n_atoms) for s in active)
         bounds = np.cumsum([0] + [s.n_atoms for s in active]).tolist()
         spans = list(zip(active, bounds[:-1], bounds[1:]))
         pos = np.concatenate([s.pos for s in active])
+        stack, listed_at = full.near(pos, STERIC_SKIN), pos.copy()
         step_rows = np.concatenate(
             [np.full((s.n_atoms, 1), s.step_size) for s in active])
-        energies = stack.energies(pos) if start == 0 else [s.energy for s in active]
+        energies = (stack.energies(pos).tolist() if start == 0
+                    else [s.energy for s in active])
         end = min(s.total for s in active)
         noise = None
         for i in range(start, end):
@@ -359,7 +381,9 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
                 rows = min(len(s.noise) for s in active)
                 noise = np.concatenate([s.noise[:rows] for s in active], axis=1)
             proposal = pos + step_rows * noise[i - base]
-            proposed = stack.energies(proposal)
+            if _row_dots(proposal - listed_at).max() >= reach2:
+                stack, listed_at = full.near(proposal, STERIC_SKIN), proposal
+            proposed = stack.energies(proposal).tolist()
             for k, (s, a0, a1) in enumerate(spans):
                 chain = s.chain
                 e_prop = proposed[k]
@@ -437,14 +461,15 @@ def observable_by_name(spec: str) -> Observable:
     raise ValueError(f"unknown observable {spec!r}")
 
 
-def _min_pairwise_conformation_distance(proposals) -> float:
-    """Smallest distance between proposals' interatomic-distance vectors.
+def _min_pairwise_conformation_distance(proposals) -> float | None:
+    """Smallest distance between proposals' interatomic-distance vectors,
+    None for fewer than two proposals.
 
     An isometry-invariant overlap diagnostic: tiny values mean near-duplicate
     conformations.
     """
     if len(proposals) < 2:
-        return math.inf
+        return None
     n = proposals[0].positions.shape[0]
     iu = np.triu_indices(n, k=1)
     rows = np.stack(
@@ -466,7 +491,7 @@ class IsEstimate:
     n: int
     weights: np.ndarray = field(repr=False)
     standard_error: float
-    min_pairwise_distance: float
+    min_pairwise_distance: float | None  # None for fewer than two proposals
 
     def as_dict(self) -> dict:
         return {
@@ -487,13 +512,14 @@ def is_estimate(obs: Observable, proposals, m: EnergyModel, cfg: ISConfig, *,
     exp(-E / k_B T) (shifted by the minimum energy for stability) and the
     observable average is normalized by the weight sum, which makes the
     estimate independent of any constant added to all energies. Precomputed
-    `energies` may be supplied to skip the model evaluation.
+    `energies` may be supplied to skip the model evaluation; else all the
+    proposals' energies come from one stacked `energy_of` call.
     """
     proposals = list(proposals)
     if not proposals:
         raise ShapeError("need at least one proposal")
     if energies is None:
-        energies = np.array([m.energy_of(x.positions) for x in proposals])
+        energies = m.energy_of(np.stack([x.positions for x in proposals]))
     else:
         energies = np.asarray(energies, dtype=np.float64)
         if energies.shape != (len(proposals),):

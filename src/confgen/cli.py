@@ -315,8 +315,9 @@ def _cmd_estimate(args) -> int:
     doc = {"observable": obs.name, "temperature": args.temperature,
            "molecules": report}
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    print(json.dumps(doc))
+        Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False),
+                                  encoding="utf-8")
+    print(json.dumps(doc, allow_nan=False))
     return 0
 
 

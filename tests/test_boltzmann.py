@@ -116,9 +116,20 @@ class TestMetropolis:
         assert abs(d.var() - var_q) / var_q < 0.05
 
 
+def left_to_right(terms):
+    """The sum of `terms` from 0.0, one at a time: not ndarray.sum, which
+    sums in blocks, nor the built-in sum, which is compensated on Python
+    3.12 and later."""
+    total = 0.0
+    for t in terms.tolist():
+        total += t
+    return total
+
+
 def oracle_energy(m, positions):
     """EnergyModel.energy_of as written before the term stack (with a boolean
-    steric mask, so that a lone atom has no pairs)."""
+    steric mask, so that a lone atom has no pairs), each kind of term summed
+    left to right in term order."""
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     bi = np.array([t.i for t in m.bonds], dtype=np.int64)
@@ -138,7 +149,7 @@ def oracle_energy(m, positions):
     e = 0.0
     if bi.size:
         d = np.sqrt(((positions[bi] - positions[bj]) ** 2).sum(axis=1))
-        e += float((bk * (d - br) ** 2).sum())
+        e += left_to_right(bk * (d - br) ** 2)
     if ai.size:
         va = positions[ai] - positions[aj]
         vb = positions[ak] - positions[aj]
@@ -146,11 +157,11 @@ def oracle_energy(m, positions):
             np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
         )
         theta = np.arccos(np.clip(cosang, -1.0, 1.0))
-        e += float((astiff * (theta - ar) ** 2).sum())
+        e += left_to_right(astiff * (theta - ar) ** 2)
     if m.steric is not None and si.size:
         d = np.sqrt(((positions[si] - positions[sj]) ** 2).sum(axis=1))
         gap = np.maximum(m.steric.floor - d, 0.0)
-        e += float(m.steric.stiffness * (gap**2).sum())
+        e += m.steric.stiffness * left_to_right(gap**2)
     return e
 
 
@@ -366,6 +377,148 @@ class TestLockstep:
         assert metropolis_chains([], ISConfig(temperature=500.0)) == []
 
 
+def straddling_model(n, rng, skin):
+    """random_model with its steric floor set so that the steric pairs of
+    a random start sit around floor + `skin`, one of them within 1e-12 A;
+    returns the model and the start."""
+    start = random_start(n, rng)
+    model = random_model(n, rng, steric=n > 2)
+    if model.steric is None:
+        return model, start
+    si, sj = model._terms(n).steric[:2]
+    d = np.sqrt(((start.positions[si] - start.positions[sj]) ** 2).sum(axis=1))
+    floor = float(rng.choice(d)) - skin + float(rng.choice([-1e-12, 0.0, 1e-12]))
+    steric = StericTerm(max(floor, 0.05), model.steric.stiffness)
+    return EnergyModel(model.bonds, model.angles, steric), start
+
+
+class TestNeighbourList:
+    @settings(max_examples=40, deadline=None)
+    @given(n_chains=st.integers(1, 3),
+           sizes=st.lists(st.integers(2, 12), min_size=3, max_size=3),
+           skin=st.sampled_from([0.05, 0.2, boltzmann.STERIC_SKIN, 1.0]),
+           temperature=st.sampled_from([500.0, 5000.0, 50000.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_energy_oracle(self, n_chains, sizes, skin, temperature,
+                                        seed):
+        """Chains on the neighbour list match the one-chain oracle, which
+        sums every steric pair, bit for bit, and every proposal energy
+        equals the full stack's: steric pairs straddle floor + skin at the
+        start, and steps of 0.05-0.5 skin per coordinate cross the relisting
+        distance, skin/2, many times in a run."""
+        rng = np.random.default_rng(seed)
+        cfg = ISConfig(temperature=temperature)
+        chains, seeds = [], []
+        for n in sizes[:n_chains]:
+            model, start = straddling_model(n, rng, skin)
+            seeds.append(int(rng.integers(2**32)))
+            chains.append(Chain(
+                model, start, steps=int(rng.integers(50, 300)),
+                rng=np.random.default_rng(seeds[-1]),
+                step_size=skin * float(rng.uniform(0.05, 0.5)),
+                burn_in=int(rng.integers(0, 200)), thin=int(rng.integers(1, 5)),
+                tune=bool(rng.integers(2)),
+            ))
+        near, energies = boltzmann._TermStack.near, boltzmann._TermStack.energies
+
+        def listed(stack, positions, skin):
+            out = near(stack, positions, skin)
+            out.full = stack
+            return out
+
+        def checked(stack, positions):
+            out = energies(stack, positions)
+            if hasattr(stack, "full"):
+                assert out.tobytes() == energies(stack.full, positions).tobytes()
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boltzmann, "STERIC_SKIN", skin)
+            mp.setattr(boltzmann._TermStack, "near", listed)
+            mp.setattr(boltzmann._TermStack, "energies", checked)
+            results = metropolis_chains(chains, cfg)
+        for c, s, r in zip(chains, seeds, results):
+            positions, acceptance, step_size = oracle_metropolis(
+                c.model, c.x0, c.steps, cfg, np.random.default_rng(s),
+                step_size=c.step_size, burn_in=c.burn_in, thin=c.thin, tune=c.tune)
+            assert r.positions.tobytes() == positions.tobytes()
+            assert (r.acceptance_rate, r.step_size) == (acceptance, step_size)
+
+    def test_lists_again_mid_stretch(self, monkeypatch):
+        """One chain that crosses the relisting distance: it is listed more
+        than once, keeps fewer steric pairs than the full stack, and matches
+        the oracle bit for bit."""
+        rng = np.random.default_rng(11)
+        model, start = straddling_model(10, rng, boltzmann.STERIC_SKIN)
+        near = boltzmann._TermStack.near
+        listed = []
+
+        def spy(stack, positions, skin):
+            out = near(stack, positions, skin)
+            listed.append((stack.steric[0].size, out.steric[0].size))
+            return out
+
+        monkeypatch.setattr(boltzmann._TermStack, "near", spy)
+        cfg = ISConfig(temperature=5000.0)
+        chain = Chain(model, start, 400, np.random.default_rng(12), 0.1, 100)
+        [result] = metropolis_chains([chain], cfg)
+        positions, acceptance, step_size = oracle_metropolis(
+            model, start, 400, cfg, np.random.default_rng(12), step_size=0.1,
+            burn_in=100)
+        assert len(listed) > 3
+        assert all(kept < full for full, kept in listed)
+        assert result.positions.tobytes() == positions.tobytes()
+        assert (result.acceptance_rate, result.step_size) == (acceptance, step_size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), skin=st.sampled_from([0.05, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_near_stack_energies_are_exact(self, n, skin, seed):
+        """Moved less than skin/2 per atom from where it was listed, the
+        near stack gives the full stack's energies bit for bit."""
+        rng = np.random.default_rng(seed)
+        model, start = straddling_model(n, rng, skin)
+        full = model._terms(n)
+        near = full.near(start.positions, skin)
+        for scale in (0.0, 0.5, 0.999):
+            move = rng.normal(size=(n, 3))
+            move *= scale * skin / 2 / np.linalg.norm(move, axis=1, keepdims=True)
+            moved = start.positions + move
+            assert near.energies(moved).tobytes() == full.energies(moved).tobytes()
+            assert near.energies(moved).tobytes() == \
+                np.array([oracle_energy(model, moved)]).tobytes()
+
+
+class TestStackedEnergyOf:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_one_at_a_time(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(n, rng, steric=bool(rng.integers(2)))
+        positions = rng.normal(0.0, float(rng.choice([0.3, 1.5, 4.0])), (k, n, 3))
+        stacked = model.energy_of(positions)
+        alone = [model.energy_of(p) for p in positions]
+        assert all(type(e) is float for e in alone)
+        assert stacked.shape == (k,)
+        assert stacked.tobytes() == np.array(alone).tobytes()
+        assert stacked.tobytes() == np.array(
+            [oracle_energy(model, p) for p in positions]).tobytes()
+
+    def test_is_estimate_uses_the_per_proposal_energies(self):
+        rng = np.random.default_rng(6)
+        model = random_model(7, rng)
+        proposals = [Conformation(["C"] * 7, random_start(7, rng).positions
+                                  + rng.normal(0.0, 0.05, (7, 3))) for _ in range(12)]
+        cfg = ISConfig(temperature=500.0)
+        obs = observable_by_name("rgyr")
+        stacked = is_estimate(obs, proposals, model, cfg)
+        given_energies = is_estimate(
+            obs, proposals, model, cfg,
+            energies=[model.energy_of(x.positions) for x in proposals])
+        assert stacked.as_dict() == given_energies.as_dict()
+        assert stacked.weights.tobytes() == given_energies.weights.tobytes()
+
+
 class TestObservables:
     def test_builtins(self):
         x = Conformation(("C", "C"), [[0, 0, 0], [2.0, 0, 0]])
@@ -443,6 +596,13 @@ class TestIsEstimate:
         with pytest.raises(DegenerateWeightsError):
             is_estimate(observable_by_name("one"), proposals, model, cfg,
                         energies=np.array([np.inf, np.nan, np.inf]))
+
+    def test_one_proposal_has_no_overlap_diagnostic(self, single_bond_system):
+        model, _, cfg = single_bond_system
+        [x] = self._proposals(np.random.default_rng(6), n=1)
+        est = is_estimate(observable_by_name("one"), [x], model, cfg)
+        assert est.min_pairwise_distance is None
+        assert est.as_dict()["min_pairwise_distance"] is None
 
     def test_overlap_diagnostic_reported(self, single_bond_system):
         model, _, cfg = single_bond_system

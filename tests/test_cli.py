@@ -707,6 +707,27 @@ class TestEstimate:
         assert doc["observable"] == "rgyr"
         assert set(doc["molecules"]) == {"methanol", "ethanol", "oxirane"}
 
+    def test_one_proposal_report_is_strict_json(self, workspace, tmp_path, capsys):
+        """A molecule with one proposal has no pairwise distance: the report
+        says null, not the Infinity that strict JSON parsers reject."""
+        _, spec_path, data_path, _, _ = workspace
+        header, first = data_path.read_text().splitlines()[:2]
+        one = tmp_path / "one.jsonl"
+        one.write_text(header + "\n" + first + "\n")
+        out = tmp_path / "estimate.json"
+        capsys.readouterr()
+        assert main(["estimate", str(one), "--energy-model", str(spec_path),
+                     "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        for text in (out.read_text(), printed):
+            [entry] = json.loads(text, parse_constant=reject)["molecules"].values()
+            assert entry["n"] == 1
+            assert entry["min_pairwise_distance"] is None
+
     def test_invalid_record_exits_2(self, workspace, tmp_path, capsys):
         _, spec_path, data_path, _, _ = workspace
         lines = data_path.read_text().splitlines()

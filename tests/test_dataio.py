@@ -75,6 +75,66 @@ def dataset_records(draw):
     return records
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def integral(low):
+    """An integer >= low, written as an int or as an integral float."""
+    return st.integers(low, 10**6).flatmap(
+        lambda v: st.sampled_from([v, float(v)]))
+
+
+# each schedule field: a strategy for its valid values
+SCHEDULE_VALUES = {
+    "count": integral(1), "burn_in": integral(0), "thin": integral(1),
+    "step": positive | st.integers(1, 100), "tune": st.booleans(),
+}
+
+
+@st.composite
+def atoms_of(draw, n, k):
+    """`k` distinct atoms of `n`."""
+    return draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+
+
+@st.composite
+def spec_entries(draw, name):
+    """One valid molecule entry: a tree topology, energy terms on distinct
+    atoms with valid values, an optional steric term, and some schedule
+    fields."""
+    n = draw(st.integers(1, 8))
+    entry = {
+        "name": name,
+        "elements": draw(st.lists(st.sampled_from(["C", "O", "H"]),
+                                  min_size=n, max_size=n)),
+        "bonds": [{"i": draw(st.integers(0, i - 1)), "j": i} for i in range(1, n)],
+    }
+    bonds = [dict(zip("ij", draw(atoms_of(n, 2))), rest=draw(positive),
+                  stiffness=draw(positive))
+             for _ in range(draw(st.integers(0, 4) if n >= 2 else st.just(0)))]
+    angles = [dict(zip("ijk", draw(atoms_of(n, 3))), rest=draw(finite),
+                   stiffness=draw(positive))
+              for _ in range(draw(st.integers(0, 4) if n >= 3 else st.just(0)))]
+    energy = {"bonds": bonds, "angles": angles}
+    if draw(st.booleans()):
+        energy["steric"] = {"floor": draw(finite), "stiffness": draw(finite)}
+    entry["energy"] = energy
+    for key in draw(st.sets(st.sampled_from(sorted(SCHEDULE_VALUES)))):
+        entry[key] = draw(SCHEDULE_VALUES[key])
+    return entry
+
+
+@st.composite
+def benchmark_specs(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4,
+                          unique=True))
+    defaults = {key: draw(SCHEDULE_VALUES[key])
+                for key in draw(st.sets(st.sampled_from(sorted(SCHEDULE_VALUES))))}
+    return {"format": dataio.BENCHMARK_FORMAT, "temperature": draw(positive),
+            "defaults": defaults, "molecules": [draw(spec_entries(n)) for n in names]}
+
+
 def build_records(n_molecules=4, n_conf=5, seed=0):
     rng = np.random.default_rng(seed)
     records = []
@@ -466,6 +526,40 @@ class TestSyntheticBenchmark:
         path.write_text(json.dumps(toy10_spec(5)))
         spec = dataio.load_benchmark_spec(path)
         assert len(spec["molecules"]) == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=benchmark_specs())
+    def test_spec_round_trip_property(self, spec):
+        """A valid spec written as JSON reads back as drawn: the spec, each
+        molecule's topology and energy model, and its schedule (entry, else
+        defaults, else the built-in default, integral floats as integers)."""
+        from confgen.boltzmann import AngleTerm, BondTerm, EnergyModel, StericTerm
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            loaded = dataio.load_benchmark_spec(path)
+        assert loaded == spec
+        for entry in loaded["molecules"]:
+            n = len(entry["elements"])
+            graph = dataio._molecule_graph(entry)
+            assert graph.elements == tuple(entry["elements"])
+            assert [(b.i, b.j) for b in graph.bonds] == \
+                [(b["i"], b["j"]) for b in entry["bonds"]]
+            energy, steric = entry["energy"], entry["energy"].get("steric")
+            expected = EnergyModel(
+                [BondTerm(t["i"], t["j"], t["rest"], t["stiffness"])
+                 for t in energy["bonds"]],
+                [AngleTerm(t["i"], t["j"], t["k"], t["rest"], t["stiffness"])
+                 for t in energy["angles"]],
+                StericTerm(steric["floor"], steric["stiffness"]) if steric else None)
+            model = dataio.molecule_energy_model(entry["name"], energy, n)
+            assert repr(model) == repr(expected)
+            schedule = dataio._chain_schedule(entry, loaded["defaults"])
+            for key, (fallback, _, _) in dataio._SCHEDULE.items():
+                drawn = entry.get(key, loaded["defaults"].get(key, fallback))
+                assert schedule[key] == drawn
+                assert type(schedule[key]) is type(fallback)
 
     def test_training_pairs_share_one_extended_graph(self, tiny_benchmark_records):
         records, _ = tiny_benchmark_records
