@@ -148,6 +148,9 @@ class _TermStack:
         ai, aj, ak, self.ar, self.astiff, self.amol = angles
         si, sj, self.floor, self.smol = steric
         self.nb, self.na = bi.size, ai.size
+        # without pairs the steric kind adds stiffness * 0.0, which is
+        # exactly 0.0 unless a stiffness is not finite
+        self.adds_steric = si.size > 0 or not np.isfinite(stiffness).all()
         self.row_i = np.concatenate([bi, ai, ak, si])
         self.row_j = np.concatenate([bj, aj, aj, sj])
 
@@ -185,20 +188,27 @@ class _TermStack:
                           tuple(a[keep] for a in self.steric))
 
     def energies(self, positions: np.ndarray) -> np.ndarray:
-        """Energy of each molecule in the stack at `positions` (n_atoms, 3)."""
+        """Energy of each molecule in the stack at `positions` (n_atoms, 3).
+
+        An angle or steric kind without terms is skipped: it would add
+        exactly +0.0 (see `adds_steric`), and bond and angle sums, of terms
+        that are never negative, are never -0.0, so the bits are the same.
+        """
         nb, na, m = self.nb, self.na, self.stiffness.size
         diff = positions.take(self.row_i, axis=0) - positions.take(self.row_j, axis=0)
         d = np.sqrt(_row_dots(diff))
-        bond = self.bk * (d[:nb] - self.br) ** 2
-        # the norms and the clip of np.linalg.norm and np.clip, without their
-        # call overhead
-        cosang = _row_dots(diff[nb:nb + na], diff[nb + na:nb + 2 * na]) / (
-            d[nb:nb + na] * d[nb + na:nb + 2 * na])
-        theta = np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0))
-        angle = self.astiff * (theta - self.ar) ** 2
-        gap2 = np.maximum(self.floor - d[nb + 2 * na:], 0.0) ** 2
-        return ((np.bincount(self.bmol, bond, m) + np.bincount(self.amol, angle, m))
-                + self.stiffness * np.bincount(self.smol, gap2, m))
+        energy = np.bincount(self.bmol, self.bk * (d[:nb] - self.br) ** 2, m)
+        if na:
+            # the norms and the clip of np.linalg.norm and np.clip, without
+            # their call overhead
+            cosang = _row_dots(diff[nb:nb + na], diff[nb + na:nb + 2 * na]) / (
+                d[nb:nb + na] * d[nb + na:nb + 2 * na])
+            theta = np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0))
+            energy = energy + np.bincount(self.amol, self.astiff * (theta - self.ar) ** 2, m)
+        if self.adds_steric:
+            gap2 = np.maximum(self.floor - d[nb + 2 * na:], 0.0) ** 2
+            energy = energy + self.stiffness * np.bincount(self.smol, gap2, m)
+        return energy
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -347,7 +357,8 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
     stretch's start and whenever an atom of the proposal has moved
     STERIC_SKIN/2 (less _SKIN_MARGIN) from where it was at the last listing.
     Until then every pair left out stays above its floor and adds exactly
-    +0.0, so the energies are the full stack's bit for bit.
+    +0.0, so the energies are the full stack's bit for bit. A stretch
+    whose stack has no steric pairs is listed once, at its start.
     """
     kbt = cfg.kbt
     reach2 = (STERIC_SKIN / 2 - _SKIN_MARGIN) ** 2
@@ -360,6 +371,7 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
         spans = list(zip(active, bounds[:-1], bounds[1:]))
         pos = np.concatenate([s.pos for s in active])
         stack, listed_at = full.near(pos, STERIC_SKIN), pos.copy()
+        relist = full.floor.size > 0
         step_rows = np.concatenate(
             [np.full((s.n_atoms, 1), s.step_size) for s in active])
         energies = (stack.energies(pos).tolist() if start == 0
@@ -381,7 +393,7 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
                 rows = min(len(s.noise) for s in active)
                 noise = np.concatenate([s.noise[:rows] for s in active], axis=1)
             proposal = pos + step_rows * noise[i - base]
-            if _row_dots(proposal - listed_at).max() >= reach2:
+            if relist and _row_dots(proposal - listed_at).max() >= reach2:
                 stack, listed_at = full.near(proposal, STERIC_SKIN), proposal
             proposed = stack.energies(proposal).tolist()
             for k, (s, a0, a1) in enumerate(spans):

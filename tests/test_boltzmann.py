@@ -470,6 +470,50 @@ class TestNeighbourList:
         assert result.positions.tobytes() == positions.tobytes()
         assert (result.acceptance_rate, result.step_size) == (acceptance, step_size)
 
+    def test_without_steric_pairs_lists_once_per_stretch(self, monkeypatch,
+                                                         single_bond_system):
+        """Chains whose stacks have no steric pairs, the two-atom bond and
+        a water without a steric term, drift far past the relisting
+        distance but are listed once per stretch, at its start, and match
+        the oracle bit for bit."""
+        bond, x0, cfg = single_bond_system
+        water = EnergyModel(water_model().bonds, water_model().angles)
+        near = boltzmann._TermStack.near
+        listed = []
+
+        def spy(stack, positions, skin):
+            listed.append(positions.shape[0])
+            return near(stack, positions, skin)
+
+        monkeypatch.setattr(boltzmann._TermStack, "near", spy)
+        chains = [Chain(bond, x0, 6000, np.random.default_rng(3), burn_in=1000),
+                  Chain(water, water_at_rest(), 3000, np.random.default_rng(4),
+                        burn_in=500, thin=3)]
+        results = metropolis_chains(chains, cfg)
+        assert listed == [5, 2]  # both chains, then the bond alone
+        for c, seed, r in zip(chains, (3, 4), results):
+            positions, acceptance, step_size = oracle_metropolis(
+                c.model, c.x0, c.steps, cfg, np.random.default_rng(seed),
+                burn_in=c.burn_in, thin=c.thin)
+            drift = np.abs(r.positions[-1] - c.x0.positions).max()
+            assert drift > 2 * boltzmann.STERIC_SKIN
+            assert r.positions.tobytes() == positions.tobytes()
+            assert (r.acceptance_rate, r.step_size) == (acceptance, step_size)
+
+    def test_stiffness_without_pairs_is_kept(self):
+        """A stack whose steric pairs were all dropped still multiplies its
+        stiffness by the zero gap sum, so an infinite stiffness gives NaN
+        as the full stack does."""
+        model = EnergyModel(water_model().bonds, water_model().angles,
+                            StericTerm(0.5, math.inf))
+        full = model._terms(3)
+        near = full.near(water_at_rest().positions, 0.05)
+        assert near.floor.size == 0 < full.floor.size
+        with np.errstate(invalid="ignore"):
+            energy = near.energies(water_at_rest().positions)
+            assert np.isnan(energy).all()
+            assert energy.tobytes() == full.energies(water_at_rest().positions).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 14), skin=st.sampled_from([0.05, 0.5, 1.0]),
            seed=st.integers(0, 2**32 - 1))

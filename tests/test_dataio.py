@@ -18,6 +18,7 @@ from confgen.dataio import (
     split_disjoint,
     write_dataset,
 )
+from confgen.errors import DomainError
 from confgen.molgraph import (
     BOND_TYPES,
     CHIRAL_TAGS,
@@ -255,6 +256,217 @@ class TestRoundTrip:
             read_dataset(path)
 
 
+# molecule-name pieces that JSON escapes or that look like record syntax
+NAME_PIECES = ['"', "\\", "é", "分子", "\u00a0", "\u2028", ", \"positions\": ", "}", "a"]
+# coordinates: arbitrary floats, integral floats and -0.0
+COORDINATES = (st.floats(-1e4, 1e4) | st.integers(-1000, 1000).map(float)
+               | st.just(-0.0))
+
+
+@st.composite
+def codec_records(draw):
+    """Records of 1-40 atoms whose names, coordinates and build seeds stress
+    the record codec. Graph objects are shared between molecules, and one
+    molecule may carry a second build seed, so that two heads differ only in
+    their name or only in their seed."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 40))
+        elements = draw(st.lists(st.sampled_from(["H", "C", "O"]), min_size=n,
+                                 max_size=n))
+        graphs.append(MolGraph.from_elements(
+            elements, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]))
+    name = (st.lists(st.sampled_from(NAME_PIECES), max_size=4).map("".join)
+            | st.text(max_size=4))
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        graph = draw(st.sampled_from(graphs))
+        molecule = draw(name)
+        seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2))
+        for _ in range(draw(st.integers(1, 3))):
+            positions = draw(hnp.arrays(np.float64, (graph.n_atoms, 3),
+                                        elements=COORDINATES, unique=True))
+            try:
+                conformation = Conformation(graph.elements, positions)
+            except GraphStructureError:
+                reject()
+            records.append(DatasetRecord(molecule, graph, draw(st.sampled_from(seeds)),
+                                         conformation))
+    return records
+
+
+def oracle_read(path):
+    """read_dataset as written before the head fast path: each record line
+    parsed whole, its graph shared by the repr of its entry."""
+    records, graphs = [], {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header.strip():
+            return records
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                d = json.loads(line)
+                key = repr(d["graph"])
+                graph = graphs.get(key)
+                if graph is None:
+                    graph = graphs[key] = dataio.graph_from_dict(d["graph"])
+                records.append(DatasetRecord(
+                    molecule=str(d["molecule"]), graph=graph,
+                    build_seed=int(d["build_seed"]),
+                    conformation=Conformation(graph.elements,
+                                              np.asarray(d["positions"]))))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    DomainError) as e:
+                raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
+    return records
+
+
+def assert_same_records(a, b):
+    """Same molecules, seeds, graph entries (as JSON, with 1, 1.0 and true
+    apart), graph sharing, elements and position bits."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (type(x.molecule), x.molecule, type(x.build_seed), x.build_seed) == \
+               (type(y.molecule), y.molecule, type(y.build_seed), y.build_seed)
+        assert repr(dataio.graph_to_dict(x.graph)) == repr(dataio.graph_to_dict(y.graph))
+        assert x.conformation.elements == y.conformation.elements
+        assert x.conformation.positions.tobytes() == y.conformation.positions.tobytes()
+    assert [[x.graph is z.graph for z in a] for x in a] == \
+           [[y.graph is z.graph for z in b] for y in b]
+
+
+def outcome(read, path):
+    """The records `read` gives for `path`, or its ParseError's text."""
+    try:
+        return read(path), None
+    except ParseError as e:
+        return None, str(e)
+
+
+def _reordered(line):
+    d = json.loads(line)
+    return json.dumps({k: d[k] for k in ["positions", "build_seed", "molecule", "graph"]})
+
+
+def _nan_coordinate(line):
+    d = json.loads(line)
+    d["positions"][0][0] = float("nan")
+    return json.dumps(d)
+
+
+def _short_row(line):
+    d = json.loads(line)
+    d["positions"][-1] = d["positions"][-1][:2]
+    return json.dumps(d)
+
+
+def _one_atom_short(line):
+    d = json.loads(line)
+    d["positions"].pop()
+    return json.dumps(d)
+
+
+def _bad_graph(line):
+    d = json.loads(line)
+    d["graph"]["nodes"][0]["chiral"] = "sideways"
+    return json.dumps(d)
+
+
+# line -> mutated line; each gives the whole-line reader's record or error
+LINE_MUTATIONS = {
+    "reordered keys": _reordered,
+    "compact separators": lambda line: json.dumps(json.loads(line), separators=(",", ":")),
+    "CRLF end": lambda line: line + "\r",
+    "trailing blanks": lambda line: line + " \t ",
+    "form feed after": lambda line: line + "\f",
+    "duplicate positions": lambda line: line[:-1] + ', "positions": [[0.0, 0.0, 0.0]]}',
+    "brace after": lambda line: line + "}",
+    "object after": lambda line: line + ' {"a": 1}',
+    "text after coordinates": lambda line: line[:-1] + " 5}",
+    "key after coordinates": lambda line: line[:-1] + ', "note": "x"}',
+    "no closing brace": lambda line: line[:-1],
+    "non-finite coordinate": _nan_coordinate,
+    "overflowing coordinate": lambda line: line.replace(", \"positions\": [[",
+                                                        ", \"positions\": [[1e999, "),
+    "short row": _short_row,
+    "unbalanced brackets": lambda line: line.replace(", \"positions\": [[",
+                                                     ", \"positions\": [[[", 1),
+    "one atom short": _one_atom_short,
+    "positions a string": lambda line: line[:line.rindex(", \"positions\": ")]
+    + ', "positions": "x"}',
+    "bad graph": _bad_graph,
+    "graph a number": lambda line: line.replace('"graph": {', '"graph": 5, "g": {', 1),
+    "empty head": lambda line: '{' + line[line.rindex(", \"positions\": "):],
+}
+
+
+class TestRecordCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(records=codec_records())
+    def test_lines_are_json_dumps_and_read_back(self, records):
+        """Each line is json.dumps of its record object, the file reads back
+        as the records, and writing what was read gives the same bytes."""
+        with tempfile.TemporaryDirectory() as root:
+            path, again = Path(root) / "a.jsonl", Path(root) / "b.jsonl"
+            write_dataset(path, records)
+            lines = path.read_text(encoding="utf-8").split("\n")
+            assert lines[1:] == [json.dumps(dataio._record_to_dict(r))
+                                 for r in records] + [""]
+            loaded = read_dataset(path)
+            for a, b in zip(records, loaded):
+                assert (a.molecule, a.graph, a.build_seed) == \
+                       (b.molecule, b.graph, b.build_seed)
+            assert_same_records(loaded, oracle_read(path))
+            write_dataset(again, loaded)
+            assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=codec_records(), data=st.data())
+    def test_mutated_lines_read_as_whole_lines(self, records, data):
+        """Lines changed in ways that the head fast path does not fit give
+        the whole-line reader's records, or its ParseError text."""
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "a.jsonl"
+            write_dataset(path, records)
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            for index in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)):
+                mutation = data.draw(st.sampled_from(sorted(LINE_MUTATIONS)))
+                lines[index] = LINE_MUTATIONS[mutation](lines[index])
+            path.write_bytes("\n".join([header, *lines, ""]).encode("utf-8"))
+            got, error = outcome(read_dataset, path)
+            want, want_error = outcome(oracle_read, path)
+        assert error == want_error
+        if want is not None:
+            assert_same_records(got, want)
+
+    @pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
+    def test_each_mutation_on_the_second_line(self, tmp_path, mutation):
+        """Every mutation once, on a line whose head the first line has
+        already parsed."""
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=3))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = LINE_MUTATIONS[mutation](lines[1])
+        path.write_bytes("\n".join([header, *lines, ""]).encode("utf-8"))
+        got, error = outcome(read_dataset, path)
+        want, want_error = outcome(oracle_read, path)
+        assert error == want_error
+        if want is not None:
+            assert_same_records(got, want)
+
+    def test_seed_alone_tells_heads_apart(self, tmp_path):
+        """One molecule and graph under two build seeds: each record keeps
+        its own seed through write and read."""
+        [a, b] = build_records(n_molecules=1, n_conf=2)
+        b.build_seed = a.build_seed + 1
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, [a, b, a])
+        assert [r.build_seed for r in read_dataset(path)] == \
+               [a.build_seed, b.build_seed, a.build_seed]
+
+
 class TestSplitDisjoint:
     def test_ten_molecules_80_10_10(self):
         records = build_records(n_molecules=10, n_conf=3)
@@ -374,6 +586,24 @@ class TestSyntheticBenchmark:
         spec["molecules"] = spec["molecules"][:1]
         spec["defaults"].update({"step": 150.0, "tune": False, "burn_in": 50})
         with pytest.raises(GenerationError):
+            make_synthetic_benchmark(spec, seed=0)
+
+    @pytest.mark.parametrize("count", [1, dataio.JUDGED_STEPS - 1])
+    def test_short_kept_phase_is_not_judged(self, count):
+        """With fewer kept steps than it takes one acceptance to reach 1%,
+        a chain that accepts nothing still writes its records."""
+        spec = toy10_spec(count)
+        spec["molecules"] = spec["molecules"][:1]
+        spec["defaults"].update({"thin": 1, "step": 150.0, "tune": False, "burn_in": 50})
+        records, report = make_synthetic_benchmark(spec, seed=0)
+        assert len(records) == count
+        assert (report[0]["acceptance_rate"], report[0]["steps"]) == (0.0, count)
+
+    def test_stuck_for_the_judged_steps_raises(self):
+        spec = toy10_spec(dataio.JUDGED_STEPS)
+        spec["molecules"] = spec["molecules"][:1]
+        spec["defaults"].update({"thin": 1, "step": 150.0, "tune": False, "burn_in": 50})
+        with pytest.raises(GenerationError, match="acceptance 0.00% is pathologically low"):
             make_synthetic_benchmark(spec, seed=0)
 
     def test_lockstep_records_match_chains_run_alone(self):
