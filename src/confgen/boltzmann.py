@@ -247,7 +247,13 @@ class MetropolisResult:
     step_size: float
 
     def conformations(self) -> list[Conformation]:
-        return [Conformation(self.elements, p) for p in self.positions]
+        """The kept conformations, checked as one stack; the first that fails
+        raises its GraphStructureError."""
+        out = Conformation.stack(self.elements, self.positions)
+        for conformation in out:
+            if not isinstance(conformation, Conformation):
+                raise conformation
+        return out
 
     def __len__(self) -> int:
         return self.positions.shape[0]

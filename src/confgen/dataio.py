@@ -7,7 +7,8 @@ molecule share one build seed so their distance sets stay index-aligned.
 Floats are written with shortest round-trip precision, so read(write(x)) is
 bit-identical. A record line is its head, the molecule, graph and build seed,
 then its positions; a molecule's records repeat the head text, so the codec
-writes and parses each distinct head once per file.
+writes and parses each distinct head once per file, and the reader checks the
+positions of each head's lines as one stack.
 
 The synthetic benchmark replaces an external quantum-chemistry dataset: toy
 C/O/H molecules with harmonic bond/angle energies are sampled with the
@@ -136,12 +137,9 @@ def _head_from_dict(d: dict, graphs: dict) -> tuple:
     return str(d["molecule"]), graph, int(d["build_seed"])
 
 
-def _record(head: tuple, positions) -> DatasetRecord:
-    return DatasetRecord(*head, Conformation(head[1].elements, np.asarray(positions)))
-
-
 def _record_from_dict(d: dict, graphs: dict) -> DatasetRecord:
-    return _record(_head_from_dict(d, graphs), d["positions"])
+    head = _head_from_dict(d, graphs)
+    return DatasetRecord(*head, Conformation(head[1].elements, np.asarray(d["positions"])))
 
 
 # A record line is json.dumps(_record_to_dict(r)): its head, the object up to
@@ -171,10 +169,12 @@ def write_dataset(path, records) -> None:
             fh.write(entry[1] + json.dumps(r.conformation.positions.tolist()) + "}\n")
 
 
-def _fast_record(line: str, heads: dict, graphs: dict) -> DatasetRecord | None:
-    """The record of `line` from its head, parsed once per distinct head text
-    and kept in `heads`, and its positions; None when the line does not end
-    in a closing brace after a separator.
+def _fast_line(line: str, heads: dict, graphs: dict) -> tuple | None:
+    """(head text, positions) of `line`: its head parsed once per
+    distinct head text and kept in `heads`, and its coordinates as a float64
+    array of the head's (atoms, 3) shape; None when the line does not end
+    in a closing brace after a separator or its coordinates have another
+    shape.
 
     Exact: when the text before the last separator, closed, is a JSON object
     and the text after it, less the closing brace, is one JSON value, the
@@ -189,24 +189,38 @@ def _fast_record(line: str, heads: dict, graphs: dict) -> DatasetRecord | None:
     head = heads.get(text)
     if head is None:
         head = heads[text] = _head_from_dict(json.loads(text + "}"), graphs)
-    return _record(head, json.loads(body[cut + len(_POSITIONS):-1]))
+    # the conversions of _record_from_dict and Conformation
+    positions = np.asarray(np.asarray(json.loads(body[cut + len(_POSITIONS):-1])),
+                           dtype=np.float64)
+    if positions.shape != (head[1].n_atoms, 3):
+        return None
+    return text, positions
 
 
 def read_dataset(path) -> list[DatasetRecord]:
     """Read records back; an empty file is an empty dataset. Records whose
-    graph entries are identical share one MolGraph. A line that the head
-    fast path cannot read is read whole, so it gives the record or the
-    ParseError it always did."""
-    records: list[DatasetRecord] = []
+    graph entries are identical share one MolGraph.
+
+    The lines that the head fast path reads are grouped by head text, and
+    each group's positions are checked as one stack (`Conformation.stack`).
+    A line that the fast path cannot read is read whole, so it gives the
+    record or the ParseError it always did; a fast line is its head plus
+    its positions, so one that fails the stack check fails with the error
+    that reading it whole gives. The first failing line in file order
+    raises.
+    """
+    records: list = []  # DatasetRecords; fast lines hold their place until checked
     graphs: dict[str, MolGraph] = {}
     heads: dict[str, tuple] = {}
+    groups: dict[str, list] = {}  # head text -> [(record index, line, positions)]
+    failed = None  # (line number, error) of the first line that fails
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
             return records
         try:
             head = json.loads(header)
-            if head.get("format") != DATASET_FORMAT:
+            if not isinstance(head, dict) or head.get("format") != DATASET_FORMAT:
                 raise ValueError(f"expected format {DATASET_FORMAT!r}")
             if head.get("version") != DATASET_VERSION:
                 raise ValueError(f"unsupported version {head.get('version')}")
@@ -216,15 +230,31 @@ def read_dataset(path) -> list[DatasetRecord]:
             if not line.strip():
                 continue
             try:
-                record = _fast_record(line, heads, graphs)
+                fast = _fast_line(line, heads, graphs)
             except _BAD_RECORD:
-                record = None
-            if record is None:
+                fast = None
+            if fast is None:
                 try:
-                    record = _record_from_dict(json.loads(line), graphs)
+                    records.append(_record_from_dict(json.loads(line), graphs))
                 except _BAD_RECORD as e:
-                    raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
-            records.append(record)
+                    failed = lineno, e  # no later line can fail first
+                    break
+                continue
+            text, positions = fast
+            groups.setdefault(text, []).append((len(records), lineno, positions))
+            records.append(None)
+    for text, lines in groups.items():
+        head = heads[text]
+        slots, linenos, positions = zip(*lines)
+        for slot, lineno, conformation in zip(
+                slots, linenos, Conformation.stack(head[1].elements, np.stack(positions))):
+            if isinstance(conformation, Conformation):
+                records[slot] = DatasetRecord(*head, conformation)
+            elif failed is None or lineno < failed[0]:
+                failed = lineno, conformation
+    if failed is not None:
+        lineno, e = failed
+        raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
     return records
 
 
@@ -247,29 +277,28 @@ def extended_graphs(records) -> dict:
 
 
 def training_pairs(records) -> list[tuple]:
-    """(molecule, ExtendedGraph, distance vector) per record."""
+    """(molecule, ExtendedGraph, distance vector) per record; each vector is
+    a row of its molecule's `distance_matrix_by_molecule` matrix."""
     graphs = extended_graphs(records)
-    pairs = []
-    for r in records:
-        eg = graphs[r.molecule]
-        pairs.append((r.molecule, eg, extract_distances(eg, r.conformation).values))
-    return pairs
+    rows = {mol: iter(d) for mol, d in distance_matrix_by_molecule(records, graphs).items()}
+    return [(r.molecule, graphs[r.molecule], next(rows[r.molecule])) for r in records]
 
 
 def distance_matrix_by_molecule(records, graphs: dict | None = None) -> dict:
-    """molecule id -> (n_conformations x n_edges) distance matrix.
+    """molecule id -> (n_conformations x n_edges) distance matrix, one
+    `extract_distances` call per molecule.
 
     `graphs` (molecule id -> ExtendedGraph) defaults to `extended_graphs(records)`;
     records of a molecule it lacks are left out.
     """
     if graphs is None:
         graphs = extended_graphs(records)
-    out: dict[str, list] = {mol: [] for mol in graphs}
+    conformations: dict[str, list] = {mol: [] for mol in graphs}
     for r in records:
         if r.molecule in graphs:
-            out[r.molecule].append(
-                extract_distances(graphs[r.molecule], r.conformation).values)
-    return {mol: np.stack(rows) for mol, rows in out.items() if rows}
+            conformations[r.molecule].append(r.conformation)
+    return {mol: extract_distances(graphs[mol], stack)
+            for mol, stack in conformations.items() if stack}
 
 
 # --- splitting ---------------------------------------------------------------

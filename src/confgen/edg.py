@@ -237,27 +237,38 @@ def metrize(b: BoundsMatrix, rng: np.random.Generator) -> np.ndarray:
     return _metrize_stack(b.lower[None], b.upper[None], [rng])[0]
 
 
-def gram_embed(d: np.ndarray) -> np.ndarray:
-    """Classical best-fit embedding of a distance matrix into three dimensions.
+def _gram_stack(d: np.ndarray) -> np.ndarray:
+    """Classical best-fit embedding of a stack of S distance matrices of one
+    size, (S, n, n), into three dimensions: (S, n, 3).
 
     Squared distances to the centroid give the Gram matrix
     g(i,j) = (d0(i)^2 + d0(j)^2 - d(i,j)^2) / 2, whose top three eigenpairs
-    (negative eigenvalues clamped to zero) provide the coordinates.
+    (negative eigenvalues clamped to zero) provide the coordinates. One
+    stacked eigh serves every set, and each set gets exactly what it gets
+    alone.
     """
     d = np.asarray(d, dtype=np.float64)
-    n = d.shape[0]
+    count, n = d.shape[0], d.shape[-1]
     d2 = d**2
-    d0_sq = d2.mean(axis=1) - d2.sum() / (2.0 * n * n)
-    gram = 0.5 * (d0_sq[:, None] + d0_sq[None, :] - d2)
+    d0_sq = d2.mean(axis=2) - d2.reshape(count, n * n).sum(axis=1)[:, None] / (2.0 * n * n)
+    gram = 0.5 * (d0_sq[:, :, None] + d0_sq[:, None, :] - d2)
     try:
         evals, evecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigendecomposition failed: {e}", term="gram") from e
-    order = np.argsort(evals)[::-1][: min(3, n)]
-    lam = np.clip(evals[order], 0.0, None)
-    coords = np.zeros((n, 3))
-    coords[:, : order.shape[0]] = evecs[:, order] * np.sqrt(lam)
+    order = np.argsort(evals, axis=1)[:, ::-1][:, : min(3, n)]
+    lam = np.clip(np.take_along_axis(evals, order, axis=1), 0.0, None)
+    coords = np.zeros((count, n, 3))
+    coords[:, :, : order.shape[1]] = (np.take_along_axis(evecs, order[:, None, :], axis=2)
+                                      * np.sqrt(lam)[:, None, :])
     return coords
+
+
+def gram_embed(d: np.ndarray) -> np.ndarray:
+    """Classical best-fit embedding of one distance matrix into three
+    dimensions: a one-set `_gram_stack`."""
+    # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
+    return _gram_stack(np.asarray(d)[None])[0]
 
 
 @dataclass
@@ -453,9 +464,10 @@ def _embed_stacks(stacks, tol: float) -> list:
     `stacks` yields, one graph at a time, (elements, lower, upper, rngs):
     (S, n, n) bounds and one generator per set. Each stack is smoothed as
     one `_smooth_stack`, the sets that pass are metrized as one
-    `_metrize_stack`, each on its own generator, and embedded, and the
-    survivors of all graphs are refined in one `_refine_ragged` loop, each
-    set exactly as it would be alone.
+    `_metrize_stack`, each on its own generator, and embedded as one
+    `_gram_stack`, the survivors of all graphs are refined in one
+    `_refine_ragged` loop, and each graph's refined sets are checked as one
+    `Conformation.stack`, each set exactly as it would be alone.
     Returns one list per graph of one outcome per set: an EmbedResult, the
     InconsistentBoundsError that rejected the set, or the GraphStructureError
     of a set whose refined atoms coincide.
@@ -465,19 +477,17 @@ def _embed_stacks(stacks, tol: float) -> list:
         lower, upper, outcomes = _smooth_stack(lower, upper)
         passed = [k for k, error in enumerate(outcomes) if error is None]
         lower, upper = lower[passed], upper[passed]
-        starts = [gram_embed(d)
-                  for d in _metrize_stack(lower, upper, [rngs[k] for k in passed])]
+        starts = _gram_stack(_metrize_stack(lower, upper, [rngs[k] for k in passed]))
         iu = np.triu_indices(lower.shape[-1], k=1)
-        blocks.append((np.reshape(starts, (len(passed), lower.shape[-1], 3)),
-                       lower[:, iu[0], iu[1]], upper[:, iu[0], iu[1]]))
+        blocks.append((starts, lower[:, iu[0], iu[1]], upper[:, iu[0], iu[1]]))
         graphs.append((elements, outcomes, passed))
-    for (elements, outcomes, passed), refined in zip(graphs, _refine_ragged(blocks, tol)):
-        for k, (coords, converged, violation, iterations) in zip(passed, zip(*refined)):
-            try:
-                outcomes[k] = EmbedResult(Conformation(elements, coords), bool(converged),
-                                          float(violation), int(iterations))
-            except GraphStructureError as e:
-                outcomes[k] = e
+    for (elements, outcomes, passed), (coords, converged, violation, iterations) in zip(
+            graphs, _refine_ragged(blocks, tol)):
+        stacked = Conformation.stack(elements, coords)
+        for k, conformation, ok, worst, steps in zip(passed, stacked, converged,
+                                                      violation, iterations):
+            outcomes[k] = (EmbedResult(conformation, bool(ok), float(worst), int(steps))
+                           if isinstance(conformation, Conformation) else conformation)
     return [outcomes for _, outcomes, _ in graphs]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,7 +128,7 @@ class MolGraph:
     def n_atoms(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.nodes)
 
@@ -289,6 +290,59 @@ def build_extended_graph(g: MolGraph, seed: int) -> ExtendedGraph:
     )
 
 
+# atom pairs per block of the coincidence test, which bounds its temporaries
+_CHECK_PAIRS = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple:
+    """np.triu_indices(n, k=1), read-only, since every caller shares it."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _stack_errors(n_atoms: int, positions: np.ndarray) -> list:
+    """Per slice of the float64 stack `positions` (K, n_atoms, 3): None, or
+    the GraphStructureError that Conformation raises for those positions and
+    `n_atoms` elements, each slice judged exactly as alone. `positions` of
+    another shape fail every slice on their shape.
+
+    A slice fails when a coordinate is not finite, else when two atoms
+    coincide: every squared gap of a pair, underflow included, is 0.0.
+    """
+    count = len(positions)
+    if positions.shape[1:] != (n_atoms, 3):
+        return [GraphStructureError(f"positions shape {positions.shape[1:]} does not "
+                                    f"match {n_atoms} atoms") for _ in range(count)]
+    errors = [None] * count
+    checked = range(count)  # the slices that the coincidence test sees
+    finite = np.isfinite(positions)
+    if not finite.all():
+        finite = finite.all(axis=(1, 2))
+        for k in np.flatnonzero(~finite):
+            errors[k] = GraphStructureError("conformation has non-finite positions")
+        checked = np.flatnonzero(finite)
+        positions = positions[checked]
+    if n_atoms > 1:
+        i, j = _pairs(n_atoms)
+        step = max(1, _CHECK_PAIRS // len(i))
+        for start in range(0, len(checked), step):
+            xyz = np.ascontiguousarray(positions[start:start + step].transpose(0, 2, 1))
+            gaps = np.take(xyz, i, axis=2)  # (K, 3, pairs)
+            gaps -= np.take(xyz, j, axis=2)
+            gaps *= gaps
+            dist2 = gaps[:, 0] + gaps[:, 1]
+            dist2 += gaps[:, 2]
+            if np.count_nonzero(dist2) == dist2.size:
+                continue
+            for k in np.flatnonzero((dist2 == 0.0).any(axis=1)):
+                errors[checked[start + k]] = GraphStructureError(
+                    "conformation has coincident atoms")
+    return errors
+
+
 @dataclass
 class Conformation:
     """Chemical elements plus Cartesian coordinates in ångström."""
@@ -297,23 +351,26 @@ class Conformation:
     positions: np.ndarray
 
     def __post_init__(self):
-        self.elements = tuple(str(e) for e in self.elements)
+        self.elements = tuple(map(str, self.elements))
         self.positions = np.asarray(self.positions, dtype=np.float64)
-        if self.positions.shape != (len(self.elements), 3):
-            raise GraphStructureError(
-                f"positions shape {self.positions.shape} does not match "
-                f"{len(self.elements)} atoms"
-            )
-        if not np.isfinite(self.positions).all():
-            raise GraphStructureError("conformation has non-finite positions")
-        n = len(self.elements)
-        if n > 1:
-            diff = self.positions[:, None, :] - self.positions[None, :, :]
-            dist2 = (diff**2).sum(axis=2)
-            # exactly symmetric, so every off-diagonal entry is each pair's test
-            np.fill_diagonal(dist2, 1.0)
-            if not (dist2 > 0.0).all():
-                raise GraphStructureError("conformation has coincident atoms")
+        [error] = _stack_errors(len(self.elements), self.positions[None])
+        if error is not None:
+            raise error
+
+    @classmethod
+    def stack(cls, elements, positions) -> list:
+        """One Conformation per (n, 3) slice of `positions` (K, n, 3), or the
+        GraphStructureError that Conformation(elements, slice) raises. The
+        slices are checked together; each Conformation's positions are a
+        view of the float64 stack and all share one elements tuple."""
+        elements = tuple(map(str, elements))
+        positions = np.asarray(positions, dtype=np.float64)
+        out = _stack_errors(len(elements), positions)
+        for k, error in enumerate(out):
+            if error is None:
+                out[k] = conformation = cls.__new__(cls)
+                conformation.elements, conformation.positions = elements, positions[k]
+        return out
 
 
 @dataclass
@@ -330,11 +387,23 @@ class DistanceSet:
             raise GraphStructureError("distances must be strictly positive")
 
 
-def extract_distances(eg: ExtendedGraph, x: Conformation) -> DistanceSet:
-    """Euclidean distance between the endpoints of every edge of `eg`."""
-    if x.elements != eg.source_graph.elements:
-        raise GraphStructureError(
-            "conformation elements do not match the graph the edges were built from"
-        )
-    diff = x.positions[eg.src] - x.positions[eg.dst]
-    return DistanceSet(np.sqrt((diff**2).sum(axis=1)))
+def extract_distances(eg: ExtendedGraph, x):
+    """Euclidean distance between the endpoints of every edge of `eg`: a
+    DistanceSet for one Conformation `x`, or for a list of K conformations
+    the (K, n_edges) matrix whose row k is conformation k's values, bit for
+    bit."""
+    one = isinstance(x, Conformation)
+    stack = [x] if one else list(x)
+    for conformation in stack:
+        if conformation.elements != eg.source_graph.elements:
+            raise GraphStructureError(
+                "conformation elements do not match the graph the edges were built from"
+            )
+    positions = np.reshape([c.positions for c in stack], (len(stack), eg.n_nodes, 3))
+    diff = positions[:, eg.src] - positions[:, eg.dst]
+    values = np.sqrt((diff**2).sum(axis=2))
+    if one:
+        return DistanceSet(values[0])
+    if not (values > 0.0).all():
+        raise GraphStructureError("distances must be strictly positive")
+    return values

@@ -452,16 +452,19 @@ class TestGenerate:
     def test_degenerate_sample_is_dropped_and_counted(self, workspace, tmp_path,
                                                       monkeypatch):
         _, _, data_path, _, ckpt_path = workspace
-        embed = edg.gram_embed
-        calls = []
+        embed = edg._gram_stack
+        calls = []  # one per embedded sample
 
         def collapse_first(d):
-            # all atoms on one point: the hinge gradient is zero there, so
-            # refinement cannot separate them
-            calls.append(d)
-            return np.zeros_like(embed(d)) if len(calls) == 1 else embed(d)
+            # all atoms of the first sample on one point: the hinge gradient
+            # is zero there, so refinement cannot separate them
+            coords = embed(d)
+            if not calls and len(d):
+                coords[0] = 0.0
+            calls.extend(d)
+            return coords
 
-        monkeypatch.setattr(edg, "gram_embed", collapse_first)
+        monkeypatch.setattr(edg, "_gram_stack", collapse_first)
         out = tmp_path / "gen.jsonl"
         assert main(["generate", str(ckpt_path), str(data_path), str(out),
                      "--n", "2", "--seed", "2"]) == 0
@@ -533,6 +536,16 @@ class TestGenerate:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("header", ["[1]", '"x"', "null"])
+    def test_header_that_is_not_an_object_exits_2(self, workspace, tmp_path, capsys,
+                                                   header):
+        _, _, data_path, _, _ = workspace
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text(header + "\n" + data_path.read_text().split("\n", 1)[1])
+        assert main(["evaluate", str(data_path), f"gen={gen}",
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert f"{gen}:1: bad dataset header" in capsys.readouterr().err
+
     def test_copy_of_truth_ranks_first(self, workspace, tmp_path, capsys):
         root, _, data_path, _, _ = workspace
         records = dataio.read_dataset(data_path)

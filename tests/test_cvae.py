@@ -13,6 +13,7 @@ from confgen.molgraph import MolGraph, build_extended_graph, extract_distances
 from confgen.nnet import ShapeError
 
 from conftest import random_conformation, random_tree, save_model_v1
+from test_nnet import SPECIAL_BITS
 
 SMALL = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5, edge_state=5)
 
@@ -488,6 +489,48 @@ class TestModelParams:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         for key in ("epoch", "rng", "history", "best_val_elbo", "best_epoch"):
             assert loaded_state[key] == state[key]
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_save_load_save_keeps_every_bit_pattern(self, seed):
+        """Weights, current weights and Adam moments of random 64 bits, half
+        of them special (NaN payloads, -0.0, subnormals, infinities): save,
+        load and save again write the same bytes, and every array comes back
+        bit for bit."""
+        params = cvae.ModelParams(cvae.CvaeConfig(hidden=2, readout_hidden=2,
+                                                  node_state=1, edge_state=1), seed=0)
+        rng = np.random.default_rng(seed)
+
+        def draw_values():
+            values = {}
+            for name, t in params.named_parameters().items():
+                bits = rng.integers(0, 2**64 - 1, t.data.shape, dtype=np.uint64,
+                                    endpoint=True)
+                special = rng.random(t.data.shape) < 0.5
+                bits[special] = rng.choice(SPECIAL_BITS, special.sum())
+                values[name] = bits.view(np.float64)
+            return values
+
+        params.set_values(draw_values())
+        adam = nnet.Adam(params.parameters())
+        adam.load_state_dict({"t": 3, "m": list(draw_values().values()),
+                              "v": list(draw_values().values())})
+        state = {"epoch": 1, "current": draw_values(), "adam": adam.state_dict(),
+                 "rng": np.random.default_rng(0).bit_generator.state, "history": [],
+                 "best": params.values(), "best_val_elbo": -1.0, "best_epoch": 1}
+        with tempfile.TemporaryDirectory() as root:
+            path, again = Path(root) / "model.json", Path(root) / "again.json"
+            cvae.save_model(path, params, train_state=state)
+            loaded, loaded_state = cvae.load_model(path)
+            cvae.save_model(again, loaded, train_state=loaded_state)
+            assert again.read_bytes() == path.read_bytes()
+        for name, t in params.named_parameters().items():
+            assert loaded.named_parameters()[name].data.tobytes() == t.data.tobytes()
+        for name, a in state["current"].items():
+            assert loaded_state["current"][name].tobytes() == a.tobytes()
+        for key in "mv":
+            assert [a.tobytes() for a in loaded_state["adam"][key]] == \
+                   [a.tobytes() for a in state["adam"][key]]
 
     @pytest.mark.parametrize("with_state", [False, True])
     def test_version_1_checkpoint_loads_bitwise(self, tmp_path, with_state):

@@ -255,6 +255,14 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("header", ["[1]", '"x"', "null"])
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, header):
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=1))
+        path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ParseError, match=r":1: bad dataset header: expected format"):
+            read_dataset(path)
+
 
 # molecule-name pieces that JSON escapes or that look like record syntax
 NAME_PIECES = ['"', "\\", "é", "分子", "\u00a0", "\u2028", ", \"positions\": ", "}", "a"]
@@ -368,6 +376,12 @@ def _one_atom_short(line):
     return json.dumps(d)
 
 
+def _coincident(line):
+    d = json.loads(line)
+    d["positions"][-1] = d["positions"][0]
+    return json.dumps(d)
+
+
 def _bad_graph(line):
     d = json.loads(line)
     d["graph"]["nodes"][0]["chiral"] = "sideways"
@@ -388,6 +402,7 @@ LINE_MUTATIONS = {
     "key after coordinates": lambda line: line[:-1] + ', "note": "x"}',
     "no closing brace": lambda line: line[:-1],
     "non-finite coordinate": _nan_coordinate,
+    "coincident atoms": _coincident,
     "overflowing coordinate": lambda line: line.replace(", \"positions\": [[",
                                                         ", \"positions\": [[1e999, "),
     "short row": _short_row,
@@ -455,6 +470,60 @@ class TestRecordCodec:
         assert error == want_error
         if want is not None:
             assert_same_records(got, want)
+
+    @pytest.mark.parametrize("mutation", ["non-finite coordinate", "coincident atoms",
+                                          "one atom short"])
+    def test_bad_line_in_the_middle_of_a_head_group(self, tmp_path, mutation):
+        """The third of five lines of one head fails: the whole-line reader's
+        ParseError, naming line 4."""
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=5))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = LINE_MUTATIONS[mutation](lines[2])
+        path.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
+        _, error = outcome(read_dataset, path)
+        assert error == outcome(oracle_read, path)[1]
+        assert error.startswith(f"{path}:4: bad record: ")
+
+    @pytest.mark.parametrize("whole_first", [True, False])
+    def test_first_bad_line_in_file_order_raises(self, tmp_path, whole_first):
+        """A line that the stack check rejects and a line that is read whole
+        and fails, in two interleaved head groups: the earlier one raises."""
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=2, n_conf=3))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [lines[k] for k in (0, 3, 1, 4, 2, 5)]  # A B A B A B
+        stacked, whole = (3, 2) if whole_first else (1, 4)
+        lines[stacked] = _coincident(lines[stacked])
+        lines[whole] = lines[whole][:-1]  # no closing brace
+        path.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
+        _, error = outcome(read_dataset, path)
+        assert error == outcome(oracle_read, path)[1]
+        assert error.startswith(f"{path}:{min(stacked, whole) + 2}: bad record: ")
+
+    def test_interleaved_heads_keep_file_order(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        records = build_records(n_molecules=3, n_conf=4)
+        write_dataset(path, [records[4 * (k % 3) + k // 3] for k in range(12)])
+        loaded = read_dataset(path)
+        assert [r.molecule for r in loaded] == [records[4 * (k % 3)].molecule
+                                                for k in range(12)]
+        assert_same_records(loaded, oracle_read(path))
+
+    def test_coordinates_valid_only_when_joined_raise_at_the_first(self, tmp_path):
+        """Each line's coordinates are parsed alone: these two texts are each
+        invalid, though joined by a comma they read as two 2-atom records."""
+        graph = MolGraph.from_elements(["C", "O"], [(0, 1)])
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, [DatasetRecord("co", graph, 1, Conformation(
+            graph.elements, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))])
+        header, line = path.read_text(encoding="utf-8").splitlines()
+        head = line[:line.rindex(", \"positions\": ") + len(", \"positions\": ")]
+        path.write_text("\n".join([header, head + "[[0,0,0],[1,1,1]],[[2,2,2]}",
+                                   head + "[3,3,3]]}", ""]), encoding="utf-8")
+        _, error = outcome(read_dataset, path)
+        assert error == outcome(oracle_read, path)[1]
+        assert error.startswith(f"{path}:2: bad record: ")
 
     def test_seed_alone_tells_heads_apart(self, tmp_path):
         """One molecule and graph under two build seeds: each record keeps

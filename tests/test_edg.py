@@ -383,7 +383,32 @@ class TestMetrizeStack:
         assert d.shape == (0, 5, 5)
 
 
+def oracle_gram_embed(d):
+    """The embedding of one distance matrix, written per matrix."""
+    n = d.shape[0]
+    d2 = d**2
+    d0_sq = d2.mean(axis=1) - d2.sum() / (2.0 * n * n)
+    evals, evecs = np.linalg.eigh(0.5 * (d0_sq[:, None] + d0_sq[None, :] - d2))
+    order = np.argsort(evals)[::-1][: min(3, n)]
+    coords = np.zeros((n, 3))
+    coords[:, : len(order)] = evecs[:, order] * np.sqrt(np.clip(evals[order], 0.0, None))
+    return coords
+
+
 class TestGramEmbed:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), count=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_each_matrix_alone(self, n, count, seed):
+        """Each set of a stack, metrized within random bounds, embeds bit for
+        bit as the per-matrix oracle embeds it."""
+        rng = np.random.default_rng(seed)
+        bounds = [oracle_smooth(random_bounds(n, rng)) for _ in range(count)]
+        d = np.reshape([metrize(b, rng) for b in bounds], (count, n, n))
+        coords = edg._gram_stack(d)
+        assert coords.shape == (count, n, 3)
+        for x, dk in zip(coords, d):
+            assert x.tobytes() == oracle_gram_embed(dk).tobytes()
+
     def test_equilateral_triangle(self):
         d = np.ones((3, 3)) - np.eye(3)
         x = gram_embed(d)
@@ -705,7 +730,7 @@ def oracle_embed(elements, b: BoundsMatrix, rng, tol):
     except InconsistentBoundsError as e:
         return e
     coords, converged, violation, iterations = oracle_refine(
-        gram_embed(metrize(bounds, rng)), bounds, tol)
+        oracle_gram_embed(metrize(bounds, rng)), bounds, tol)
     try:
         Conformation(elements, coords)
     except GraphStructureError as e:
@@ -881,8 +906,8 @@ class TestGenerate:
         assert d["smoothing_rejections"] == {key: 2}
 
         # squeezed starts that two refine steps cannot fix
-        embed = edg.gram_embed
-        monkeypatch.setattr(edg, "gram_embed", lambda d: 0.5 * embed(d))
+        embed = edg._gram_stack
+        monkeypatch.setattr(edg, "_gram_stack", lambda d: 0.5 * embed(d))
         monkeypatch.setattr(edg, "REFINE_MAX_ITER", 2)
         [(_, capped)] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
         assert capped.n_iteration_capped == 2 and capped.n_converged == 0

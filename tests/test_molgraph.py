@@ -311,6 +311,87 @@ class TestExtractDistances:
                 Conformation(("C", "O"), [[0, 0, 0], [bad, 0, 0]])
 
 
+# what a drawn slice may do to one of its atoms
+SLICE_EDITS = ("copy", "underflow", "subnormal", "tiny", "nan", "inf", "-inf")
+
+
+@st.composite
+def position_stacks(draw):
+    """Stacks of 0-6 slices of 1-40 atoms with distinct coordinates. An atom
+    of a slice may take a NaN or an infinity, copy another atom, or copy it
+    with one coordinate moved off 0.0 by a gap that squares to 0.0 (1e-170),
+    to a subnormal (1e-160) or to a normal number (1e-150)."""
+    n = draw(st.integers(1, 40))
+    stack = draw(hnp.arrays(np.float64, (draw(st.integers(0, 6)), n, 3),
+                            elements=st.floats(-10, 10), unique=True))
+    for x in stack:
+        for edit in draw(st.lists(st.sampled_from(SLICE_EDITS), max_size=2)):
+            i, j, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+            if edit in ("nan", "inf", "-inf"):
+                x[i, c % 3] = float(edit)
+                continue
+            x[i] = x[j]
+            if edit != "copy":
+                x[j, c % 3] = 0.0
+                x[i, c % 3] = {"underflow": 1e-170, "subnormal": 1e-160, "tiny": 1e-150}[edit]
+    return stack
+
+
+class TestConformationStack:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=position_stacks())
+    def test_each_slice_as_alone(self, stack):
+        """Each slice gives what Conformation gives it alone, and what the
+        oracles judge: the same position bits, as a view of the stack, or
+        the same error text; and no RuntimeWarning."""
+        elements = ("C",) * stack.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = Conformation.stack(elements, stack)
+            assert len(stacked) == len(stack)
+            for x, got in zip(stack, stacked):
+                oracle = ("non-finite positions" if not np.isfinite(x).all() else
+                          "coincident atoms" if oracle_has_coincident_atoms(x) else None)
+                try:
+                    want = Conformation(elements, x)
+                except GraphStructureError as e:
+                    assert type(got) is GraphStructureError and str(got) == str(e)
+                    assert str(e) == f"conformation has {oracle}"
+                    continue
+                assert oracle is None
+                assert type(got) is Conformation and got.elements == want.elements
+                assert got.positions.tobytes() == want.positions.tobytes()
+                assert np.shares_memory(got.positions, stack)
+
+    def test_underflowing_gap_is_coincident(self):
+        x = np.array([[[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0]],
+                      [[0.0, 0.0, 0.0], [1e-160, 0.0, 0.0]]])
+        coincident, apart = Conformation.stack(("C", "C"), x)
+        assert str(coincident) == "conformation has coincident atoms"
+        assert apart.positions[1, 0] == 1e-160
+
+    def test_wrong_shape_fails_every_slice(self):
+        errors = Conformation.stack(("C", "O", "H"), np.zeros((2, 2, 3)))
+        assert [str(e) for e in errors] == \
+               ["positions shape (2, 3) does not match 3 atoms"] * 2
+
+    def test_stacked_distances_are_the_rows_of_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        g = random_tree(9, rng)
+        eg = build_extended_graph(g, seed=3)
+        confs = [random_conformation(g, rng) for _ in range(4)]
+        d = extract_distances(eg, confs)
+        assert d.shape == (4, eg.n_edges)
+        for row, x in zip(d, confs):
+            diff = x.positions[eg.src] - x.positions[eg.dst]
+            assert row.tobytes() == np.sqrt((diff**2).sum(axis=1)).tobytes()
+            assert row.tobytes() == extract_distances(eg, x).values.tobytes()
+        assert extract_distances(eg, []).shape == (0, eg.n_edges)
+
+    def test_graph_elements_are_built_once(self, propane_graph):
+        assert propane_graph.elements is propane_graph.elements
+
+
 def test_hop_distances_match_oracle(propane_graph):
     hops, _, _ = brute_force_shells(propane_graph)
     assert np.array_equal(graph_hop_distances(propane_graph), hops)

@@ -9,6 +9,13 @@ from hypothesis.extra import numpy as hnp
 from confgen import nnet
 from confgen.nnet import ShapeError, Tensor
 
+# float64 bit patterns: -0.0, the smallest and largest subnormals of both
+# signs, +-inf, a quiet NaN, negative and payload NaNs, and signalling NaNs
+SPECIAL_BITS = (0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                0x000FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8DEADBEEF0001,
+                0x7FF0000000000001, 0xFFF4000000000000)
+
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function, coordinate by coordinate."""
@@ -396,6 +403,25 @@ class TestCheckpoint:
             assert decoded[name].shape == a.shape and decoded[name].dtype == np.float64
             assert decoded[name].tobytes() == a.tobytes(), name
             assert decoded[name].flags.writeable
+
+    @settings(max_examples=50, deadline=None)
+    @given(bits=st.dictionaries(
+        st.text(min_size=1, max_size=8),
+        hnp.arrays(np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                               max_side=4),
+                   elements=st.integers(0, 2**64 - 1) | st.sampled_from(SPECIAL_BITS)),
+        max_size=3))
+    def test_codec_keeps_every_bit_pattern(self, bits):
+        """Any 64 bits read as a float64: every NaN payload and sign,
+        signalling NaNs, -0.0, subnormals and infinities, in arrays with
+        zero-size axes too."""
+        arrays = {name: b.view(np.float64) for name, b in bits.items()}
+        arrays["special"] = np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+        decoded = nnet.decode_arrays(json.loads(json.dumps(nnet.encode_arrays(arrays))))
+        assert decoded.keys() == arrays.keys()
+        for name, a in arrays.items():
+            assert decoded[name].shape == a.shape, name
+            assert decoded[name].view(np.uint64).tobytes() == a.view(np.uint64).tobytes()
 
     def test_reads_version_1_number_lists(self):
         a = np.random.default_rng(1).normal(size=(2, 3))
