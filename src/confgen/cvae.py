@@ -441,7 +441,8 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
     previous run saved, so a resumed run is bit-identical to an uninterrupted
     one. `log_fn` receives each epoch's history entry plus the per-record
     means of the training reconstruction and KL terms, `train_reconstruction`
-    and `train_kl`, which the history does not keep.
+    and `train_kl`, and the mean over the epoch's minibatches of the loss
+    gradient's L2 norm, `train_grad_norm`, which the history does not keep.
     """
     records = list(records)
     if not records:
@@ -479,8 +480,9 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         order = train_rng.permutation(len(train_items))
-        elbo_sum = recon_sum = kl_sum = 0.0
-        for lo in range(0, len(order), config.batch_size):
+        elbo_sum = recon_sum = kl_sum = grad_norm_sum = 0.0
+        batches = range(0, len(order), config.batch_size)
+        for lo in batches:
             batch = [train_items[i] for i in order[lo : lo + config.batch_size]]
             n_nodes = sum(eg.n_nodes for eg, _ in batch)
             noise = train_rng.standard_normal(n_nodes)
@@ -488,7 +490,7 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
             loss = nnet.scale(value, -1.0 / len(batch))
             nnet.zero_grads(params.parameters())
             nnet.backward(loss)
-            adam.step()
+            grad_norm_sum += adam.step()
             elbo_sum += value.item()
             recon_sum += recon.item()
             kl_sum += kl.item()
@@ -505,7 +507,8 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
             best_values = params.values()
         if log_fn is not None:
             log_fn({**entry, "train_reconstruction": recon_sum / len(train_items),
-                    "train_kl": kl_sum / len(train_items)})
+                    "train_kl": kl_sum / len(train_items),
+                    "train_grad_norm": grad_norm_sum / len(batches)})
 
     best_params = ModelParams(config, seed=0)
     best_params.set_values(best_values)
@@ -553,7 +556,12 @@ def save_model(path, params: ModelParams, train_state: dict | None = None) -> No
     extra = {"config": params.config.to_dict()}
     if train_state is not None:
         state = extra["train_state"] = dict(train_state)
-        if nnet.encode_arrays(state.pop("best")) != nnet.encode_arrays(values):
+        best = state.pop("best")
+        # bitwise, so a NaN payload or the sign of a zero counts
+        if best.keys() != values.keys() or any(
+                np.shape(best[name]) != a.shape or
+                np.asarray(best[name], dtype=np.float64).tobytes() != a.tobytes()
+                for name, a in values.items()):
             raise ValueError("the training state's best weights are not the weights saved")
         state["current"] = nnet.encode_arrays(state["current"])
         state["adam"] = {"t": state["adam"]["t"], **{

@@ -1,16 +1,19 @@
 """Minimal reverse-mode autodiff on float64 numpy buffers.
 
-Covers exactly what the distance model needs: dense layers with ReLU,
-elementwise math, concatenation, full-sum reduction, and row gather/scatter
-for message passing. Every operation whose inputs require gradients records
-parent links and a backward closure on its output; `backward` replays the
-recording once in reverse topological order and spends it as it goes, so
-afterwards only leaves (parameters) hold a gradient and recorded tensors hold
-no gradient, parents or closure. Inside `inference()` nothing is recorded. The graph operations (`matmul`, `rows`, `scatter_sum`, `concat`)
-take an optional leading sample axis, so one pass runs a stack of inputs
-through the same weights. An Adam optimizer and a JSON checkpoint container,
-whose one array codec is exact, round the module off; the optimizer's array
-update, `adam_update`, is also the step of `edg`'s coordinate refinement.
+Covers exactly what the distance model needs: dense layers, with the ReLU
+fused into the layer's one op (`matmul(..., relu=True)`), elementwise math,
+concatenation, full-sum reduction, and row gather/scatter for message passing.
+Every operation whose inputs require gradients records parent links and a
+backward closure on its output; `backward` replays the recording once in
+reverse topological order and spends it as it goes, so afterwards only leaves
+(parameters) hold a gradient and recorded tensors hold no gradient, parents or
+closure. Inside `inference()` nothing is recorded. The graph operations
+(`matmul`, `rows`, `scatter_sum`, `concat`) take an optional leading sample
+axis, so one pass runs a stack of inputs through the same weights. An Adam
+optimizer, which updates all its parameters as one flat array, and a JSON
+checkpoint container, whose one array codec is exact, round the module off;
+the optimizer's array update, `adam_update`, is also the step of `edg`'s
+coordinate refinement.
 """
 
 from __future__ import annotations
@@ -179,13 +182,17 @@ def scale(a, c: float) -> Tensor:
     return _result(a.data * c, (a,), grad_fn)
 
 
-def matmul(a, b, bias: Tensor | None = None) -> Tensor:
-    """Matrix product, plus `bias` on every row if given, as one op; `a` may
-    be a (S, rows, cols) stack of matrices.
+def matmul(a, b, bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """Matrix product, plus `bias` on every row if given, then max(., 0) if
+    `relu`, as one op; `a` may be a (S, rows, cols) stack of matrices.
 
     A stack multiplies slice by slice, so each slice gets exactly the product
-    it would get alone. The backward pass skips `g @ b.T` when `a` needs no
-    gradient.
+    it would get alone. The ReLU gives np.where(y > 0, y, 0.0)'s bits: NaN
+    and -0.0 become 0.0. It runs in place on the product, so the tape keeps
+    one buffer for the layer. The backward pass masks the incoming gradient
+    in place, which is safe because `backward` drops each tensor's gradient
+    once its closure has run and no two tensors share a gradient buffer; it
+    skips `g @ b.T` when `a` needs no gradient.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim not in (2, 3) or b.data.ndim != 2:
@@ -195,8 +202,13 @@ def matmul(a, b, bias: Tensor | None = None) -> Tensor:
     out = a.data @ b.data
     if bias is not None:
         out += bias.data
+    if relu:
+        np.fmax(out, 0.0, out=out)  # fmax, unlike maximum, maps NaN to 0.0
+        out += 0.0  # -0.0 + 0.0 is 0.0
 
     def grad_fn(g):
+        if relu:
+            g *= out > 0.0
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
@@ -204,18 +216,6 @@ def matmul(a, b, bias: Tensor | None = None) -> Tensor:
             _accumulate(bias, g, owned=False)
 
     return _result(out, (a, b) if bias is None else (a, b, bias), grad_fn)
-
-
-def relu(x) -> Tensor:
-    """max(x, 0) with np.where(x > 0, x, 0.0)'s bits: NaN and -0.0 give 0.0."""
-    x = _as_tensor(x)
-    out = np.fmax(x.data, 0.0)  # fmax, unlike maximum, maps NaN to 0.0
-    out += 0.0  # -0.0 + 0.0 is 0.0
-
-    def grad_fn(g):
-        _accumulate(x, g * (out > 0.0))
-
-    return _result(out, (x,), grad_fn)
 
 
 def exp(x) -> Tensor:
@@ -371,8 +371,8 @@ def zero_grads(tensors) -> None:
 
 
 class Dense:
-    """Affine layer, one `matmul` op, with He-style uniform fan-in
-    initialization.
+    """Affine layer, optionally followed by a ReLU, as one `matmul` op, with
+    He-style uniform fan-in initialization.
 
     `gain` scales the init limit; small gains keep a network's initial
     outputs near zero.
@@ -384,12 +384,13 @@ class Dense:
         self.weight = param(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         self.bias = param(np.zeros(fan_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return matmul(x, self.weight, self.bias, relu=relu)
 
 
 class Mlp:
-    """Dense stack with ReLU between layers and a linear output layer."""
+    """Dense stack with ReLU between layers and a linear output layer: one
+    op, and so one taped buffer, per layer."""
 
     def __init__(self, sizes, rng: np.random.Generator, out_gain: float = 1.0):
         if len(sizes) < 2:
@@ -399,7 +400,7 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers[:-1]:
-            x = relu(layer(x))
+            x = layer(x, relu=True)
         return self.layers[-1](x)
 
 
@@ -421,21 +422,37 @@ def adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 
 
 class Adam:
-    """Adam over a list of parameter tensors, one `adam_update` each per step,
-    from each parameter's `grad` (a zero gradient where that is None)."""
+    """Adam over a list of parameter tensors, from each parameter's `grad` (a
+    zero gradient where that is None).
+
+    A step is one `adam_update` over all parameters laid end to end. The
+    moments live in two flat arrays; `m` and `v` are lists of per-parameter
+    views of them. The parameters keep their own arrays (a checkpoint load
+    may rebind them), so a step gathers them and writes them back.
+    """
 
     def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([0] + [p.data.size for p in self.params])
+        self._slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self._m, self._v = np.zeros(ends[-1]), np.zeros(ends[-1])
+        self.m = [self._m[s].reshape(p.data.shape) for p, s in zip(self.params, self._slices)]
+        self.v = [self._v[s].reshape(p.data.shape) for p, s in zip(self.params, self._slices)]
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """One update; returns the L2 norm of the gradient it applied, summed
+        elementwise, so it does not depend on the BLAS thread count."""
         self.t += 1
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            adam_update(p.data, g, m, v, self.t, self.lr)
+        # the trailing empty array lets concatenate take an empty parameter list
+        x = np.concatenate([p.data.ravel() for p in self.params] + [np.zeros(0)])
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                            for p in self.params] + [np.zeros(0)])
+        adam_update(x, g, self._m, self._v, self.t, self.lr)
+        for p, s in zip(self.params, self._slices):
+            p.data[...] = x[s].reshape(p.data.shape)
+        return float(np.sqrt(np.sum(g * g)))
 
     def state_dict(self) -> dict:
         return {
@@ -450,8 +467,9 @@ class Adam:
                 [np.shape(v) for v in state["v"]] != shapes:
             raise ShapeError(f"optimizer moments do not match the {len(shapes)} parameters")
         self.t = int(state["t"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
+        for views, stored in ((self.m, state["m"]), (self.v, state["v"])):
+            for view, a in zip(views, stored):
+                view[...] = np.asarray(a, dtype=np.float64)
 
 
 CHECKPOINT_FORMAT = "confgen-params"

@@ -338,14 +338,28 @@ class TestTrain:
         with pytest.raises(ShapeError):
             cvae.train([], cvae.CvaeConfig(), seed=0)
 
-    def test_log_gets_reconstruction_and_kl_means(self):
+    def test_log_gets_reconstruction_and_kl_means(self, monkeypatch):
         records = toy_records(n_molecules=3, n_conf=10)
         config = cvae.CvaeConfig(hidden=8, readout_hidden=8, node_state=4,
                                  edge_state=4, epochs=2, batch_size=8)
-        logged = []
+        logged, norms = [], []
+        step = nnet.Adam.step
+
+        def recorded_step(adam):
+            norms.append(step(adam))
+            return norms[-1]
+
+        monkeypatch.setattr(nnet.Adam, "step", recorded_step)
         result = cvae.train(records, config, seed=9, log_fn=logged.append)
         assert [list(e) for e in logged] == [
-            ["epoch", "train_elbo", "val_elbo", "train_reconstruction", "train_kl"]] * 2
+            ["epoch", "train_elbo", "val_elbo", "train_reconstruction", "train_kl",
+             "train_grad_norm"]] * 2
+        batches = len(norms) // 2
+        assert len(norms) == 2 * batches and batches > 1
+        for epoch, entry in enumerate(logged):
+            # the mean over the epoch's minibatches of the norm Adam applied
+            epoch_norms = norms[epoch * batches:(epoch + 1) * batches]
+            assert entry["train_grad_norm"] == sum(epoch_norms) / batches > 0
         for entry, kept in zip(logged, result.history):
             assert kept == {k: entry[k] for k in ("epoch", "train_elbo", "val_elbo")}
             assert entry["train_kl"] > 0
@@ -531,6 +545,32 @@ class TestModelParams:
         for key in "mv":
             assert [a.tobytes() for a in loaded_state["adam"][key]] == \
                    [a.tobytes() for a in state["adam"][key]]
+
+    @pytest.mark.parametrize("weight_bits, best_bits", [
+        (0x7FF8000000000000, 0x7FF8DEADBEEF0001),
+        (0x0000000000000000, 0x8000000000000000),
+    ], ids=["nan-payload", "zero-sign"])
+    def test_best_weights_must_be_the_weights_bit_for_bit(
+            self, tmp_path, small_instance, weight_bits, best_bits):
+        """The state's best weights are not stored, so save_model rejects
+        best weights that differ from the weights in one bit pattern only,
+        though they compare equal (zeros) or both NaN."""
+        p, _, _ = small_instance
+        values = p.values()
+        name = next(n for n in values if n.endswith("weight"))
+        values[name].view(np.uint64).flat[0] = weight_bits
+        p.set_values(values)
+        best = p.values()
+        best[name].view(np.uint64).flat[0] = best_bits
+        state = {"epoch": 1, "current": p.values(),
+                 "adam": nnet.Adam(p.parameters()).state_dict(),
+                 "rng": np.random.default_rng(0).bit_generator.state, "history": [],
+                 "best": best, "best_val_elbo": -1.0, "best_epoch": 1}
+        with pytest.raises(ValueError, match="best weights"):
+            cvae.save_model(tmp_path / "model.json", p, train_state=state)
+        cvae.save_model(tmp_path / "model.json", p, train_state={**state, "best": values})
+        _, loaded = cvae.load_model(tmp_path / "model.json")
+        assert loaded["best"][name].tobytes() == values[name].tobytes()
 
     @pytest.mark.parametrize("with_state", [False, True])
     def test_version_1_checkpoint_loads_bitwise(self, tmp_path, with_state):

@@ -39,8 +39,8 @@ def mlp_parameters(mlp):
 
 class TestForwardPrimitives:
     def test_relu(self):
-        out = nnet.relu(Tensor([-1.0, 0.0, 2.0]))
-        assert out.data.tolist() == [0.0, 0.0, 2.0]
+        out = nnet.matmul(Tensor([[-1.0, 0.0, 2.0]]), Tensor(np.eye(3)), relu=True)
+        assert out.data.tolist() == [[0.0, 0.0, 2.0]]
 
     def test_matmul_identity(self):
         v = np.array([[1.0], [2.0], [3.0]])
@@ -74,9 +74,9 @@ class TestForwardPrimitives:
 
 class TestBackward:
     def test_relu_sum_gradient(self):
-        x = nnet.param(np.array([-1.0, 2.0]))
-        nnet.backward(nnet.tsum(nnet.relu(x)))
-        assert x.grad.tolist() == [0.0, 1.0]
+        x = nnet.param(np.array([[-1.0, 2.0]]))
+        nnet.backward(nnet.tsum(nnet.matmul(x, Tensor(np.eye(2)), relu=True)))
+        assert x.grad.tolist() == [[0.0, 1.0]]
 
     def test_square_gradient(self):
         x = nnet.param(np.array(3.0))
@@ -167,8 +167,8 @@ class TestSampleAxis:
 
         def loss():
             h = nnet.concat([side, nnet.rows(x, idx)], axis=-1)  # (3, 4, 3)
-            h = nnet.scatter_sum(nnet.matmul(h, w), idx, 4)  # (3, 4, 2)
-            return nnet.tsum(nnet.square(nnet.relu(h)))
+            h = nnet.scatter_sum(nnet.matmul(h, w, relu=True), idx, 4)  # (3, 4, 2)
+            return nnet.tsum(nnet.square(h))
 
         nnet.backward(loss())
         for t in (x, w, side):
@@ -203,6 +203,15 @@ def _wide_normal(rng, shape):
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
 
 
+def _with_specials(rng, shape):
+    """`_wide_normal` values, about a quarter of them replaced by +-0.0, NaN
+    or +-inf."""
+    x = _wide_normal(rng, shape)
+    special = rng.random(shape) < 0.25
+    x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], special.sum())
+    return x
+
+
 class TestExactOps:
     """The fused and bincount ops give their references' bits: forward values
     and every gradient, of matrices and of stacks."""
@@ -228,18 +237,29 @@ class TestExactOps:
             assert got.grad.shape == want.grad.shape
             assert got.grad.tobytes() == want.grad.tobytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(x0=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
-                         elements=st.sampled_from([0.0, -0.0]) |
-                         st.floats(allow_nan=True, allow_infinity=True)))
-    def test_relu_matches_where(self, x0):
-        x = nnet.param(x0)
-        out = nnet.relu(x)
-        assert out.data.tobytes() == np.where(x0 > 0, x0, 0.0).tobytes()
-        weights = np.random.default_rng(0).normal(size=x0.shape)
-        with np.errstate(invalid="ignore"):  # the loss may be inf - inf
-            nnet.backward(nnet.tsum(nnet.mul(out, Tensor(weights))))
-        assert x.grad.tobytes() == (weights * (x0 > 0)).tobytes()
+    @settings(max_examples=80, deadline=None)
+    @given(stack=st.integers(0, 3), n=st.integers(1, 6), fan_in=st.integers(1, 5),
+           fan_out=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_relu_matches_where(self, stack, n, fan_in, fan_out, seed):
+        """matmul(..., relu=True) against the unfused matmul: its values are
+        np.where(y > 0, y, 0.0) of the unfused output y, and its gradients
+        are the unfused backward's, fed the incoming gradient g * (out > 0)."""
+        rng = np.random.default_rng(seed)
+        lead = (stack,) if stack else ()
+        arrays = [_with_specials(rng, shape) for shape in
+                  (lead + (n, fan_in), (fan_in, fan_out), (fan_out,))]
+        a, b, bias = (nnet.param(v.copy()) for v in arrays)
+        ar, br, biasr = (nnet.param(v.copy()) for v in arrays)
+        g = _wide_normal(rng, lead + (n, fan_out))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+            out = nnet.matmul(a, b, bias, relu=True)
+            y = nnet.matmul(ar, br, biasr)
+            assert out.data.tobytes() == np.where(y.data > 0, y.data, 0.0).tobytes()
+            nnet.backward(nnet.tsum(nnet.mul(out, Tensor(g))))
+            nnet.backward(nnet.tsum(nnet.mul(y, Tensor(g * (out.data > 0.0)))))
+        for got, want in ((a, ar), (b, br), (bias, biasr)):
+            assert got.grad.shape == want.grad.shape
+            assert got.grad.tobytes() == want.grad.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(stack=st.integers(0, 3), n=st.integers(1, 6), width=st.integers(1, 4),
@@ -270,22 +290,38 @@ class TestExactOps:
         assert e.grad.tobytes() == g_sum[at].tobytes()
 
 
+def recorded_tensors(out):
+    """The tensors that `out`'s tape recorded (those with a backward closure),
+    and the leaves it reaches that require a gradient."""
+    seen, todo = {}, [out]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t._parents)
+    return ([t for t in seen.values() if t._grad_fn is not None],
+            [t for t in seen.values() if t._grad_fn is None and t.requires_grad])
+
+
 class TestTape:
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["matrix", "stack"])
+    def test_mlp_records_one_tensor_per_layer(self, layers, lead):
+        # the ReLU is fused into its layer's op, so a hidden layer leaves one
+        # buffer on the tape, not a pre-activation as well
+        rng = np.random.default_rng(layers)
+        mlp = nnet.Mlp((3,) + (4,) * layers, rng)
+        recorded, _ = recorded_tensors(mlp(nnet.param(rng.normal(size=lead + (5, 3)))))
+        assert len(recorded) == len(mlp.layers) == layers
+
     def test_backward_spends_the_tape(self):
         rng = np.random.default_rng(3)
-        mlp = nnet.Mlp((3, 5, 2), rng)
+        mlp = nnet.Mlp((3, 5, 5, 2), rng)
         x = nnet.param(rng.normal(size=(4, 3)))
         idx = np.array([0, 2, 2, 1])
         h = nnet.scatter_sum(mlp(nnet.rows(x, idx)), idx, 4)
         loss = nnet.tsum(nnet.square(nnet.concat([h, nnet.exp(x)], axis=-1)))
-        seen, todo = {}, [loss]
-        while todo:
-            t = todo.pop()
-            if id(t) not in seen:
-                seen[id(t)] = t
-                todo.extend(t._parents)
-        recorded = [t for t in seen.values() if t._grad_fn is not None]
-        leaves = [t for t in seen.values() if t._grad_fn is None and t.requires_grad]
+        recorded, leaves = recorded_tensors(loss)
         assert len(recorded) > 8 and set(map(id, leaves)) == \
             set(map(id, [x, *mlp_parameters(mlp)]))
 
@@ -313,7 +349,7 @@ class TestInference:
     def test_records_no_tape(self):
         w = nnet.param(np.ones((2, 2)))
         with nnet.inference():
-            out = nnet.tsum(nnet.relu(nnet.matmul(Tensor(np.ones((3, 2))), w)))
+            out = nnet.tsum(nnet.matmul(Tensor(np.ones((3, 2))), w, relu=True))
         assert out.item() == 12.0
         assert (out.requires_grad, out._parents, out._grad_fn) == (False, (), None)
         taped = nnet.tsum(nnet.matmul(Tensor(np.ones((3, 2))), w))
@@ -338,6 +374,17 @@ class TestInference:
         worker.join()
         assert seen == {"other": True, "inside": False}
         assert nnet.mul(w, 2.0).requires_grad
+
+
+def oracle_adam(start, grads, lr):
+    """Adam written out per parameter, one `adam_update` each per step, with a
+    zero gradient where a step's gradient is None: (weights, m, v)."""
+    x = [a.copy() for a in start]
+    m, v = [np.zeros_like(a) for a in start], [np.zeros_like(a) for a in start]
+    for t, step in enumerate(grads, 1):
+        for xi, gi, mi, vi in zip(x, step, m, v):
+            nnet.adam_update(xi, np.zeros_like(xi) if gi is None else gi, mi, vi, t, lr)
+    return x, m, v
 
 
 class TestAdam:
@@ -374,6 +421,45 @@ class TestAdam:
         assert fresh.t == adam.t
         assert np.array_equal(fresh.m[0], adam.m[0])
         assert np.array_equal(fresh.v[0], adam.v[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                           min_size=1, max_size=4),
+           steps=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_steps_match_per_parameter_updates(self, shapes, steps, seed, data):
+        """The flat step against one `adam_update` per parameter, bit for bit,
+        straight through and resumed from `state_dict` after step `cut`; it
+        returns the norm of the gradient it applied."""
+        shapes = [*shapes, (0, 3)]  # a zero-size parameter
+        rng = np.random.default_rng(seed)
+        start = [np.array(_wide_normal(rng, shape)) for shape in shapes]
+        grads = [[np.array(_wide_normal(rng, shape)) for shape in shapes]
+                 for _ in range(steps)]
+        grads[1][data.draw(st.integers(0, len(shapes) - 1))] = None
+        want_x, want_m, want_v = oracle_adam(start, grads, lr=0.01)
+
+        cut = data.draw(st.integers(1, steps - 1))
+        for interrupted in (False, True):
+            params = [nnet.param(a.copy()) for a in start]
+            adam = nnet.Adam(params, lr=0.01)
+            for k, step in enumerate(grads):
+                if interrupted and k == cut:
+                    # what `train --resume` does: fresh arrays and a fresh Adam
+                    state = adam.state_dict()
+                    params = [nnet.param(p.data.copy()) for p in params]
+                    adam = nnet.Adam(params, lr=0.01)
+                    adam.load_state_dict(state)
+                for p, g in zip(params, step):
+                    p.grad = g
+                norm = adam.step()
+                flat = np.concatenate([np.zeros(a.size) if g is None else g.ravel()
+                                       for a, g in zip(start, step)])
+                assert norm == pytest.approx(np.linalg.norm(flat), rel=1e-12)
+            assert adam.t == steps
+            for got, want in ((params, want_x), (adam.m, want_m), (adam.v, want_v)):
+                got = [t.data if isinstance(t, Tensor) else t for t in got]
+                assert [a.shape for a in got] == [a.shape for a in want]
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestCheckpoint:
