@@ -184,29 +184,19 @@ def _cmd_generate(args) -> int:
     graphs = dataio.extended_graphs(records)
     molecules = sorted(grouped)
 
-    outcomes = edg.generate(
+    outcomes = dict(zip(molecules, edg.generate(
         params, [(graphs[mol], np.random.SeedSequence(args.seed, spawn_key=(i,)))
-                 for i, mol in enumerate(molecules)], args.n, tol=args.tol)
+                 for i, mol in enumerate(molecules)], args.n, tol=args.tol)))
 
     out_records = [
         dataio.DatasetRecord(mol, grouped[mol][0], grouped[mol][1], r.conformation)
-        for mol, (results, _) in zip(molecules, outcomes)
-        for r in results
+        for mol in molecules for r in outcomes[mol] if isinstance(r, edg.EmbedResult)
     ]
     dataio.write_dataset(args.out, out_records)
 
     # records follow the sorted stream order, the report the data file's order
-    reports = {mol: report for mol, (_, report) in zip(molecules, outcomes)}
-    report = {
-        "molecules": len(grouped),
-        "requested_per_molecule": args.n,
-        **edg.EmbedBatchReport.merged(reports[mol] for mol in grouped).as_dict(),
-        "per_molecule_success": {mol: reports[mol].n_converged for mol in grouped},
-        # replaces the merged count: atom indices are per graph, so rejected
-        # pairs are kept per molecule
-        "smoothing_rejections": {mol: reports[mol].smoothing_rejections
-                                 for mol in grouped},
-    }
+    report = {"molecules": len(grouped), "requested_per_molecule": args.n,
+              **edg.generate_report({mol: outcomes[mol] for mol in grouped})}
     report_path = args.report or f"{args.out}.report.json"
     Path(report_path).write_text(json.dumps(report, indent=2), encoding="utf-8")
     print(json.dumps(report))

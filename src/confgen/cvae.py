@@ -570,22 +570,16 @@ def save_model(path, params: ModelParams, train_state: dict | None = None) -> No
 
 
 def load_model(path) -> tuple[ModelParams, dict | None]:
-    """Load a checkpoint of version 1 or 2; returns (params, train_state or
-    None), where the state's `best` weights are `params`. UsageError names
-    `path` when the file is not a checkpoint of this model."""
+    """Load a version 2 checkpoint; returns (params, train_state or None),
+    where the state's `best` weights are `params`. UsageError names `path`
+    when the file is not a checkpoint of this model."""
     try:
-        arrays, extra, version = nnet.load_checkpoint(path)
+        arrays, extra = nnet.load_checkpoint(path)
         params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
         params.set_values(arrays)
         state = extra.get("train_state")
         if state is not None:
             state, adam = dict(state), state["adam"]
-            if version == 1:  # moments as bare lists by position, and a copy of params
-                del state["best"]
-                adam = {"t": adam["t"], **{key: {
-                    name: {"shape": list(t.shape), "data": m}
-                    for (name, t), m in zip(params.named_parameters().items(), adam[key])}
-                    for key in "mv"}}
             state["current"] = params.checked(nnet.decode_arrays(state["current"]),
                                               "current weights")
             state["adam"] = {"t": adam["t"], **{

@@ -13,7 +13,7 @@ refined against a hinge penalty on bound violations. One function,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -516,73 +516,6 @@ def embed_conformation(eg: ExtendedGraph, ged: GaussianEdgeDist,
     return result
 
 
-@dataclass
-class EmbedBatchReport:
-    """Outcome statistics for a batch of embedding attempts.
-
-    `n_smoothing_ok` counts the samples kept; `n_degenerate` those that passed
-    smoothing but were dropped because refinement left two atoms on one point.
-    `violations` and `iterations` list the kept samples' final largest bound
-    violation and refine step count; `n_iteration_capped` counts the kept
-    samples that used all REFINE_MAX_ITER steps without converging.
-    `smoothing_rejections` counts, per atom pair "i-j" (i < j), the samples
-    that smoothing rejected at that pair.
-    """
-
-    n_samples: int
-    n_smoothing_ok: int
-    n_degenerate: int
-    n_converged: int
-    violations: list
-    iterations: list = field(default_factory=list)
-    n_iteration_capped: int = 0
-    smoothing_rejections: dict = field(default_factory=dict)
-
-    @classmethod
-    def merged(cls, reports) -> "EmbedBatchReport":
-        """One report over several batches; lists keep the given order and
-        rejection counts of equally named pairs add up."""
-        reports = list(reports)
-        rejections = Counter()
-        for r in reports:
-            rejections.update(r.smoothing_rejections)
-        return cls(
-            n_samples=sum(r.n_samples for r in reports),
-            n_smoothing_ok=sum(r.n_smoothing_ok for r in reports),
-            n_degenerate=sum(r.n_degenerate for r in reports),
-            n_converged=sum(r.n_converged for r in reports),
-            violations=[v for r in reports for v in r.violations],
-            iterations=[i for r in reports for i in r.iterations],
-            n_iteration_capped=sum(r.n_iteration_capped for r in reports),
-            smoothing_rejections=dict(rejections),
-        )
-
-    @property
-    def smoothing_rate(self) -> float:
-        return self.n_smoothing_ok / self.n_samples if self.n_samples else 0.0
-
-    @property
-    def convergence_rate(self) -> float:
-        return self.n_converged / self.n_samples if self.n_samples else 0.0
-
-    def as_dict(self) -> dict:
-        v = np.asarray(self.violations, dtype=np.float64)
-        return {
-            "n_samples": self.n_samples,
-            "n_smoothing_ok": self.n_smoothing_ok,
-            "n_degenerate": self.n_degenerate,
-            "n_converged": self.n_converged,
-            "smoothing_rate": self.smoothing_rate,
-            "convergence_rate": self.convergence_rate,
-            "mean_max_violation": float(v.mean()) if v.size else 0.0,
-            "worst_violation": float(v.max()) if v.size else 0.0,
-            "mean_refine_iterations":
-                float(np.mean(self.iterations)) if self.iterations else 0.0,
-            "n_iteration_capped": self.n_iteration_capped,
-            "smoothing_rejections": dict(self.smoothing_rejections),
-        }
-
-
 def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
     """Draw `n` independent conformations of each graph from the model's prior.
 
@@ -599,9 +532,10 @@ def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
     every sample exactly the values it would get alone, so sample k of a
     graph depends neither on n nor on the other jobs.
 
-    Returns one (results, report) per job, in order, where `results` holds an
-    EmbedResult for every sample that passed smoothing and kept its atoms
-    apart, in sample order.
+    Returns one list of n outcomes per job, in order, one per sample in
+    sample order: an EmbedResult for a sample that passed smoothing and kept
+    its atoms apart, else the InconsistentBoundsError or GraphStructureError
+    that dropped it (`generate_report` sums them up).
     """
     def stacks():
         for eg, seed in jobs:
@@ -611,21 +545,43 @@ def generate(params: cvae.ModelParams, jobs, n: int, tol: float = 1e-3) -> list:
             ged = cvae.decode(params, eg, latents.reshape(n, eg.n_nodes))  # n may be 0
             yield (eg.source_graph.elements, *_bounds_stack(eg, ged), rngs)
 
-    reports = []
-    for samples in _embed_stacks(stacks(), tol):
-        results = [s for s in samples if isinstance(s, EmbedResult)]
-        rejected = Counter("-".join(map(str, sorted(s.pair))) for s in samples
-                           if isinstance(s, InconsistentBoundsError))
-        report = EmbedBatchReport(
-            n_samples=n,
-            n_smoothing_ok=len(results),
-            n_degenerate=sum(isinstance(s, GraphStructureError) for s in samples),
-            n_converged=sum(r.converged for r in results),
-            violations=[r.max_violation for r in results],
-            iterations=[r.iterations for r in results],
-            n_iteration_capped=sum(not r.converged and r.iterations >= REFINE_MAX_ITER
-                                   for r in results),
-            smoothing_rejections=dict(rejected),
-        )
-        reports.append((results, report))
-    return reports
+    return _embed_stacks(stacks(), tol)
+
+
+def generate_report(outcomes: dict) -> dict:
+    """The report body over {molecule: outcomes of `generate`}, whose order
+    the lists and per-molecule entries keep.
+
+    Kept samples are the EmbedResults; `n_degenerate` counts the samples
+    that passed smoothing but whose refined atoms coincide, and
+    `n_iteration_capped` the kept samples that used all REFINE_MAX_ITER
+    steps without converging. Rejected atom pairs are counted per molecule,
+    as "i-j" (i < j) keys, since atom numbers are per graph.
+    """
+    kept = {mol: [o for o in samples if isinstance(o, EmbedResult)]
+            for mol, samples in outcomes.items()}
+    results = [r for rs in kept.values() for r in rs]
+    n_samples = sum(len(samples) for samples in outcomes.values())
+    n_converged = sum(r.converged for r in results)
+    v = np.asarray([r.max_violation for r in results], dtype=np.float64)
+    return {
+        "n_samples": n_samples,
+        "n_smoothing_ok": len(results),
+        "n_degenerate": sum(isinstance(o, GraphStructureError)
+                            for samples in outcomes.values() for o in samples),
+        "n_converged": n_converged,
+        "smoothing_rate": len(results) / n_samples if n_samples else 0.0,
+        "convergence_rate": n_converged / n_samples if n_samples else 0.0,
+        "mean_max_violation": float(v.mean()) if v.size else 0.0,
+        "worst_violation": float(v.max()) if v.size else 0.0,
+        "mean_refine_iterations":
+            float(np.mean([r.iterations for r in results])) if results else 0.0,
+        "n_iteration_capped": sum(not r.converged and r.iterations >= REFINE_MAX_ITER
+                                  for r in results),
+        "smoothing_rejections": {
+            mol: dict(Counter("-".join(map(str, sorted(o.pair))) for o in samples
+                              if isinstance(o, InconsistentBoundsError)))
+            for mol, samples in outcomes.items()},
+        "per_molecule_success": {mol: sum(r.converged for r in rs)
+                                 for mol, rs in kept.items()},
+    }

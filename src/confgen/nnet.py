@@ -413,12 +413,24 @@ ADAM_EPS = 1e-8
 def adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 t: int, lr: float) -> None:
     """Adam step number `t` (from 1) with gradient `g`, in place: the moments
-    `m` and `v` and then `x` move, with bias correction."""
+    `m` and `v` and then `x` move, with bias correction. Two scratch arrays
+    carry the terms of x -= lr * (m / c1) / (sqrt(v / c2) + eps), computed in
+    that order."""
+    # out= keeps a 0-d product an array, which the later out= calls need
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1, out=np.empty(np.shape(m)))
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += scratch
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= g
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    x -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    v += scratch
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step = np.divide(m, 1.0 - ADAM_BETA1**t)
+    step *= lr
+    step /= scratch
+    x -= step
 
 
 class Adam:
@@ -473,7 +485,7 @@ class Adam:
 
 
 CHECKPOINT_FORMAT = "confgen-params"
-CHECKPOINT_VERSION = 2  # version 1 stored array data as JSON number lists
+CHECKPOINT_VERSION = 2
 
 
 def encode_arrays(arrays: dict) -> dict:
@@ -486,14 +498,12 @@ def encode_arrays(arrays: dict) -> dict:
 
 
 def decode_arrays(doc: dict) -> dict:
-    """Inverse of encode_arrays; it also reads version 1 entries, whose data is
-    a list of numbers. ValueError names an entry that is not an array."""
+    """Inverse of encode_arrays; ValueError names an entry that is not an
+    array."""
     arrays = {}
     for name, entry in dict(doc).items():
         try:
-            data = entry["data"]
-            a = (np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
-                 if isinstance(data, str) else np.asarray(data, dtype=np.float64))
+            a = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype="<f8")
             arrays[name] = a.astype(np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
             detail = f"no {e}" if isinstance(e, KeyError) else e
@@ -512,12 +522,12 @@ def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def load_checkpoint(path) -> tuple[dict, dict, int]:
-    """(arrays, extra, version) of a version 1 or 2 checkpoint; ValueError if
-    the file is not one."""
+def load_checkpoint(path) -> tuple[dict, dict]:
+    """(arrays, extra) of a version 2 checkpoint; ValueError if the file is
+    not one."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") not in (1, CHECKPOINT_VERSION):
+    if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    return decode_arrays(doc["params"]), doc.get("extra", {}), doc["version"]
+    return decode_arrays(doc["params"]), doc.get("extra", {})

@@ -35,33 +35,6 @@ def propane_graph():
     return molgraph.MolGraph.from_elements("CCCHHHHHHHH", bonds)
 
 
-def save_model_v1(path, params, train_state=None) -> None:
-    """Write a version 1 checkpoint, as the last writer of that version did:
-    every array as a JSON number list, the Adam moments as bare nested lists
-    by parameter position, and the best weights a second time."""
-    def entries(arrays):
-        return {name: {"shape": list(a.shape), "data": a.ravel().tolist()}
-                for name, a in arrays.items()}
-
-    extra = {"config": params.config.to_dict()}
-    if train_state is not None:
-        s = train_state
-        extra["train_state"] = {
-            "epoch": s["epoch"],
-            "current": entries(s["current"]),
-            "adam": {"t": s["adam"]["t"], "m": [m.tolist() for m in s["adam"]["m"]],
-                     "v": [v.tolist() for v in s["adam"]["v"]]},
-            "rng": s["rng"],
-            "history": s["history"],
-            "best": entries(s["best"]),
-            "best_val_elbo": s["best_val_elbo"],
-            "best_epoch": s["best_epoch"],
-        }
-    doc = {"format": "confgen-params", "version": 1,
-           "params": entries(params.values()), "extra": extra}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
 def random_tree(n: int, rng: np.random.Generator) -> molgraph.MolGraph:
     """Random labeled tree by attaching each node to an earlier one."""
     elements = rng.choice(["C", "O", "H"], size=n)

@@ -221,9 +221,9 @@ def _idealized_baseline_means(train_pairs, eg):
 
 
 def _generate_distance_rows(params, eg, n, seed):
-    [(results, _)] = edg.generate(params, [(eg, np.random.SeedSequence(seed))], n)
+    [samples] = edg.generate(params, [(eg, np.random.SeedSequence(seed))], n)
     return np.stack([molgraph.extract_distances(eg, r.conformation).values
-                     for r in results])
+                     for r in samples if isinstance(r, edg.EmbedResult)])
 
 
 def _embed_fixed_distance_rows(means, eg, n, seed):
@@ -301,8 +301,8 @@ def test_criterion_8_importance_sampling(single_bond_system, single_bond_model,
                                 proposals_any, model, cfg)
     assert one.value == 1.0
 
-    [(results, report)] = edg.generate(params, [(eg, np.random.SeedSequence(800))], 50)
-    assert report.n_smoothing_ok == 50
+    [results] = edg.generate(params, [(eg, np.random.SeedSequence(800))], 50)
+    assert sum(isinstance(r, edg.EmbedResult) for r in results) == 50
     proposals = [r.conformation for r in results]
     obs = boltzmann.observable_by_name("distance:0-1")
     estimate = boltzmann.is_estimate(obs, proposals, model, cfg)

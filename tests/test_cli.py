@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from confgen import cvae, dataio, edg
+from confgen import dataio, edg
 from confgen.cli import main
 
-from conftest import save_model_v1, toy10_spec
+from conftest import toy10_spec
 
 FAST_CONFIG = {
     "hidden": 10,
@@ -238,22 +238,6 @@ class TestTrain:
         assert "moments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_resume_from_version_1_matches_version_2(self, workspace, tmp_path):
-        _, _, data_path, config_path, _ = workspace
-        half = tmp_path / "half.json"
-        assert main(["train", str(data_path), str(half), "--config", str(config_path),
-                     "--epochs", "2", "--seed", "9"]) == 0
-        half_v1 = tmp_path / "half_v1.json"
-        save_model_v1(half_v1, *cvae.load_model(half))
-        outs = []
-        for start in (half, half_v1):
-            out = tmp_path / f"resumed_{start.stem}.json"
-            assert main(["train", str(data_path), str(out), "--resume", str(start),
-                         "--epochs", "4", "--seed", "9"]) == 0
-            outs.append(json.loads(out.read_text()))
-        assert outs[0]["version"] == 2
-        assert outs[0] == outs[1]  # the params, the train state and the config
-
     def test_resume_below_checkpoint_epoch_exits_2(self, workspace, tmp_path, capsys):
         # was exit 0 with an empty metrics file and a train state at epoch 1
         # holding 3 epochs of history
@@ -368,6 +352,7 @@ class TestGenerate:
         # each was exit 1, apart from "no config" (a KeyError traceback)
         ("not json", "Expecting value"),
         ("foreign", "not a confgen-params file"),
+        ("version 1", "unsupported checkpoint version 1"),
         ("version 3", "unsupported checkpoint version 3"),
         ("no config", "no 'config'"),
         ("bad config", "hidden must be an integer >= 1, got 0"),
@@ -382,8 +367,8 @@ class TestGenerate:
         first = doc["params"]["enc.node_embed.0.weight"]
         if case == "foreign":
             doc["format"] = "something-else"
-        elif case == "version 3":
-            doc["version"] = 3
+        elif case in ("version 1", "version 3"):
+            doc["version"] = int(case[-1])
         elif case == "no config":
             del doc["extra"]["config"]
         elif case == "bad config":

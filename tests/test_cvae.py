@@ -1,4 +1,3 @@
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -12,7 +11,7 @@ from confgen.errors import NumericalError
 from confgen.molgraph import MolGraph, build_extended_graph, extract_distances
 from confgen.nnet import ShapeError
 
-from conftest import random_conformation, random_tree, save_model_v1
+from conftest import random_conformation, random_tree
 from test_nnet import SPECIAL_BITS
 
 SMALL = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5, edge_state=5)
@@ -571,40 +570,6 @@ class TestModelParams:
         cvae.save_model(tmp_path / "model.json", p, train_state={**state, "best": values})
         _, loaded = cvae.load_model(tmp_path / "model.json")
         assert loaded["best"][name].tobytes() == values[name].tobytes()
-
-    @pytest.mark.parametrize("with_state", [False, True])
-    def test_version_1_checkpoint_loads_bitwise(self, tmp_path, with_state):
-        records = toy_records(n_molecules=2, n_conf=4)
-        config = cvae.CvaeConfig(hidden=6, readout_hidden=6, node_state=3,
-                                 edge_state=3, epochs=2, batch_size=4)
-        result = cvae.train(records, config, seed=5)
-        state = result.state if with_state else None
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        save_model_v1(v1, result.params, train_state=state)
-        cvae.save_model(v2, result.params, train_state=state)
-        assert json.loads(v1.read_text())["version"] == 1
-        old, old_state = cvae.load_model(v1)
-        new, new_state = cvae.load_model(v2)
-        for name, t in new.named_parameters().items():
-            assert old.named_parameters()[name].data.tobytes() == t.data.tobytes()
-        if not with_state:
-            assert old_state is None and new_state is None
-            return
-        assert list(old_state) == list(new_state)
-        for key in ("current", "best"):
-            assert old_state[key].keys() == new_state[key].keys()
-            for name, a in new_state[key].items():
-                assert old_state[key][name].tobytes() == a.tobytes(), (key, name)
-        for key in ("m", "v"):
-            for a, b in zip(old_state["adam"][key], new_state["adam"][key], strict=True):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        for key in ("epoch", "rng", "history", "best_val_elbo", "best_epoch"):
-            assert old_state[key] == new_state[key]
-        assert old_state["adam"]["t"] == new_state["adam"]["t"]
-        # loading a version 1 file and saving it writes version 2
-        again = tmp_path / "again.json"
-        cvae.save_model(again, old, train_state=old_state)
-        assert again.read_bytes() == v2.read_bytes()
 
     def test_copy_is_independent(self, small_instance):
         p, _, _ = small_instance

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,7 @@ from confgen.errors import DomainError
 from confgen.nnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from confgen.edg import (
     BoundsMatrix,
+    EmbedResult,
     InconsistentBoundsError,
     embed_conformation,
     gram_embed,
@@ -834,16 +837,26 @@ class TestEmbedConformation:
         decoded = GaussianEdgeDist(np.stack([d.mean for d in stack]),
                                    np.stack([d.var for d in stack]))
         monkeypatch.setattr(cvae, "decode", lambda p, eg, z: decoded)
-        [(results, report)] = edg.generate(None, [(eg, np.random.SeedSequence(1))], 3)
-        assert report.n_samples == 3
-        assert report.n_smoothing_ok == 2
-        assert report.smoothing_rate == pytest.approx(2 / 3)
-        assert len(results) == 2
-        assert report.as_dict()["n_converged"] == 2
-        assert type(report.n_converged) is int
-        both = edg.EmbedBatchReport.merged([report, report])
-        assert (both.n_samples, both.n_smoothing_ok, both.n_converged) == (6, 4, 4)
-        assert both.violations == report.violations * 2
+        [samples] = edg.generate(None, [(eg, np.random.SeedSequence(1))], 3)
+        assert [type(s) for s in samples] == [EmbedResult, InconsistentBoundsError,
+                                              EmbedResult]
+        report = edg.generate_report({"propane": samples})
+        assert report["n_samples"] == 3
+        assert report["n_smoothing_ok"] == 2
+        assert report["smoothing_rate"] == pytest.approx(2 / 3)
+        assert report["n_converged"] == 2
+        assert type(report["n_converged"]) is int
+        both = edg.generate_report({"a": samples, "b": samples})
+        assert (both["n_samples"], both["n_smoothing_ok"], both["n_converged"]) == (6, 4, 4)
+        assert both["per_molecule_success"] == {"a": 2, "b": 2}
+        violations = [samples[0].max_violation, samples[2].max_violation] * 2
+        assert both["mean_max_violation"] == float(np.mean(violations))
+        assert both["worst_violation"] == max(violations)
+
+
+def kept_results(samples) -> list:
+    """The EmbedResults among one job's `edg.generate` outcomes."""
+    return [s for s in samples if isinstance(s, EmbedResult)]
 
 
 class TestGenerate:
@@ -852,10 +865,12 @@ class TestGenerate:
         eg = build_extended_graph(random_tree(5, rng), seed=1)
         params = cvae.ModelParams(SMALL, seed=2)
         seed = np.random.SeedSequence(9, spawn_key=(2,))
-        [(a, report)] = edg.generate(params, [(eg, seed)], 4)
-        [(b, _)] = edg.generate(params, [(eg, seed)], 4)
+        [a_samples] = edg.generate(params, [(eg, seed)], 4)
+        [b_samples] = edg.generate(params, [(eg, seed)], 4)
         assert seed.n_children_spawned == 0
-        assert 0 < len(a) == report.n_smoothing_ok
+        assert len(a_samples) == 4
+        a, b = (kept_results(samples) for samples in (a_samples, b_samples))
+        assert 0 < len(a)
         for x, y in zip(a, b):
             assert x.conformation.elements == eg.source_graph.elements
             assert np.array_equal(x.conformation.positions, y.conformation.positions)
@@ -877,9 +892,9 @@ class TestGenerate:
         eg = build_extended_graph(random_tree(9, rng), seed=1)
         params = cvae.ModelParams(SMALL, seed=4)
         seed = np.random.SeedSequence(17, spawn_key=(1,))
-        [(small, small_report)] = edg.generate(params, [(eg, seed)], 3)
-        [(large, large_report)] = edg.generate(params, [(eg, seed)], 7)
-        assert small_report.n_smoothing_ok == 3 and large_report.n_smoothing_ok == 7
+        [small] = edg.generate(params, [(eg, seed)], 3)
+        [large] = edg.generate(params, [(eg, seed)], 7)
+        assert len(kept_results(small)) == 3 and len(kept_results(large)) == 7
         for a, b in zip(small, large[:3]):
             assert a.conformation.positions.tobytes() == \
                    b.conformation.positions.tobytes()
@@ -897,25 +912,28 @@ class TestGenerate:
         monkeypatch.setattr(cvae, "decode", lambda p, eg, z: decoded)
         pair = edg._smooth_stack(*edg._bounds_stack(eg, bad))[2][0].pair
         key = f"{min(pair)}-{max(pair)}"
-        [(results, report)] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
-        assert report.smoothing_rejections == {key: 2}
-        assert report.iterations == [r.iterations for r in results]
-        d = report.as_dict()
-        assert d["mean_refine_iterations"] == np.mean(report.iterations)
+        [samples] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
+        iterations = [s.iterations for s in samples if isinstance(s, EmbedResult)]
+        assert len(iterations) == 2
+        d = edg.generate_report({"propane": samples})
+        assert d["mean_refine_iterations"] == np.mean(iterations)
         assert d["n_iteration_capped"] == 0
-        assert d["smoothing_rejections"] == {key: 2}
+        assert d["smoothing_rejections"] == {"propane": {key: 2}}
 
         # squeezed starts that two refine steps cannot fix
         embed = edg._gram_stack
         monkeypatch.setattr(edg, "_gram_stack", lambda d: 0.5 * embed(d))
         monkeypatch.setattr(edg, "REFINE_MAX_ITER", 2)
-        [(_, capped)] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
-        assert capped.n_iteration_capped == 2 and capped.n_converged == 0
-        assert capped.iterations == [2, 2]
-        both = edg.EmbedBatchReport.merged([report, capped])
-        assert both.smoothing_rejections == {key: 4}
-        assert both.n_iteration_capped == 2
-        assert both.iterations == report.iterations + capped.iterations
+        [squeezed] = edg.generate(None, [(eg, np.random.SeedSequence(2))], 4)
+        capped = edg.generate_report({"propane": squeezed})
+        assert capped["n_iteration_capped"] == 2 and capped["n_converged"] == 0
+        assert [s.iterations for s in squeezed if isinstance(s, EmbedResult)] == [2, 2]
+        assert capped["mean_refine_iterations"] == 2.0
+        # the same pair of two molecules is counted per molecule
+        both = edg.generate_report({"a": samples, "b": squeezed})
+        assert both["smoothing_rejections"] == {"a": {key: 2}, "b": {key: 2}}
+        assert both["n_iteration_capped"] == 2
+        assert both["mean_refine_iterations"] == np.mean(iterations + [2, 2])
 
     @settings(max_examples=10, deadline=None)
     @given(sizes=st.lists(st.one_of(st.integers(1, 2), st.integers(1, 20)),
@@ -933,12 +951,13 @@ class TestGenerate:
             together = edg.generate(params, jobs, n)
             alone = [edg.generate(params, [job], n)[0] for job in jobs]
         assert len(together) == len(jobs)
-        for (results, report), (results_alone, report_alone) in zip(together, alone):
-            assert report == report_alone
+        for samples, samples_alone in zip(together, alone):
+            assert edg.generate_report({"m": samples}) == \
+                   edg.generate_report({"m": samples_alone})
             assert [(r.conformation.positions.tobytes(), r.converged,
-                     r.max_violation, r.iterations) for r in results] == \
+                     r.max_violation, r.iterations) for r in kept_results(samples)] == \
                    [(r.conformation.positions.tobytes(), r.converged,
-                     r.max_violation, r.iterations) for r in results_alone]
+                     r.max_violation, r.iterations) for r in kept_results(samples_alone)]
 
     def test_one_atom_graph_next_to_a_bond(self):
         lone = build_extended_graph(MolGraph.from_elements(["C"], []), seed=0)
@@ -949,17 +968,20 @@ class TestGenerate:
         params = cvae.ModelParams(SMALL, seed=1)
         jobs = [(lone, np.random.SeedSequence(1, spawn_key=(0,))),
                 (bond, np.random.SeedSequence(1, spawn_key=(1,)))]
-        [(single, single_report), (pair, pair_report)] = edg.generate(params, jobs, 3)
-        assert single_report.n_converged == 3 and single_report.iterations == [0] * 3
+        [single, pair] = edg.generate(params, jobs, 3)
+        assert all(isinstance(s, EmbedResult) for s in single)
+        assert [(r.converged, r.iterations) for r in single] == [(True, 0)] * 3
         assert [r.conformation.positions.shape for r in single] == [(1, 3)] * 3
-        assert pair_report.n_samples == 3
-        assert all(r.conformation.elements == ("C", "O") for r in pair)
+        assert len(pair) == 3
+        assert all(r.conformation.elements == ("C", "O") for r in kept_results(pair))
 
     def test_no_samples(self):
         eg = build_extended_graph(random_tree(4, np.random.default_rng(5)), seed=1)
-        [(results, report)] = edg.generate(cvae.ModelParams(SMALL, seed=1),
-                                           [(eg, np.random.SeedSequence(1))], 0)
-        assert results == [] and report.as_dict()["n_samples"] == 0
+        [samples] = edg.generate(cvae.ModelParams(SMALL, seed=1),
+                                 [(eg, np.random.SeedSequence(1))], 0)
+        assert samples == []
+        report = edg.generate_report({"tree": samples})
+        assert report["n_samples"] == 0 and report["smoothing_rate"] == 0.0
 
     def test_trained_model_samples_near_training_support(self):
         rng = np.random.default_rng(12)
@@ -970,10 +992,97 @@ class TestGenerate:
         config = cvae.CvaeConfig(hidden=12, readout_hidden=12, node_state=5,
                                  edge_state=5, epochs=20, batch_size=32)
         result = cvae.train(records, config, seed=2)
-        [(sampled, report)] = edg.generate(result.params,
-                                           [(eg, np.random.SeedSequence(3))], 20)
-        assert report.n_smoothing_ok == 20
+        [sampled] = edg.generate(result.params, [(eg, np.random.SeedSequence(3))], 20)
+        assert all(isinstance(s, EmbedResult) for s in sampled) and len(sampled) == 20
         bond = np.array([extract_distances(eg, r.conformation).values[0]
                          for r in sampled])
         assert bond.min() > lengths.min() - 0.2
         assert bond.max() < lengths.max() + 0.2
+
+
+def report_outcome(spec, conformation):
+    """An `edg.generate` outcome from a ("ok", converged, violation,
+    iterations), ("rejected", i, j) or ("degenerate",) spec."""
+    if spec[0] == "ok":
+        return EmbedResult(conformation, *spec[1:])
+    if spec[0] == "rejected":
+        return InconsistentBoundsError(spec[1], spec[2], 2.0, 1.0)
+    return GraphStructureError("atoms 0 and 1 coincide")
+
+
+def oracle_report(outcomes: dict) -> dict:
+    """The generate report written out: lists run molecule after molecule in
+    the given order, and rejected pairs are counted per molecule."""
+    kept = [o for samples in outcomes.values() for o in samples
+            if isinstance(o, EmbedResult)]
+    n_samples = sum(len(samples) for samples in outcomes.values())
+    n_converged = len([r for r in kept if r.converged])
+    violations = [r.max_violation for r in kept]
+    rejections = {}
+    for mol, samples in outcomes.items():
+        rejections[mol] = {}
+        for o in samples:
+            if isinstance(o, InconsistentBoundsError):
+                key = f"{min(o.pair)}-{max(o.pair)}"
+                rejections[mol][key] = rejections[mol].get(key, 0) + 1
+    return {
+        "n_samples": n_samples,
+        "n_smoothing_ok": len(kept),
+        "n_degenerate": len([o for samples in outcomes.values() for o in samples
+                             if isinstance(o, GraphStructureError)]),
+        "n_converged": n_converged,
+        "smoothing_rate": len(kept) / n_samples if n_samples else 0.0,
+        "convergence_rate": n_converged / n_samples if n_samples else 0.0,
+        "mean_max_violation": float(np.mean(violations)) if kept else 0.0,
+        "worst_violation": max(violations) if kept else 0.0,
+        "mean_refine_iterations":
+            float(np.mean([r.iterations for r in kept])) if kept else 0.0,
+        "n_iteration_capped": len([r for r in kept if not r.converged
+                                   and r.iterations >= edg.REFINE_MAX_ITER]),
+        "smoothing_rejections": rejections,
+        "per_molecule_success": {
+            mol: len([o for o in samples if isinstance(o, EmbedResult) and o.converged])
+            for mol, samples in outcomes.items()},
+    }
+
+
+OUTCOME_SPECS = st.one_of(
+    st.tuples(st.just("ok"), st.booleans(),
+              st.floats(0.0, 1e3, allow_subnormal=False) | st.floats(0.0, 1e-3),
+              st.integers(0, 5) | st.just(edg.REFINE_MAX_ITER)),
+    st.tuples(st.just("rejected"), st.integers(0, 3), st.integers(0, 3))
+    .filter(lambda t: t[1] != t[2]),
+    st.tuples(st.just("degenerate")),
+)
+
+
+class TestGenerateReport:
+    @settings(max_examples=100, deadline=None)
+    @given(molecules=st.lists(st.lists(OUTCOME_SPECS, max_size=6), min_size=1,
+                              max_size=4),
+           names=st.permutations(["benzene", "ethanol", "acetone", "butane"]))
+    @example(molecules=[[("rejected", 2, 0)], [("ok", True, 0.5, 3), ("rejected", 0, 2)]],
+             names=["ethanol", "benzene", "acetone", "butane"])
+    def test_matches_oracle_key_for_key(self, molecules, names):
+        conformation = Conformation(("C", "O"), [[0.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
+        outcomes = {name: [report_outcome(spec, conformation) for spec in specs]
+                    for name, specs in zip(names, molecules)}
+        report = edg.generate_report(outcomes)
+        expected = oracle_report(outcomes)
+        assert list(report) == list(expected)
+        for key, want in expected.items():
+            got = report[key]
+            if isinstance(want, float):
+                assert type(got) is float and got.hex() == want.hex(), key
+            elif isinstance(want, int):
+                assert type(got) is int and got == want, key
+            else:  # per-molecule maps, in the given molecule order
+                assert list(got) == list(want), key
+                for mol, value in want.items():
+                    assert value == got[mol], (key, mol)
+                    if isinstance(value, dict):
+                        assert list(got[mol]) == list(value), (key, mol)
+                        assert all(type(c) is int for c in got[mol].values())
+                    else:
+                        assert type(got[mol]) is int
+        assert json.dumps(report) == json.dumps(expected)
