@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", help="per-epoch metrics JSONL (default: OUT.metrics.jsonl)")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--message-passes", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_train)
 
@@ -106,13 +103,8 @@ def _load_config(args) -> cvae.CvaeConfig:
             raise UsageError(f"{args.config}: not valid JSON: {e}") from e
         if not isinstance(values, dict):
             raise UsageError(f"{args.config}: a training config must be a JSON object")
-    overrides = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "message_passes": args.message_passes,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    if args.epochs is not None:
+        values["epochs"] = args.epochs
     return _checked_config(values)
 
 
@@ -133,10 +125,9 @@ def _cmd_train(args) -> int:
     if args.resume:
         # a resumed run continues the checkpoint's own config; only the epoch
         # budget may change
-        for flag in ("config", "batch_size", "learning_rate", "message_passes"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag.replace('_', '-')} cannot be combined with "
-                                 f"--resume, which keeps the checkpoint's config")
+        if args.config is not None:
+            raise UsageError("--config cannot be combined with --resume, which keeps "
+                             "the checkpoint's config")
         params, resume_state = cvae.load_model(args.resume)
         if resume_state is None:
             raise UsageError(f"{args.resume}: checkpoint has no training state")
@@ -206,10 +197,14 @@ def _cmd_generate(args) -> int:
 
 
 def _method_name(arg: str) -> tuple[str, str]:
-    if "=" in arg:
-        name, path = arg.split("=", 1)
-        return name, path
-    return Path(arg).stem, arg
+    """(name, path) of a `name=path` or bare-path argument; the name is a
+    field of PREFIX.tsv's rows, so it must be non-empty and hold no tab or
+    line break."""
+    name, path = arg.split("=", 1) if "=" in arg else (Path(arg).stem, arg)
+    if not name or any(c in name for c in "\t\n\r"):
+        raise UsageError(f"method name {name!r} of argument {arg!r} is empty or holds "
+                         f"a tab, newline or carriage return")
+    return name, path
 
 
 def _cmd_evaluate(args) -> int:

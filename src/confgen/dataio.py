@@ -284,15 +284,11 @@ def training_pairs(records) -> list[tuple]:
     return [(r.molecule, graphs[r.molecule], next(rows[r.molecule])) for r in records]
 
 
-def distance_matrix_by_molecule(records, graphs: dict | None = None) -> dict:
+def distance_matrix_by_molecule(records, graphs: dict) -> dict:
     """molecule id -> (n_conformations x n_edges) distance matrix, one
-    `extract_distances` call per molecule.
-
-    `graphs` (molecule id -> ExtendedGraph) defaults to `extended_graphs(records)`;
-    records of a molecule it lacks are left out.
+    `extract_distances` call per molecule of `graphs` (molecule id ->
+    ExtendedGraph); records of a molecule it lacks are left out.
     """
-    if graphs is None:
-        graphs = extended_graphs(records)
     conformations: dict[str, list] = {mol: [] for mol in graphs}
     for r in records:
         if r.molecule in graphs:
@@ -312,6 +308,8 @@ def split_disjoint(records, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> SplitMa
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3:
         raise ValueError("expected (train, validation, test) fractions")
+    if not all(math.isfinite(f) and f >= 0.0 for f in fractions):
+        raise ValueError(f"fractions must be finite and non-negative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     molecules = sorted({r.molecule for r in records})

@@ -311,13 +311,10 @@ def format_report(report: MmdReport) -> str:
             continue
         lines.append(f"[{comparison}]")
         for m in present:
-            med = report.medians[(m, comparison)]
-            rank = report.mean_rankings[(m, comparison)]
-            sg = report.std_over_graphs.get((m, comparison))
-            spread = f" std_graphs={sg:.6g}" if sg is not None else ""
-            lines.append(
-                f"  {m}: median_mmd2={med:.6g} mean_ranking={rank:.6g}{spread}"
-            )
+            key = (m, comparison)
+            lines.append(f"  {m}: median_mmd2={report.medians[key]:.6g} "
+                         f"mean_ranking={report.mean_rankings[key]:.6g} "
+                         f"std_graphs={report.std_over_graphs[key]:.6g}")
     skipped = {m: n for m, n in report.warnings.items() if n}
     if skipped:
         lines.append("[warnings]")

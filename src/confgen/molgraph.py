@@ -100,20 +100,8 @@ class MolGraph:
             if b.pair in seen:
                 raise GraphStructureError(f"duplicate bond between {b.i} and {b.j}")
             seen.add(b.pair)
-        if n > 1 and not self._connected():
+        if (graph_hop_distances(self)[0] < 0).any():
             raise GraphStructureError("bond graph is disconnected")
-
-    def _connected(self) -> bool:
-        adj = self.neighbors()
-        reached = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in reached:
-                    reached.add(u)
-                    queue.append(u)
-        return len(reached) == len(self.nodes)
 
     @classmethod
     def from_elements(cls, elements, bonds) -> "MolGraph":
@@ -144,17 +132,19 @@ def graph_hop_distances(g: MolGraph) -> np.ndarray:
     """All-pairs path lengths in bond steps (BFS from every node)."""
     n = g.n_atoms
     adj = g.neighbors()
-    hops = np.full((n, n), -1, dtype=np.int64)
+    hops = []
     for start in range(n):
-        hops[start, start] = 0
+        row = [-1] * n
+        row[start] = 0
         queue = deque([start])
         while queue:
             v = queue.popleft()
             for u in adj[v]:
-                if hops[start, u] < 0:
-                    hops[start, u] = hops[start, v] + 1
+                if row[u] < 0:
+                    row[u] = row[v] + 1
                     queue.append(u)
-    return hops
+        hops.append(row)
+    return np.array(hops, dtype=np.int64)
 
 
 def featurize_node(element: str, chiral_tag: str = "None") -> np.ndarray:
@@ -373,37 +363,19 @@ class Conformation:
         return out
 
 
-@dataclass
-class DistanceSet:
-    """Per-edge Euclidean distances, index-aligned with an ExtendedGraph."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise GraphStructureError("distances must form a flat vector")
-        if not (self.values > 0.0).all():
-            raise GraphStructureError("distances must be strictly positive")
-
-
-def extract_distances(eg: ExtendedGraph, x):
-    """Euclidean distance between the endpoints of every edge of `eg`: a
-    DistanceSet for one Conformation `x`, or for a list of K conformations
-    the (K, n_edges) matrix whose row k is conformation k's values, bit for
-    bit."""
-    one = isinstance(x, Conformation)
-    stack = [x] if one else list(x)
-    for conformation in stack:
+def extract_distances(eg: ExtendedGraph, conformations) -> np.ndarray:
+    """Euclidean distance between the endpoints of every edge of `eg`, for a
+    list of K conformations: the (K, n_edges) matrix whose row k holds
+    conformation k's values."""
+    for conformation in conformations:
         if conformation.elements != eg.source_graph.elements:
             raise GraphStructureError(
                 "conformation elements do not match the graph the edges were built from"
             )
-    positions = np.reshape([c.positions for c in stack], (len(stack), eg.n_nodes, 3))
+    positions = np.reshape([c.positions for c in conformations],
+                           (len(conformations), eg.n_nodes, 3))
     diff = positions[:, eg.src] - positions[:, eg.dst]
     values = np.sqrt((diff**2).sum(axis=2))
-    if one:
-        return DistanceSet(values[0])
     if not (values > 0.0).all():
         raise GraphStructureError("distances must be strictly positive")
     return values

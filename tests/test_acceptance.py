@@ -76,7 +76,7 @@ def single_bond_model(single_bond_system):
     g = molgraph.MolGraph.from_elements(("O", "H"), [(0, 1)])
     eg = molgraph.build_extended_graph(g, seed=0)
     records = [
-        ("bond", eg, molgraph.extract_distances(eg, c).values)
+        ("bond", eg, molgraph.extract_distances(eg, [c])[0])
         for c in chain.conformations()
     ]
     config = CvaeConfig(hidden=16, readout_hidden=16, node_state=6,
@@ -95,7 +95,7 @@ def test_criterion_1_gradient_correctness():
     for case in range(20):
         g = random_tree(int(rng.integers(3, 9)), rng)
         eg = molgraph.build_extended_graph(g, seed=case)
-        d = molgraph.extract_distances(eg, random_conformation(g, rng)).values
+        d = molgraph.extract_distances(eg, [random_conformation(g, rng)])[0]
         params = cvae.ModelParams(config, seed=case % 3)
         noise = rng.standard_normal(eg.n_nodes)
         worst = max(worst, elbo_gradient_check(params, eg, d, noise, rng,
@@ -222,7 +222,7 @@ def _idealized_baseline_means(train_pairs, eg):
 
 def _generate_distance_rows(params, eg, n, seed):
     [samples] = edg.generate(params, [(eg, np.random.SeedSequence(seed))], n)
-    return np.stack([molgraph.extract_distances(eg, r.conformation).values
+    return np.stack([molgraph.extract_distances(eg, [r.conformation])[0]
                      for r in samples if isinstance(r, edg.EmbedResult)])
 
 
@@ -232,7 +232,7 @@ def _embed_fixed_distance_rows(means, eg, n, seed):
     for k in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         result = edg.embed_conformation(eg, ged, rng)
-        rows.append(molgraph.extract_distances(eg, result.conformation).values)
+        rows.append(molgraph.extract_distances(eg, [result.conformation])[0])
     return np.stack(rows)
 
 
@@ -243,7 +243,7 @@ def test_criterion_6_learning_beats_idealized_baseline(benchmark_bundle):
     test_records = bundle["test_records"]
     graphs = dataio.extended_graphs(test_records)
     truth = {mol: rows[::4] for mol, rows in
-             dataio.distance_matrix_by_molecule(test_records).items()}
+             dataio.distance_matrix_by_molecule(test_records, graphs).items()}
 
     model_samples, baseline_samples = {}, {}
     for index, (mol, eg) in enumerate(sorted(graphs.items())):
@@ -334,7 +334,7 @@ def test_criterion_9_equivariance_invariance_suite(single_bond_system):
     for case in range(5):
         g = random_tree(int(rng.integers(4, 8)), rng)
         eg = molgraph.build_extended_graph(g, seed=case)
-        d = molgraph.extract_distances(eg, random_conformation(g, rng)).values
+        d = molgraph.extract_distances(eg, [random_conformation(g, rng)])[0]
         params = cvae.ModelParams(config, seed=case)
         perm = rng.permutation(eg.n_nodes)
         permuted = permute_extended_graph(eg, perm)
@@ -360,8 +360,8 @@ def test_criterion_9_equivariance_invariance_suite(single_bond_system):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         moved = molgraph.Conformation(g.elements,
                                       x.positions @ q.T + rng.normal(size=3))
-        d0 = molgraph.extract_distances(eg, x).values
-        d1 = molgraph.extract_distances(eg, moved).values
+        d0 = molgraph.extract_distances(eg, [x])[0]
+        d1 = molgraph.extract_distances(eg, [moved])[0]
         worst_iso = max(worst_iso, float(np.abs(d0 - d1).max()))
 
     model, _, cfg = single_bond_system

@@ -284,12 +284,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("args, config, message", [
         # was exit 1 with "range() arg 3 must not be zero"
-        (["--batch-size", "0"], {}, "batch_size must be an integer >= 1, got 0"),
+        ([], {"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
         # was a ZeroDivisionError traceback
         ([], {"hidden": 0}, "hidden must be an integer >= 1, got 0"),
         # was exit 0, writing a checkpoint with best_val_elbo=-inf
         (["--epochs", "0"], {}, "epochs must be an integer >= 1, got 0"),
-        (["--learning-rate", "nan"], {}, "learning_rate must be a finite number > 0"),
+        ([], {"learning_rate": float("nan")}, "learning_rate must be a finite number > 0"),
         ([], {"variance_floor": 2.0, "variance_ceiling": 1.0},
          "variance_ceiling must be a finite number above variance_floor, got 1.0"),
         ([], {"validation_fraction": 1}, "validation_fraction must be a number >= 0 "
@@ -320,18 +320,23 @@ class TestTrain:
         assert f"{config_path}: a training config must be a JSON object" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--config", None), ("--batch-size", "3"), ("--learning-rate", "0.5"),
-        ("--message-passes", "2"),
-    ])
-    def test_resume_rejects_config_overrides(self, workspace, tmp_path, capsys,
-                                             flag, value):
+    def test_resume_rejects_config_overrides(self, workspace, tmp_path, capsys):
         _, _, data_path, config_path, ckpt_path = workspace
         out = tmp_path / "resumed.json"
         code = main(["train", str(data_path), str(out), "--resume", str(ckpt_path),
-                     "--epochs", "4", flag, value or str(config_path)])
+                     "--epochs", "4", "--config", str(config_path)])
         assert code == 2
-        assert flag in capsys.readouterr().err
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_field_flag_is_an_unknown_argument(self, workspace, tmp_path, capsys):
+        # hyperparameters other than the epoch budget are set through --config
+        _, _, data_path, _, _ = workspace
+        out = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as exited:
+            main(["train", str(data_path), str(out), "--batch-size", "16"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --batch-size 16" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -624,6 +629,25 @@ class TestEvaluate:
         assert main(["evaluate", str(missing), f"truth={missing}",
                      "--out", str(out)]) == 2
         assert "reserved for the ground truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, named", [
+        ("", True), ("a\tb", True), ("a\nb", True), ("a\rb", True),
+        ("gen\t2", False), ("gen\n2", False), ("gen\r2", False),
+    ], ids=["empty", "tab", "newline", "return", "stem-tab", "stem-newline",
+            "stem-return"])
+    def test_method_name_breaking_the_tsv_exits_2(self, workspace, tmp_path, capsys,
+                                                  name, named):
+        # each exited 0: the empty name left PREFIX.tsv's method field empty,
+        # and the others added fields or rows to PREFIX.tsv
+        _, _, data_path, _, _ = workspace
+        gen = tmp_path / ("gen.jsonl" if named else f"{name}.jsonl")
+        dataio.write_dataset(gen, dataio.read_dataset(data_path))
+        arg = f"{name}={gen}" if named else str(gen)
+        out = tmp_path / "r"
+        assert main(["evaluate", str(data_path), arg, "--out", str(out)]) == 2
+        assert f"method name {name!r} of argument {arg!r} is empty or holds a tab, " \
+               f"newline or carriage return" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
 
     @pytest.mark.parametrize("change", ["graph", "seed"])
     def test_generated_molecule_must_match_truth(self, workspace, tmp_path, capsys,

@@ -22,7 +22,7 @@ def small_instance():
     rng = np.random.default_rng(42)
     g = random_tree(5, rng)
     eg = build_extended_graph(g, seed=1)
-    d = extract_distances(eg, random_conformation(g, rng)).values
+    d = extract_distances(eg, [random_conformation(g, rng)])[0]
     return cvae.ModelParams(SMALL, seed=2), eg, d
 
 
@@ -156,7 +156,7 @@ class TestEncode:
         g = MolGraph.from_elements(["C"] * 12, [(i, i + 1) for i in range(11)])
         eg = build_extended_graph(g, seed=0)
         rng = np.random.default_rng(1)
-        d = extract_distances(eg, random_conformation(g, rng)).values
+        d = extract_distances(eg, [random_conformation(g, rng)])[0]
         p = cvae.ModelParams(SMALL, seed=3)
         hops = hops_within_extended(eg)
         t = SMALL.message_passes
@@ -314,7 +314,7 @@ def toy_records(n_molecules=5, n_conf=30, seed=0):
         g = random_tree(5, rng)
         eg = build_extended_graph(g, seed=m)
         base = random_conformation(g, rng)
-        base_d = extract_distances(eg, base).values
+        base_d = extract_distances(eg, [base])[0]
         for _ in range(n_conf):
             d = base_d * rng.uniform(0.95, 1.05, size=base_d.shape)
             records.append((f"mol{m}", eg, d))

@@ -569,6 +569,18 @@ class TestSplitDisjoint:
         with pytest.raises(ValueError):
             split_disjoint(records, (0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.6, -0.1), (float("nan"), 0.5, 0.5),
+                                           (0.5, 0.5, float("inf"))],
+                             ids=["negative", "nan", "inf"])
+    def test_negative_or_non_finite_fraction_rejected(self, fractions):
+        # the negative one gave an empty test split; the NaN one failed with
+        # "cannot convert float NaN to integer"
+        records = build_records(n_molecules=5, n_conf=1)
+        with pytest.raises(ValueError) as raised:
+            split_disjoint(records, fractions, seed=0)
+        assert str(raised.value) == \
+            f"fractions must be finite and non-negative, got {fractions}"
+
 
 class TestSyntheticBenchmark:
     def test_record_counting(self):
@@ -628,7 +640,7 @@ class TestSyntheticBenchmark:
         records, _ = make_synthetic_benchmark(spec, seed=21)
         graph, seed, confs = next(iter(dataio.group_records(records).values()))
         eg = dataio.build_extended_graph(graph, seed)
-        rows = np.stack([dataio.extract_distances(eg, c).values for c in confs])
+        rows = dataio.extract_distances(eg, confs)
 
         def tau_int(x):
             n = len(x)

@@ -814,12 +814,12 @@ class TestEmbedConformation:
         g = MolGraph.from_elements("CCCCO", [(0, 1), (1, 2), (2, 3), (3, 4)])
         eg = build_extended_graph(g, seed=1)
         x = Conformation(g.elements, rng.normal(0, 1.5, (5, 3)))
-        d = extract_distances(eg, x).values
+        d = extract_distances(eg, [x])[0]
         sigma = 0.02
         ged = GaussianEdgeDist(d, np.full(eg.n_edges, sigma**2))
         result = embed_conformation(eg, ged, np.random.default_rng(11))
         assert result.converged
-        recovered = extract_distances(eg, result.conformation).values
+        recovered = extract_distances(eg, [result.conformation])[0]
         assert np.abs(recovered - d).max() < 2 * sigma
 
     def test_inconsistent_bounds_error_path(self, triangle_graph):
@@ -994,7 +994,7 @@ class TestGenerate:
         result = cvae.train(records, config, seed=2)
         [sampled] = edg.generate(result.params, [(eg, np.random.SeedSequence(3))], 20)
         assert all(isinstance(s, EmbedResult) for s in sampled) and len(sampled) == 20
-        bond = np.array([extract_distances(eg, r.conformation).values[0]
+        bond = np.array([extract_distances(eg, [r.conformation])[0][0]
                          for r in sampled])
         assert bond.min() > lengths.min() - 0.2
         assert bond.max() < lengths.max() + 0.2

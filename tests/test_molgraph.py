@@ -72,6 +72,29 @@ class TestMolGraph:
         with pytest.raises(GraphStructureError):
             MolGraph.from_elements(["C", "C"], [(0, 5)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepts_exactly_the_connected_bond_lists(self, data):
+        n = data.draw(st.integers(1, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        bonds = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                          else st.just([]))
+        bonds = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in bonds]
+        parent = list(range(n))  # union-find oracle
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for i, j in bonds:
+            parent[root(i)] = root(j)
+        if len({root(v) for v in range(n)}) == 1:
+            assert MolGraph.from_elements(["C"] * n, bonds).n_atoms == n
+        else:
+            with pytest.raises(GraphStructureError, match="^bond graph is disconnected$"):
+                MolGraph.from_elements(["C"] * n, bonds)
+
 
 class TestFeaturizeNode:
     def test_hydrogen_no_chirality(self):
@@ -256,7 +279,7 @@ class TestExtractDistances:
         g = MolGraph.from_elements(["C", "C"], [(0, 1)])
         eg = build_extended_graph(g, seed=0)
         x = Conformation(g.elements, [[0, 0, 0], [1.5, 0, 0]])
-        assert extract_distances(eg, x).values.tolist() == [1.5]
+        assert extract_distances(eg, [x]).tolist() == [[1.5]]
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(77)
@@ -266,8 +289,7 @@ class TestExtractDistances:
             x = random_conformation(g, rng)
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             moved = Conformation(g.elements, x.positions @ q.T + rng.normal(size=3))
-            d0 = extract_distances(eg, x).values
-            d1 = extract_distances(eg, moved).values
+            d0, d1 = extract_distances(eg, [x, moved])
             assert np.abs(d0 - d1).max() < 1e-9
 
     def test_matches_direct_norms(self):
@@ -275,7 +297,7 @@ class TestExtractDistances:
         g = random_tree(5, rng)
         eg = build_extended_graph(g, seed=2)
         x = random_conformation(g, rng)
-        d = extract_distances(eg, x).values
+        [d] = extract_distances(eg, [x])
         for k, (i, j) in enumerate(edge_pairs(eg)):
             expected = np.linalg.norm(x.positions[i] - x.positions[j])
             assert d[k] == pytest.approx(expected, abs=0)
@@ -284,7 +306,7 @@ class TestExtractDistances:
         eg = build_extended_graph(water_graph, seed=0)
         x = Conformation(("C", "H", "H"), np.eye(3))
         with pytest.raises(GraphStructureError):
-            extract_distances(eg, x)
+            extract_distances(eg, [x])
 
     def test_coincident_atoms_rejected(self):
         with pytest.raises(GraphStructureError):
@@ -385,7 +407,6 @@ class TestConformationStack:
         for row, x in zip(d, confs):
             diff = x.positions[eg.src] - x.positions[eg.dst]
             assert row.tobytes() == np.sqrt((diff**2).sum(axis=1)).tobytes()
-            assert row.tobytes() == extract_distances(eg, x).values.tobytes()
         assert extract_distances(eg, []).shape == (0, eg.n_edges)
 
     def test_graph_elements_are_built_once(self, propane_graph):
