@@ -100,7 +100,7 @@ class MolGraph:
             if b.pair in seen:
                 raise GraphStructureError(f"duplicate bond between {b.i} and {b.j}")
             seen.add(b.pair)
-        if (graph_hop_distances(self)[0] < 0).any():
+        if (self.hops[0] < 0).any():
             raise GraphStructureError("bond graph is disconnected")
 
     @classmethod
@@ -119,6 +119,13 @@ class MolGraph:
     @cached_property
     def elements(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.nodes)
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """`graph_hop_distances(self)`, computed once per graph and read-only."""
+        hops = graph_hop_distances(self)
+        hops.flags.writeable = False
+        return hops
 
     def neighbors(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.nodes]
@@ -232,7 +239,7 @@ def build_extended_graph(g: MolGraph, seed: int) -> ExtendedGraph:
     seed is part of the result.
     """
     n = g.n_atoms
-    hops = graph_hop_distances(g)
+    hops = g.hops
 
     edges: list[tuple[str, int, int, Bond | None]] = []
     present: set[frozenset[int]] = set()

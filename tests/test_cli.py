@@ -68,7 +68,11 @@ class TestMakeData:
         assert [m["molecule"] for m in molecules] == ["methanol", "ethanol", "oxirane"]
         for m in molecules:
             assert set(m) == {"molecule", "acceptance_rate", "step_size", "steps",
-                              "burn_in", "records"}
+                              "burn_in", "records", "start_iterations",
+                              "start_converged", "start_max_violation"}
+            assert m["start_converged"] is True
+            assert 0 < m["start_iterations"] < edg.REFINE_MAX_ITER
+            assert 0.0 <= m["start_max_violation"] <= dataio.INITIAL_TOL
             assert (m["records"], m["steps"], m["burn_in"]) == (25, 500, 5000)
             assert 0.01 <= m["acceptance_rate"] <= 1.0
             assert m["step_size"] > 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from confgen import dataio
+from confgen import dataio, edg
 from confgen.boltzmann import ISConfig, metropolis_sample
 from confgen.dataio import (
     DatasetRecord,
@@ -708,8 +709,10 @@ class TestSyntheticBenchmark:
             graph = dataio._molecule_graph(entry)
             init_seed, build_seed, chain_seed = np.random.SeedSequence(
                 17, spawn_key=(index,)).generate_state(3)
+            [start] = edg.embed_bounds([dataio._initial_job(graph, model, int(init_seed))],
+                                       tol=dataio.INITIAL_TOL)
             alone = metropolis_sample(
-                model, dataio.initial_conformation(graph, model, int(init_seed)),
+                model, start.conformation,
                 steps=sched["count"] * sched["thin"], cfg=cfg,
                 rng=np.random.default_rng(int(chain_seed)), step_size=sched["step"],
                 burn_in=sched["burn_in"], thin=sched["thin"], tune=sched["tune"])
@@ -720,7 +723,9 @@ class TestSyntheticBenchmark:
             assert report[index] == {
                 "molecule": entry["name"], "acceptance_rate": alone.acceptance_rate,
                 "step_size": alone.step_size, "steps": sched["count"] * sched["thin"],
-                "burn_in": sched["burn_in"], "records": sched["count"]}
+                "burn_in": sched["burn_in"], "records": sched["count"],
+                "start_iterations": start.iterations, "start_converged": start.converged,
+                "start_max_violation": start.max_violation}
 
     @pytest.mark.parametrize("field, value", [
         ("count", 0), ("count", -3), ("count", 1.5), ("count", "20"), ("count", True),
@@ -880,3 +885,133 @@ class TestSyntheticBenchmark:
             by_mol.setdefault(mol, set()).add(id(eg))
             assert d.shape == (eg.n_edges,)
         assert all(len(ids) == 1 for ids in by_mol.values())
+
+
+def uniform_slack_bounds(graph, model):
+    """Start bounds with one slack for every angle: bonds at rest +- 0.01 A
+    and every angle's 1-3 distance at its law-of-cosines value +- 0.05 A; the
+    oracle for molecules without a three-membered ring."""
+    n = graph.n_atoms
+    lower = np.full((n, n), edg.STERIC_FLOOR)
+    upper = np.full((n, n), edg.DISTANCE_CEILING)
+
+    def clamp(i, j, d, slack):
+        lower[i, j] = lower[j, i] = max(d - slack, 0.1)
+        upper[i, j] = upper[j, i] = d + slack
+
+    rests = {}
+    for t in model.bonds:
+        clamp(t.i, t.j, t.rest_length, 0.01)
+        rests[frozenset((t.i, t.j))] = t.rest_length
+    for t in model.angles:
+        a = rests.get(frozenset((t.i, t.j)))
+        b = rests.get(frozenset((t.k, t.j)))
+        if a is None or b is None:
+            continue
+        d13 = math.sqrt(a * a + b * b - 2 * a * b * math.cos(t.rest_angle))
+        if frozenset((t.i, t.k)) not in rests:
+            clamp(t.i, t.k, d13, 0.05)
+    np.fill_diagonal(lower, 0.0)
+    np.fill_diagonal(upper, 0.0)
+    return lower, upper
+
+
+# toy10's rest lengths per element pair
+_REST = {frozenset("CC"): 1.526, frozenset("CO"): 1.43, frozenset("CH"): 1.09}
+
+
+def ring3_entry(name, elements, ring, bonds):
+    """A spec entry built by toy10's rules for a molecule with the one
+    three-membered ring `ring`: inside the ring the law-of-cosines angles of
+    its bond rest lengths, every other angle tetrahedral."""
+    rest = {frozenset((i, j)): _REST[frozenset(elements[i] + elements[j])]
+            for i, j in bonds}
+    angles = []
+    for j in range(len(elements)):
+        around = sorted(a for i, k in bonds for a in (i, k) if j in (i, k) and a != j)
+        for x, i in enumerate(around):
+            for k in around[x + 1:]:
+                a, b = rest[frozenset((i, j))], rest[frozenset((k, j))]
+                c = rest.get(frozenset((i, k)))
+                angle = (math.acos(-1 / 3) if c is None
+                         else math.acos((a * a + b * b - c * c) / (2 * a * b)))
+                angles.append({"i": i, "j": j, "k": k, "rest": angle, "stiffness": 250.0})
+    return {"name": name, "elements": list(elements),
+            "bonds": [{"i": i, "j": j, "rings": [3] if {i, j} <= ring else []}
+                      for i, j in bonds],
+            "energy": {"bonds": [{"i": i, "j": j, "rest": rest[frozenset((i, j))],
+                                  "stiffness": 1500.0} for i, j in bonds],
+                       "angles": angles, "steric": {"floor": 1.5, "stiffness": 100.0}}}
+
+
+def graph_and_model(entry):
+    graph = dataio._molecule_graph(entry)
+    return graph, dataio.molecule_energy_model(entry["name"], entry["energy"],
+                                               graph.n_atoms)
+
+
+class TestInitialBounds:
+    def test_toy10_starts_converge_well_inside_the_cap(self):
+        """Molecule i's start on init seed 1000 + i converges to INITIAL_TOL in
+        under a tenth of the refine cap, and every molecule's start converges
+        on each init seed 1000-1009."""
+        seeds = range(1000, 1010)
+        for index, entry in enumerate(toy10_spec(1)["molecules"]):
+            graph, model = graph_and_model(entry)
+            starts = edg.embed_bounds([dataio._initial_job(graph, model, seed)
+                                       for seed in seeds], tol=dataio.INITIAL_TOL)
+            for seed, start in zip(seeds, starts):
+                assert start.converged, (entry["name"], seed, start.max_violation)
+                assert start.max_violation <= dataio.INITIAL_TOL
+            assert starts[index].iterations < edg.REFINE_MAX_ITER // 10, entry["name"]
+
+    def test_bounds_without_a_three_ring_use_uniform_slack(self):
+        molecules = toy10_spec(1)["molecules"]
+        plain = [e for e in molecules
+                 if not any(3 in b.get("rings", ()) for b in e["bonds"])]
+        assert len(plain) == 9 and "oxirane" not in [e["name"] for e in plain]
+        for entry in plain:
+            graph, model = graph_and_model(entry)
+            elements, bounds, rng = dataio._initial_job(graph, model, 7)
+            lower, upper = uniform_slack_bounds(graph, model)
+            assert elements == graph.elements
+            assert bounds.lower.tobytes() == lower.tobytes(), entry["name"]
+            assert bounds.upper.tobytes() == upper.tobytes(), entry["name"]
+            assert rng.random() == np.random.default_rng(7).random()
+
+    def test_only_angles_at_ring_atoms_widen(self):
+        """Oxirane's bounds differ from the uniform-slack ones at the 1-3 pairs
+        of angles centred on its ring atoms alone, by the ring slack."""
+        [entry] = [e for e in toy10_spec(1)["molecules"] if e["name"] == "oxirane"]
+        graph, model = graph_and_model(entry)
+        _, bounds, _ = dataio._initial_job(graph, model, 0)
+        lower, upper = uniform_slack_bounds(graph, model)
+        widened = {frozenset((t.i, t.k)) for t in model.angles if t.j in (0, 1, 2)
+                   and not {t.i, t.k} <= {0, 1, 2}}
+        assert len(widened) == 10
+        extra = dataio.RING3_ANGLE_SLACK - 0.05
+        for i in range(graph.n_atoms):
+            for j in range(graph.n_atoms):
+                if frozenset((i, j)) in widened:
+                    assert bounds.lower[i, j] == pytest.approx(lower[i, j] - extra)
+                    assert bounds.upper[i, j] == pytest.approx(upper[i, j] + extra)
+                else:
+                    assert (bounds.lower[i, j], bounds.upper[i, j]) == \
+                        (lower[i, j], upper[i, j])
+
+    def test_substituted_three_ring_converges(self):
+        """Methyloxirane, built by toy10's rules, starts within INITIAL_TOL;
+        with uniform-slack bounds it ends at the cap."""
+        entry = ring3_entry(
+            "methyloxirane", "CCOCHHHHHH", {0, 1, 2},
+            [(0, 1), (0, 2), (1, 2), (1, 3), (0, 4), (0, 5), (1, 6), (3, 7), (3, 8),
+             (3, 9)])
+        graph, model = graph_and_model(entry)
+        starts = edg.embed_bounds([dataio._initial_job(graph, model, seed)
+                                   for seed in range(10)], tol=dataio.INITIAL_TOL)
+        for start in starts:
+            assert start.converged and start.iterations < edg.REFINE_MAX_ITER // 10
+        [uniform] = edg.embed_bounds(
+            [(graph.elements, edg.BoundsMatrix(*uniform_slack_bounds(graph, model)),
+              np.random.default_rng(0))], tol=dataio.INITIAL_TOL)
+        assert not uniform.converged and uniform.iterations == edg.REFINE_MAX_ITER

@@ -416,3 +416,19 @@ class TestConformationStack:
 def test_hop_distances_match_oracle(propane_graph):
     hops, _, _ = brute_force_shells(propane_graph)
     assert np.array_equal(graph_hop_distances(propane_graph), hops)
+
+
+def test_hop_matrix_is_computed_once_per_graph(propane_graph, monkeypatch):
+    """The connectivity check and build_extended_graph share one read-only
+    hop matrix per graph; no further BFS runs."""
+    hops = propane_graph.hops
+    assert hops is propane_graph.hops and not hops.flags.writeable
+    assert np.array_equal(hops, graph_hop_distances(propane_graph))
+    expected = edge_pairs(build_extended_graph(
+        MolGraph(propane_graph.nodes, propane_graph.bonds), seed=4))
+
+    def no_second_bfs(g):
+        raise AssertionError("hop matrix computed again")
+
+    monkeypatch.setattr(molgraph, "graph_hop_distances", no_second_bfs)
+    assert edge_pairs(build_extended_graph(propane_graph, seed=4)) == expected
