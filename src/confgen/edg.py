@@ -121,62 +121,47 @@ def _crossings(lower: np.ndarray, upper: np.ndarray) -> list:
 
 
 def _smooth_stack(lower: np.ndarray, upper: np.ndarray) -> tuple:
-    """`smooth_bounds` for a stack of S bound sets of one size, (S, n, n).
+    """`smooth_bounds` for a stack of S bound sets of one size, (S, n, n),
+    in one pass (Dress & Havel, Discrete Appl. Math. 19, 1988).
 
-    Each Floyd-Warshall sweep shrinks uppers and then grows lowers through
-    every atom k in turn; both matrices stay symmetric, since the upper
-    update is symmetric in (i, j) and the two lower candidates map onto each
-    other under transposition. Every set sweeps until its own fixed point (at
-    most n + 1 sweeps) and is rejected at the first crossing it hits, exactly
-    as it would be alone: the sets still running share each step.
+    One Floyd-Warshall pass turns the uppers into shortest paths U. The
+    lowers take the closed form L(i, j) = max(l(i, j), max over (a, b) of
+    (l(a, b) - U(i, a)) - U(b, j)) of the input lowers l, as two max-plus
+    passes: reach(i, b) = max over a of l(a, b) - U(i, a), then L(i, j) =
+    max(l(i, j), max over b of reach(i, b) - U(b, j)); the diagonal is zero.
+    Each set gets exactly what it gets alone.
 
-    Returns (lower, upper, errors): the smoothed bounds and, per set, None or
-    the InconsistentBoundsError that rejected it (whose rows of the bounds
-    are then not smoothed).
+    Returns (lower, upper, errors): every set's smoothed bounds and, per
+    set, None or the `_crossings` error of its smoothed bounds.
     """
-    lower = np.array(lower, dtype=np.float64)
-    upper = np.array(upper, dtype=np.float64)
-    n = lower.shape[1]
+    lo = np.array(lower, dtype=np.float64)
+    up = np.array(upper, dtype=np.float64)
+    n = up.shape[-1]
+    step = np.empty_like(up)
+    for k in range(n):
+        np.add(up[:, :, k, None], up[:, None, k, :], out=step)
+        np.minimum(up, step, out=up)
+    reach = np.full_like(up, -np.inf)
+    for a in range(n):
+        np.subtract(lo[:, None, a, :], up[:, :, a, None], out=step)
+        np.maximum(reach, step, out=reach)
+    for b in range(n):
+        np.subtract(reach[:, :, b, None], up[:, None, b, :], out=step)
+        np.maximum(lo, step, out=lo)
     diagonal = np.arange(n)
-    errors = _crossings(lower, upper)
-    active = np.flatnonzero([e is None for e in errors])
-    for _ in range(n + 1):
-        if not active.size:
-            break
-        lo, up = lower[active], upper[active]
-        changed = np.zeros(active.size, dtype=bool)
-        for k in range(n):
-            shrunk = np.minimum(up, up[:, :, k, None] + up[:, None, k, :])
-            changed |= (shrunk < up).any(axis=(1, 2))
-            up = shrunk
-            grown = np.maximum(
-                lo,
-                np.maximum(lo[:, :, k, None] - up[:, None, k, :],
-                           lo[:, None, k, :] - up[:, :, k, None]),
-            )
-            grown[:, diagonal, diagonal] = 0.0
-            changed |= (grown > lo).any(axis=(1, 2))
-            lo = grown
-            crossed = _crossings(lo, up)
-            if any(crossed):
-                for s, error in zip(active, crossed):
-                    errors[s] = error
-                keep = np.array([e is None for e in crossed], dtype=bool)
-                active, lo, up, changed = (a[keep] for a in (active, lo, up, changed))
-        lower[active], upper[active] = lo, up
-        active = active[changed]
-    return lower, upper, errors
+    lo[:, diagonal, diagonal] = 0.0
+    return lo, up, _crossings(lo, up)
 
 
 def smooth_bounds(b: BoundsMatrix) -> BoundsMatrix:
     """Tighten bounds to triangle-inequality consistency.
 
-    Upper bounds relax to all-pairs shortest paths over the upper matrix;
-    lower bounds grow from lower(i,k) - upper(k,j) differences, one
-    Floyd-Warshall sweep at a time. Sweeps repeat until a fixed point, so a
-    second application is a no-op; a lower bound that ends up above its
-    upper bound raises InconsistentBoundsError naming the pair. A one-set
-    `_smooth_stack`.
+    Upper bounds become the all-pairs shortest paths over the upper matrix;
+    each lower bound grows to the largest lower(a, b) minus the smoothed
+    uppers from i to a and from b to j. A second application is a no-op. A
+    smoothed lower bound above its upper bound raises the
+    InconsistentBoundsError naming the first such pair in row-major order.
+    A one-set `_smooth_stack`.
     """
     # kept while the benchmark tracer (perfbench/tracing.py) wraps it by name
     lower, upper, errors = _smooth_stack(b.lower[None], b.upper[None])
@@ -196,8 +181,9 @@ def _metrize_stack(lower: np.ndarray, upper: np.ndarray, rngs) -> np.ndarray:
     current bounds. After fixing (a, b) at d, each upper(i, j) takes the
     shorter of the paths (upper(i, a) + d) + upper(b, j) and
     (upper(j, a) + d) + upper(b, i), which is exact for shortest-path-closed
-    uppers; the lowers then grow through atom a and then atom b, one
-    Floyd-Warshall lower step each, as in `_smooth_stack`.
+    uppers; the lowers then grow through atom a and then atom b: each
+    lower(i, j) takes the largest of itself, lower(i, k) - upper(k, j) and
+    lower(j, k) - upper(k, i) for k = a, then for k = b.
     The other pairs are drawn the same way within the bounds that result.
     A crossing left by rounding is clamped, not rejected: every distance is
     clipped into its set's smoothed [lower, upper].

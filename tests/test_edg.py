@@ -142,9 +142,12 @@ class TestSmoothBounds:
         upper = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(InconsistentBoundsError) as info:
             smooth_bounds(BoundsMatrix(lower, upper))
-        # the contradiction surfaces either directly on (0,2) or through the
-        # propagated lower bound on (1,2); both identify real violations
-        assert set(info.value.pair) in ({0, 2}, {1, 2})
+        # upper(0, 2) closes to 2 through atom 1, so lower(0, 2) = 4 pushes
+        # lower(0, 1) to 4 - upper(2, 1) = 3: the first crossing in row-major
+        # order
+        assert info.value.pair == (0, 1)
+        assert str(info.value) == ("bounds for atom pair (0, 1) are inconsistent: "
+                                   "lower 3 > upper 1")
 
 
 class TestBoundsMatrix:
@@ -165,8 +168,9 @@ class TestBoundsMatrix:
 
 
 def oracle_smooth(b):
-    """Per-set smoothing as written before the stack: in-place sweeps on one
-    pair of matrices, raising at the first crossing."""
+    """Per-set smoothing by fixed-point sweeps, as it ran before the one-pass
+    form: in-place sweeps on one pair of matrices, raising at the first
+    crossing."""
     lower, upper = b.lower.copy(), b.upper.copy()
 
     def raise_if_crossed():
@@ -194,15 +198,43 @@ def oracle_smooth(b):
     return BoundsMatrix(lower, upper)
 
 
+def oracle_closure(b):
+    """Per-set one-pass smoothing, written out: a k-i-j Floyd-Warshall loop
+    over scalars for the uppers U, then each lower (i, j) as the largest of
+    l(i, j) and (l(a, b) - U(i, a)) - U(b, j) over every (a, b), with a zero
+    diagonal. Returns (smoothed BoundsMatrix, None or the
+    InconsistentBoundsError of its first crossing in row-major order)."""
+    n = b.n
+    up = b.upper.tolist()
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                up[i][j] = min(up[i][j], up[i][k] + up[k][j])
+    upper = np.array(up, dtype=np.float64).reshape(n, n)
+    lower = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                paths = (b.lower - upper[i][:, None]) - upper[:, j][None, :]
+                lower[i, j] = max(b.lower[i, j], paths.max())
+    for i in range(n):
+        for j in range(n):
+            if lower[i, j] - upper[i, j] > 1e-9:
+                return BoundsMatrix(lower, upper), InconsistentBoundsError(
+                    i, j, float(lower[i, j]), float(upper[i, j]))
+    return BoundsMatrix(lower, upper), None
+
+
 def crossing_bounds(n, rng, kind):
     """Random bounds, made inconsistent in one of three ways (kind 0-2): a
-    lower bound above its own loose upper bound, found before any sweep; a
+    lower bound above its own loose upper bound, crossing at the input; a
     lower bound (i, j) above the upper path i-k-j; or a pair (k, j) pinned
-    longer than the path k-i-j allows. The last two are found mid-sweep."""
+    longer than the path k-i-j allows. The last two cross only once
+    smoothed."""
     b = random_bounds(n, rng)
     lower, upper = b.lower, b.upper
     i, j, k = rng.choice(n, size=3, replace=False)
-    if kind == 0:  # loose, so that a sweep would have moved it
+    if kind == 0:  # loose, so that smoothing moves it
         upper[i, j] = upper[j, i] = 10.0 * upper[i, j]
         lower[i, j] = lower[j, i] = upper[i, j] + rng.uniform(0.01, 1.0)
     elif kind == 1:
@@ -215,42 +247,92 @@ def crossing_bounds(n, rng, kind):
     return BoundsMatrix(lower, upper)
 
 
+def random_connected_graph(n: int, rng: np.random.Generator) -> MolGraph:
+    """A random tree of C and O atoms with up to n // 4 extra bonds, which
+    close rings."""
+    bonds = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, n // 4 + 1))):
+        bonds.add(tuple(sorted(int(a) for a in rng.choice(n, size=2, replace=False))))
+    return MolGraph.from_elements(rng.choice(["C", "O"], size=n), sorted(bonds))
+
+
 class TestSmoothStack:
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(3, 12), kinds=st.lists(st.integers(0, 3), min_size=1,
-                                                max_size=8),
+    @example(n=5, kinds=[], seed=0)
+    @example(n=6, kinds=[0, 1, 2, 0], seed=1)
+    @example(n=1, kinds=[3, 0], seed=2)
+    @example(n=2, kinds=[4, 3, 1], seed=3)
+    @given(n=st.integers(1, 12), kinds=st.lists(st.integers(0, 4), max_size=8),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_per_set_oracle(self, n, kinds, seed):
-        """Bit for bit, set by set, on stacks mixing consistent sets (kind 3)
-        with sets that cross; rejected sets and their first crossing agree."""
+        """Bit for bit, set by set, rejected sets included, on stacks (of no
+        sets, too) of `pipeline_set`s: consistent sets and sets that cross at
+        their input (kind 0) or once smoothed (kinds 1 and 2). `smooth_bounds`
+        raises the error the stack names. The fixed-point sweeps reject the
+        same sets and agree on the others within 1e-12."""
         rng = np.random.default_rng(seed)
-        stack = [random_bounds(n, rng) if kind == 3 else crossing_bounds(n, rng, kind)
-                 for kind in kinds]
-        lower, upper, errors = edg._smooth_stack(np.stack([b.lower for b in stack]),
-                                                 np.stack([b.upper for b in stack]))
+        stack = [pipeline_set(n, kind, rng) for kind in kinds]
+        lower, upper, errors = edg._smooth_stack(
+            np.reshape([b.lower for b in stack], (len(stack), n, n)),
+            np.reshape([b.upper for b in stack], (len(stack), n, n)))
+        assert lower.shape == upper.shape == (len(stack), n, n)
+        assert len(errors) == len(stack)
         for s, b in enumerate(stack):
-            try:
-                expected = oracle_smooth(b)
-            except InconsistentBoundsError as e:
-                assert errors[s] is not None, s
-                assert (errors[s].pair, str(errors[s])) == (e.pair, str(e)), s
-                with pytest.raises(InconsistentBoundsError) as info:
-                    smooth_bounds(b)
-                assert (info.value.pair, str(info.value)) == (e.pair, str(e))
-                continue
-            assert errors[s] is None, s
+            expected, error = oracle_closure(b)
             assert lower[s].tobytes() == expected.lower.tobytes(), s
             assert upper[s].tobytes() == expected.upper.tobytes(), s
+            try:
+                swept = oracle_smooth(b)
+            except InconsistentBoundsError:
+                swept = None
+            if error is not None:
+                assert_same_outcome(errors[s], error, s)
+                with pytest.raises(InconsistentBoundsError) as info:
+                    smooth_bounds(b)
+                assert_same_outcome(info.value, error, s)
+                assert swept is None, s
+                continue
+            assert errors[s] is None, s
             alone = smooth_bounds(b)
-            assert alone.lower.tobytes() == expected.lower.tobytes()
-            assert alone.upper.tobytes() == expected.upper.tobytes()
+            assert alone.lower.tobytes() == expected.lower.tobytes(), s
+            assert alone.upper.tobytes() == expected.upper.tobytes(), s
+            assert swept is not None, s
+            assert np.abs(swept.lower - lower[s]).max(initial=0.0) <= 1e-12, s
+            assert np.abs(swept.upper - upper[s]).max(initial=0.0) <= 1e-12, s
 
     def test_all_kinds_cross(self):
+        """Every kind crosses, alone and in a stack where every set crosses."""
         rng = np.random.default_rng(21)
-        for kind in range(3):
-            for _ in range(5):
-                with pytest.raises(InconsistentBoundsError):
-                    oracle_smooth(crossing_bounds(6, rng, kind))
+        stack = [crossing_bounds(6, rng, kind) for kind in range(3) for _ in range(5)]
+        for b in stack:
+            with pytest.raises(InconsistentBoundsError):
+                oracle_smooth(b)
+        _, _, errors = edg._smooth_stack(np.stack([b.lower for b in stack]),
+                                         np.stack([b.upper for b in stack]))
+        for s, (b, error) in enumerate(zip(stack, errors)):
+            assert error is not None, s
+            with pytest.raises(InconsistentBoundsError) as info:
+                smooth_bounds(b)
+            assert_same_outcome(info.value, error, s)
+
+    @settings(max_examples=30, deadline=None)
+    @example(n=40, samples=3, seed=0)
+    @given(n=st.integers(1, 40), samples=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_uppers_equal_floyd_warshall_on_decoder_bounds(self, n, samples, seed):
+        """Criterion 4's property at chain size: on the bounds `generate`
+        builds for a random connected graph from random edge Gaussians,
+        every set's smoothed uppers equal scipy's Floyd-Warshall shortest
+        paths bit for bit."""
+        rng = np.random.default_rng(seed)
+        eg = build_extended_graph(random_connected_graph(n, rng), seed=seed)
+        ged = GaussianEdgeDist(rng.uniform(1.0, 4.0, (samples, eg.n_edges)),
+                               rng.uniform(1e-4, 0.1, (samples, eg.n_edges)))
+        lower, upper = edg._bounds_stack(eg, ged)
+        _, smoothed, _ = edg._smooth_stack(lower, upper)
+        for s in range(samples):
+            oracle = shortest_path(upper[s], method="FW", directed=False)
+            assert smoothed[s].tobytes() == oracle.tobytes(), s
 
 
 class TestMetrize:
@@ -405,7 +487,7 @@ class TestGramEmbed:
         """Each set of a stack, metrized within random bounds, embeds bit for
         bit as the per-matrix oracle embeds it."""
         rng = np.random.default_rng(seed)
-        bounds = [oracle_smooth(random_bounds(n, rng)) for _ in range(count)]
+        bounds = [oracle_closure(random_bounds(n, rng))[0] for _ in range(count)]
         d = np.reshape([metrize(b, rng) for b in bounds], (count, n, n))
         coords = edg._gram_stack(d)
         assert coords.shape == (count, n, 3)
@@ -728,10 +810,9 @@ def oracle_embed(elements, b: BoundsMatrix, rng, tol):
     """One set alone, through the per-set oracles of smoothing and refine:
     the InconsistentBoundsError or GraphStructureError it ends in, or
     (coords, converged, max_violation, iterations)."""
-    try:
-        bounds = oracle_smooth(b)
-    except InconsistentBoundsError as e:
-        return e
+    bounds, error = oracle_closure(b)
+    if error is not None:
+        return error
     coords, converged, violation, iterations = oracle_refine(
         oracle_gram_embed(metrize(bounds, rng)), bounds, tol)
     try:
