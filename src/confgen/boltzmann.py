@@ -305,7 +305,6 @@ class _ChainState:
         self.total = chain.burn_in + chain.steps
         self.pos = chain.x0.positions.copy()
         self.n_atoms = self.pos.shape[0]
-        self.energy = 0.0  # at `pos`, kept while the chain is out of the stack
         self.step_size = chain.step_size
         self.accepted = 0  # after burn-in
         self.window = 0  # accepted in the current tuning window
@@ -380,8 +379,9 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
         relist = full.floor.size > 0
         step_rows = np.concatenate(
             [np.full((s.n_atoms, 1), s.step_size) for s in active])
-        energies = (stack.energies(pos).tolist() if start == 0
-                    else [s.energy for s in active])
+        # the bits each chain had at the end of the last stretch: the full
+        # stack's, and a molecule's energy does not depend on the others
+        energies = stack.energies(pos).tolist()
         end = min(s.total for s in active)
         noise = None
         for i in range(start, end):
@@ -423,8 +423,8 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
                 if i >= chain.burn_in and (i - chain.burn_in + 1) % chain.thin == 0:
                     s.kept[s.n_kept] = pos[a0:a1]
                     s.n_kept += 1
-        for (s, a0, a1), e in zip(spans, energies):
-            s.pos, s.energy = pos[a0:a1].copy(), e
+        for s, a0, a1 in spans:
+            s.pos = pos[a0:a1].copy()
         active, start = [s for s in active if s.total > end], end
     return [s.result() for s in states]
 

@@ -172,7 +172,7 @@ def _cmd_generate(args) -> int:
     if not records:
         raise UsageError(f"{args.data}: dataset is empty")
     grouped = dataio.group_records(records)
-    graphs = dataio.extended_graphs(records)
+    graphs = dataio.extended_graphs(grouped)
     molecules = sorted(grouped)
 
     outcomes = dict(zip(molecules, edg.generate(
@@ -219,19 +219,20 @@ def _cmd_evaluate(args) -> int:
     truth_records = dataio.read_dataset(args.truth)
     if not truth_records:
         raise UsageError(f"{args.truth}: dataset is empty")
-    graphs = dataio.extended_graphs(truth_records)
-    truth = dataio.distance_matrix_by_molecule(truth_records, graphs)
-    topology = {mol: (g, s) for mol, (g, s, _) in dataio.group_records(truth_records).items()}
+    grouped = dataio.group_records(truth_records)
+    graphs = dataio.extended_graphs(grouped)
+    truth = dataio.distance_matrix_by_molecule(grouped, graphs)
 
     methods: dict[str, dict] = {}
     for name, path in paths.items():
         gen_records = dataio.read_dataset(path)
         for r in gen_records:  # the build seed picks the edges that are compared
-            if topology.get(r.molecule, (r.graph, r.build_seed)) != (r.graph, r.build_seed):
+            if r.molecule in grouped and grouped[r.molecule][:2] != (r.graph, r.build_seed):
                 raise UsageError(f"{path}: molecule {r.molecule!r} has another bond graph "
                                  f"or build seed than in {args.truth}")
         # the checked records share the truth's extended graphs
-        methods[name] = dataio.distance_matrix_by_molecule(gen_records, graphs)
+        methods[name] = dataio.distance_matrix_by_molecule(
+            dataio.group_records(gen_records), graphs)
 
     report = evalmmd.protocol_report(graphs, truth, methods)
     if not report.rows:
@@ -310,6 +311,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's seeding would reject it without naming the flag, and after
+        # `train` has opened its metrics log
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             PermissionError) as e:

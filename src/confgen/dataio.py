@@ -1,4 +1,4 @@
-"""Dataset serialization, disjoint-graph splitting, and synthetic benchmarks.
+"""Dataset serialization and synthetic benchmarks.
 
 Datasets are line-delimited JSON: a header line carrying the schema version,
 then one record per line holding a molecule id, its bond graph, the seed its
@@ -72,16 +72,6 @@ class DatasetRecord:
     graph: MolGraph
     build_seed: int
     conformation: Conformation
-
-
-@dataclass
-class SplitManifest:
-    """Molecule ids per split; disjoint by construction."""
-
-    train: tuple
-    validation: tuple
-    test: tuple
-    seed: int
 
 
 # --- json codecs -----------------------------------------------------------
@@ -204,7 +194,9 @@ def _fast_line(line: str, heads: dict, graphs: dict) -> tuple | None:
 
 def read_dataset(path) -> list[DatasetRecord]:
     """Read records back; an empty file is an empty dataset. Records whose
-    graph entries are identical share one MolGraph.
+    graph entries are identical share one MolGraph. All records of a
+    molecule must have equal graphs: the first record whose graph differs,
+    by value, from that of its molecule's first record raises.
 
     The lines that the head fast path reads are grouped by head text, and
     each group's positions are checked as one stack (`Conformation.stack`).
@@ -218,6 +210,7 @@ def read_dataset(path) -> list[DatasetRecord]:
     graphs: dict[str, MolGraph] = {}
     heads: dict[str, tuple] = {}
     groups: dict[str, list] = {}  # head text -> [(record index, line, positions)]
+    firsts: dict[str, tuple] = {}  # molecule -> (graph, line) of its first record
     failed = None  # (line number, error) of the first line that fails
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -240,14 +233,24 @@ def read_dataset(path) -> list[DatasetRecord]:
                 fast = None
             if fast is None:
                 try:
-                    records.append(_record_from_dict(json.loads(line), graphs))
+                    record = _record_from_dict(json.loads(line), graphs)
                 except _BAD_RECORD as e:
                     failed = lineno, e  # no later line can fail first
                     break
-                continue
-            text, positions = fast
-            groups.setdefault(text, []).append((len(records), lineno, positions))
-            records.append(None)
+                molecule, graph = record.molecule, record.graph
+                records.append(record)
+            else:
+                text, positions = fast
+                molecule, graph, _ = heads[text]
+                groups.setdefault(text, []).append((len(records), lineno, positions))
+                records.append(None)
+            first = firsts.get(molecule)
+            if first is None:
+                firsts[molecule] = graph, lineno
+            elif graph is not first[0] and graph != first[0]:
+                failed = lineno, ValueError(f"molecule {molecule!r} has another bond "
+                                            f"graph than on line {first[1]}")
+                break
     for text, lines in groups.items():
         head = heads[text]
         slots, linenos, positions = zip(*lines)
@@ -255,7 +258,8 @@ def read_dataset(path) -> list[DatasetRecord]:
                 slots, linenos, Conformation.stack(head[1].elements, np.stack(positions))):
             if isinstance(conformation, Conformation):
                 records[slot] = DatasetRecord(*head, conformation)
-            elif failed is None or lineno < failed[0]:
+            # <=: a line's own coordinates fail before its graph is compared
+            elif failed is None or lineno <= failed[0]:
                 failed = lineno, conformation
     if failed is not None:
         lineno, e = failed
@@ -273,80 +277,31 @@ def group_records(records) -> dict:
     return grouped
 
 
-def extended_graphs(records) -> dict:
-    """molecule id -> ExtendedGraph, built with each molecule's stored seed."""
-    return {
-        mol: build_extended_graph(graph, seed)
-        for mol, (graph, seed, _) in group_records(records).items()
-    }
+def extended_graphs(grouped: dict) -> dict:
+    """molecule id -> ExtendedGraph, built with each molecule's stored seed,
+    from `group_records` output."""
+    return {mol: build_extended_graph(graph, seed)
+            for mol, (graph, seed, _) in grouped.items()}
 
 
 def training_pairs(records) -> list[tuple]:
     """(molecule, ExtendedGraph, distance vector) per record; each vector is
     a row of its molecule's `distance_matrix_by_molecule` matrix."""
-    graphs = extended_graphs(records)
-    rows = {mol: iter(d) for mol, d in distance_matrix_by_molecule(records, graphs).items()}
+    grouped = group_records(records)
+    graphs = extended_graphs(grouped)
+    rows = {mol: iter(d) for mol, d in distance_matrix_by_molecule(grouped, graphs).items()}
     return [(r.molecule, graphs[r.molecule], next(rows[r.molecule])) for r in records]
 
 
-def distance_matrix_by_molecule(records, graphs: dict) -> dict:
+def distance_matrix_by_molecule(grouped: dict, graphs: dict) -> dict:
     """molecule id -> (n_conformations x n_edges) distance matrix, one
     `extract_distances` call per molecule of `graphs` (molecule id ->
-    ExtendedGraph); records of a molecule it lacks are left out.
+    ExtendedGraph), in its order, over that molecule's conformations in
+    `grouped` (`group_records` output); molecules that either lacks are
+    left out.
     """
-    conformations: dict[str, list] = {mol: [] for mol in graphs}
-    for r in records:
-        if r.molecule in graphs:
-            conformations[r.molecule].append(r.conformation)
-    return {mol: extract_distances(graphs[mol], stack)
-            for mol, stack in conformations.items() if stack}
-
-
-# --- splitting ---------------------------------------------------------------
-
-def split_disjoint(records, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> SplitManifest:
-    """Partition molecules (never individual conformations) into splits.
-
-    Counts follow the fractions by largest remainder, with every positive
-    fraction guaranteed at least one molecule.
-    """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3:
-        raise ValueError("expected (train, validation, test) fractions")
-    if not all(math.isfinite(f) and f >= 0.0 for f in fractions):
-        raise ValueError(f"fractions must be finite and non-negative, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
-    molecules = sorted({r.molecule for r in records})
-    required = sum(1 for f in fractions if f > 0)
-    if len(molecules) < required:
-        raise ValueError(
-            f"{len(molecules)} unique molecules cannot fill {required} splits"
-        )
-
-    counts = [math.floor(f * len(molecules)) for f in fractions]
-    remainders = [f * len(molecules) - c for f, c in zip(fractions, counts)]
-    while sum(counts) < len(molecules):
-        i = max(range(3), key=lambda i: remainders[i])
-        counts[i] += 1
-        remainders[i] = -1.0
-    for i, f in enumerate(fractions):
-        if f > 0 and counts[i] == 0:
-            donor = max(range(3), key=lambda j: counts[j])
-            counts[donor] -= 1
-            counts[i] += 1
-
-    rng = np.random.default_rng(seed)
-    order = [molecules[i] for i in rng.permutation(len(molecules))]
-    train = tuple(sorted(order[: counts[0]]))
-    validation = tuple(sorted(order[counts[0] : counts[0] + counts[1]]))
-    test = tuple(sorted(order[counts[0] + counts[1] :]))
-    return SplitManifest(train, validation, test, int(seed))
-
-
-def select_split(records, molecule_ids) -> list[DatasetRecord]:
-    wanted = set(molecule_ids)
-    return [r for r in records if r.molecule in wanted]
+    return {mol: extract_distances(eg, grouped[mol][2])
+            for mol, eg in graphs.items() if mol in grouped}
 
 
 # --- synthetic benchmark -----------------------------------------------------

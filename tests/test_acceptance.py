@@ -31,16 +31,19 @@ def criterion(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def benchmark_bundle(tmp_path_factory):
-    """Full-scale synthetic benchmark, disjoint split, and a trained model."""
+    """Full-scale synthetic benchmark, held-out molecules, and a trained model."""
     root = tmp_path_factory.mktemp("benchmark")
     t0 = time.time()
     spec = toy10_spec(2000)
     records, _ = dataio.make_synthetic_benchmark(spec, seed=11)
-    manifest = dataio.split_disjoint(records, (0.6, 0.15, 0.25), seed=3)
+    # two of the ten molecules are held out, drawn by one seeded permutation
+    molecules = sorted({r.molecule for r in records})
+    order = np.random.default_rng(3).permutation(len(molecules))
+    held_out = {molecules[i] for i in order[8:]}
+    assert held_out == {"isobutane", "propane"}
 
-    train_records = dataio.select_split(records,
-                                        manifest.train + manifest.validation)
-    test_records = dataio.select_split(records, manifest.test)
+    train_records = [r for r in records if r.molecule not in held_out]
+    test_records = [r for r in records if r.molecule in held_out]
     train_path = root / "train.jsonl"
     test_path = root / "test.jsonl"
     dataio.write_dataset(train_path, train_records)
@@ -54,7 +57,6 @@ def benchmark_bundle(tmp_path_factory):
 
     return {
         "spec": spec,
-        "manifest": manifest,
         "train_pairs": train_pairs,
         "test_records": test_records,
         "train_path": train_path,
@@ -241,9 +243,10 @@ def test_criterion_6_learning_beats_idealized_baseline(benchmark_bundle):
     bundle = benchmark_bundle
     params = bundle["params"]
     test_records = bundle["test_records"]
-    graphs = dataio.extended_graphs(test_records)
+    grouped = dataio.group_records(test_records)
+    graphs = dataio.extended_graphs(grouped)
     truth = {mol: rows[::4] for mol, rows in
-             dataio.distance_matrix_by_molecule(test_records, graphs).items()}
+             dataio.distance_matrix_by_molecule(grouped, graphs).items()}
 
     model_samples, baseline_samples = {}, {}
     for index, (mol, eg) in enumerate(sorted(graphs.items())):

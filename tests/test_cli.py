@@ -39,6 +39,19 @@ def workspace(tmp_path_factory):
     return root, spec_path, data_path, config_path, ckpt_path
 
 
+@pytest.mark.parametrize("command", ["make-data", "train", "generate"])
+def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, command):
+    # numpy's seeding exited 1 with "expected non-negative integer", naming
+    # no flag, and `train` left an empty metrics log behind
+    _, spec_path, data_path, _, ckpt_path = workspace
+    inputs = {"make-data": [spec_path], "train": [data_path],
+              "generate": [ckpt_path, data_path]}[command]
+    args = [command, *map(str, inputs), str(tmp_path / "out.jsonl"), "--seed", "-1"]
+    assert main(args) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestMakeData:
     def test_summary_line(self, workspace, capsys):
         root, spec_path, _, _, _ = workspace

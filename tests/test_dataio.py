@@ -16,7 +16,6 @@ from confgen.dataio import (
     ParseError,
     make_synthetic_benchmark,
     read_dataset,
-    split_disjoint,
     write_dataset,
 )
 from confgen.errors import DomainError
@@ -41,11 +40,12 @@ from conftest import (
 
 @st.composite
 def dataset_records(draw):
-    """A few molecules (random trees with random attributes), each with a
-    few conformations holding arbitrary finite, pairwise distinct positions.
+    """A few molecules of distinct names (random trees with random
+    attributes), each with a few conformations holding arbitrary finite,
+    pairwise distinct positions.
     """
     records = []
-    for _ in range(draw(st.integers(0, 3))):
+    for molecule in draw(st.lists(st.text(max_size=6), max_size=3, unique=True)):
         n = draw(st.integers(1, 5))
         nodes = tuple(
             (draw(st.sampled_from(["H", "C", "N", "O", "F"])),
@@ -63,7 +63,6 @@ def dataset_records(draw):
             for i in range(1, n)
         )
         graph = MolGraph(nodes, bonds)
-        molecule = draw(st.text(max_size=6))
         build_seed = draw(st.integers(0, 2**63))
         for _ in range(draw(st.integers(1, 3))):
             positions = draw(hnp.arrays(
@@ -250,6 +249,20 @@ class TestRoundTrip:
         with pytest.raises(ParseError, match=r":4: bad record: .*self-loop"):
             read_dataset(path)
 
+    def test_second_bond_graph_of_a_molecule_names_its_line(self, tmp_path):
+        # was read: `train` measured the second graph's conformations along
+        # the first graph's extended edges, and `evaluate f f` reported that
+        # the file differs from itself
+        records = build_records(n_molecules=2, n_conf=2)
+        assert records[2].graph != records[0].graph
+        renamed = [DatasetRecord("mol0", r.graph, r.build_seed, r.conformation)
+                   for r in records[2:]]
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, records[:2] + renamed)
+        with pytest.raises(ParseError, match=r":4: bad record: molecule 'mol0' has "
+                                             r"another bond graph than on line 2$"):
+            read_dataset(path)
+
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"format": "something-else", "version": 1}\n')
@@ -277,7 +290,8 @@ def codec_records(draw):
     """Records of 1-40 atoms whose names, coordinates and build seeds stress
     the record codec. Graph objects are shared between molecules, and one
     molecule may carry a second build seed, so that two heads differ only in
-    their name or only in their seed."""
+    their name or only in their seed. One name may be drawn for two graphs,
+    which the reader rejects."""
     graphs = []
     for _ in range(draw(st.integers(1, 2))):
         n = draw(st.integers(1, 40))
@@ -305,9 +319,10 @@ def codec_records(draw):
 
 
 def oracle_read(path):
-    """read_dataset as written before the head fast path: each record line
-    parsed whole, its graph shared by the repr of its entry."""
-    records, graphs = [], {}
+    """The reference for read_dataset: each record line parsed whole, as
+    before the head fast path, its graph shared by the repr of its entry, and
+    each molecule's graph compared, by value, with that of its first record."""
+    records, graphs, firsts = [], {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -321,14 +336,20 @@ def oracle_read(path):
                 graph = graphs.get(key)
                 if graph is None:
                     graph = graphs[key] = dataio.graph_from_dict(d["graph"])
-                records.append(DatasetRecord(
+                record = DatasetRecord(
                     molecule=str(d["molecule"]), graph=graph,
                     build_seed=int(d["build_seed"]),
                     conformation=Conformation(graph.elements,
-                                              np.asarray(d["positions"]))))
+                                              np.asarray(d["positions"])))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     DomainError) as e:
                 raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
+            first_graph, first_line = firsts.setdefault(record.molecule, (graph, lineno))
+            if graph != first_graph:
+                raise ParseError(f"{path}:{lineno}: bad record: molecule "
+                                 f"{record.molecule!r} has another bond graph than on "
+                                 f"line {first_line}")
+            records.append(record)
     return records
 
 
@@ -422,21 +443,29 @@ class TestRecordCodec:
     @settings(max_examples=60, deadline=None)
     @given(records=codec_records())
     def test_lines_are_json_dumps_and_read_back(self, records):
-        """Each line is json.dumps of its record object, the file reads back
-        as the records, and writing what was read gives the same bytes."""
+        """Each line is json.dumps of its record object, and the file reads
+        back as the records, where writing what was read gives the same
+        bytes; or, when a name has two graphs, it fails as the oracle does."""
+        firsts: dict = {}
+        two_graphs = any(firsts.setdefault(r.molecule, r.graph) != r.graph
+                         for r in records)
         with tempfile.TemporaryDirectory() as root:
             path, again = Path(root) / "a.jsonl", Path(root) / "b.jsonl"
             write_dataset(path, records)
             lines = path.read_text(encoding="utf-8").split("\n")
             assert lines[1:] == [json.dumps(dataio._record_to_dict(r))
                                  for r in records] + [""]
-            loaded = read_dataset(path)
-            for a, b in zip(records, loaded):
-                assert (a.molecule, a.graph, a.build_seed) == \
-                       (b.molecule, b.graph, b.build_seed)
-            assert_same_records(loaded, oracle_read(path))
-            write_dataset(again, loaded)
-            assert again.read_bytes() == path.read_bytes()
+            loaded, error = outcome(read_dataset, path)
+            want, want_error = outcome(oracle_read, path)
+            assert error == want_error
+            assert (error is not None) == two_graphs
+            if loaded is not None:
+                for a, b in zip(records, loaded):
+                    assert (a.molecule, a.graph, a.build_seed) == \
+                           (b.molecule, b.graph, b.build_seed)
+                assert_same_records(loaded, want)
+                write_dataset(again, loaded)
+                assert again.read_bytes() == path.read_bytes()
 
     @settings(max_examples=80, deadline=None)
     @given(records=codec_records(), data=st.data())
@@ -535,52 +564,6 @@ class TestRecordCodec:
         write_dataset(path, [a, b, a])
         assert [r.build_seed for r in read_dataset(path)] == \
                [a.build_seed, b.build_seed, a.build_seed]
-
-
-class TestSplitDisjoint:
-    def test_ten_molecules_80_10_10(self):
-        records = build_records(n_molecules=10, n_conf=3)
-        manifest = split_disjoint(records, (0.8, 0.1, 0.1), seed=1)
-        assert len(manifest.train) == 8
-        assert len(manifest.validation) == 1
-        assert len(manifest.test) == 1
-
-    def test_every_molecule_in_exactly_one_split(self):
-        records = build_records(n_molecules=7, n_conf=4)
-        manifest = split_disjoint(records, (0.6, 0.2, 0.2), seed=2)
-        all_ids = {r.molecule for r in records}
-        seen = list(manifest.train) + list(manifest.validation) + list(manifest.test)
-        assert sorted(seen) == sorted(all_ids)
-        for r in records:
-            assert sum(r.molecule in s for s in
-                       (manifest.train, manifest.validation, manifest.test)) == 1
-
-    def test_three_seeds_three_distinct_manifests(self):
-        records = build_records(n_molecules=12, n_conf=2)
-        manifests = {split_disjoint(records, seed=s).train for s in (1, 2, 3)}
-        assert len(manifests) == 3
-
-    def test_too_few_molecules_rejected(self):
-        records = build_records(n_molecules=2, n_conf=3)
-        with pytest.raises(ValueError):
-            split_disjoint(records, (0.8, 0.1, 0.1), seed=0)
-
-    def test_bad_fractions_rejected(self):
-        records = build_records(n_molecules=5, n_conf=1)
-        with pytest.raises(ValueError):
-            split_disjoint(records, (0.5, 0.2, 0.2), seed=0)
-
-    @pytest.mark.parametrize("fractions", [(0.5, 0.6, -0.1), (float("nan"), 0.5, 0.5),
-                                           (0.5, 0.5, float("inf"))],
-                             ids=["negative", "nan", "inf"])
-    def test_negative_or_non_finite_fraction_rejected(self, fractions):
-        # the negative one gave an empty test split; the NaN one failed with
-        # "cannot convert float NaN to integer"
-        records = build_records(n_molecules=5, n_conf=1)
-        with pytest.raises(ValueError) as raised:
-            split_disjoint(records, fractions, seed=0)
-        assert str(raised.value) == \
-            f"fractions must be finite and non-negative, got {fractions}"
 
 
 class TestSyntheticBenchmark:
