@@ -225,14 +225,13 @@ def _cmd_evaluate(args) -> int:
 
     methods: dict[str, dict] = {}
     for name, path in paths.items():
-        gen_records = dataio.read_dataset(path)
-        for r in gen_records:  # the build seed picks the edges that are compared
-            if r.molecule in grouped and grouped[r.molecule][:2] != (r.graph, r.build_seed):
-                raise UsageError(f"{path}: molecule {r.molecule!r} has another bond graph "
+        generated = dataio.group_records(dataio.read_dataset(path))
+        for mol, (graph, seed, _) in generated.items():  # the seed picks the edges compared
+            if mol in grouped and grouped[mol][:2] != (graph, seed):
+                raise UsageError(f"{path}: molecule {mol!r} has another bond graph "
                                  f"or build seed than in {args.truth}")
         # the checked records share the truth's extended graphs
-        methods[name] = dataio.distance_matrix_by_molecule(
-            dataio.group_records(gen_records), graphs)
+        methods[name] = dataio.distance_matrix_by_molecule(generated, graphs)
 
     report = evalmmd.protocol_report(graphs, truth, methods)
     if not report.rows:

@@ -102,6 +102,8 @@ class MessageBlock:
     and the two results are summed, so the update cannot depend on which
     endpoint was stored first. Node states are updated from the sum of their
     incident updated edge states. States may carry a leading sample axis.
+    The two updates are separate steps, so that a network that reads out on
+    the edges can skip the node update of its last pass.
     """
 
     def __init__(self, node_state: int, edge_state: int, hidden: int,
@@ -115,19 +117,20 @@ class MessageBlock:
             out_gain=MESSAGE_GAIN,
         )
 
-    def __call__(self, v: Tensor, e: Tensor, src, dst, n_nodes: int):
+    def edge_step(self, v: Tensor, e: Tensor, src, dst) -> Tensor:
         h_src = nnet.rows(v, src)
         h_dst = nnet.rows(v, dst)
-        e_new = nnet.add(
+        return nnet.add(
             self.edge_update(nnet.concat([e, h_src, h_dst], axis=-1)),
             self.edge_update(nnet.concat([e, h_dst, h_src], axis=-1)),
         )
+
+    def node_step(self, v: Tensor, e_new: Tensor, src, dst, n_nodes: int) -> Tensor:
         agg = nnet.add(
             nnet.scatter_sum(e_new, src, n_nodes),
             nnet.scatter_sum(e_new, dst, n_nodes),
         )
-        v_new = self.node_update(nnet.concat([v, agg], axis=-1))
-        return v_new, e_new
+        return self.node_update(nnet.concat([v, agg], axis=-1))
 
 
 class _MessagePassingNet:
@@ -171,8 +174,12 @@ class _MessagePassingNet:
         """
         v = self.node_embed(v_in)
         e = self.edge_embed(e_in)
-        for block in self.passes:
-            v, e = block(v, e, src, dst, n_nodes)
+        for t, block in enumerate(self.passes):
+            e = block.edge_step(v, e, src, dst)
+            # an edge read-out never reads the last pass's node states, so
+            # that node update is skipped; its weights stay in the model
+            if not (self.on_edges and t == len(self.passes) - 1):
+                v = block.node_step(v, e, src, dst, n_nodes)
         out = e if self.on_edges else v
         mean = self.mean(out)
         logvar = nnet.clip(self.logvar(out), math.log(self.config.variance_floor),

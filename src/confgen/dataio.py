@@ -195,8 +195,9 @@ def _fast_line(line: str, heads: dict, graphs: dict) -> tuple | None:
 def read_dataset(path) -> list[DatasetRecord]:
     """Read records back; an empty file is an empty dataset. Records whose
     graph entries are identical share one MolGraph. All records of a
-    molecule must have equal graphs: the first record whose graph differs,
-    by value, from that of its molecule's first record raises.
+    molecule must have equal graphs and one build seed: the first record
+    whose graph differs, by value, from that of its molecule's first record,
+    or else whose build seed differs from it, raises.
 
     The lines that the head fast path reads are grouped by head text, and
     each group's positions are checked as one stack (`Conformation.stack`).
@@ -210,7 +211,7 @@ def read_dataset(path) -> list[DatasetRecord]:
     graphs: dict[str, MolGraph] = {}
     heads: dict[str, tuple] = {}
     groups: dict[str, list] = {}  # head text -> [(record index, line, positions)]
-    firsts: dict[str, tuple] = {}  # molecule -> (graph, line) of its first record
+    firsts: dict[str, tuple] = {}  # molecule -> (graph, seed, line) of its first record
     failed = None  # (line number, error) of the first line that fails
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -237,19 +238,23 @@ def read_dataset(path) -> list[DatasetRecord]:
                 except _BAD_RECORD as e:
                     failed = lineno, e  # no later line can fail first
                     break
-                molecule, graph = record.molecule, record.graph
+                molecule, graph, seed = record.molecule, record.graph, record.build_seed
                 records.append(record)
             else:
                 text, positions = fast
-                molecule, graph, _ = heads[text]
+                molecule, graph, seed = heads[text]
                 groups.setdefault(text, []).append((len(records), lineno, positions))
                 records.append(None)
             first = firsts.get(molecule)
             if first is None:
-                firsts[molecule] = graph, lineno
+                firsts[molecule] = graph, seed, lineno
             elif graph is not first[0] and graph != first[0]:
                 failed = lineno, ValueError(f"molecule {molecule!r} has another bond "
-                                            f"graph than on line {first[1]}")
+                                            f"graph than on line {first[2]}")
+                break
+            elif seed != first[1]:
+                failed = lineno, ValueError(f"molecule {molecule!r} has another build "
+                                            f"seed than on line {first[2]}")
                 break
     for text, lines in groups.items():
         head = heads[text]

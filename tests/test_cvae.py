@@ -292,6 +292,36 @@ class TestElbo:
         assert res.kl == pytest.approx(cvae.kl_standard_normal(ng.mean, ng.var),
                                        rel=1e-12)
 
+    def test_decoder_last_node_update_is_dead(self, small_instance):
+        """The decoder reads out on edges, so its last pass's node update
+        feeds nothing: perturbing those weights moves no decode, no ELBO
+        and no gradient, and they get a zero gradient themselves."""
+        p, eg, d = small_instance
+        last = f"dec.pass{SMALL.message_passes - 1}.node."
+        dead = [name for name in p.named_parameters() if name.startswith(last)]
+        assert len(dead) == 6  # three layers, a weight and a bias each
+        z = np.random.default_rng(1).standard_normal((3, eg.n_nodes))
+        noise = np.random.default_rng(0).standard_normal(eg.n_nodes)
+
+        def outputs():
+            ged = cvae.decode(p, eg, z)
+            res = cvae.elbo(p, eg, d, noise)
+            return ged.mean.copy(), ged.var.copy(), res
+
+        mean, var, res = outputs()
+        rng = np.random.default_rng(9)
+        for name in dead:
+            t = p.named_parameters()[name]
+            t.data = t.data + rng.normal(0.0, 1.0, t.data.shape)
+        mean2, var2, res2 = outputs()
+        assert mean.tobytes() == mean2.tobytes() and var.tobytes() == var2.tobytes()
+        assert (res.value, res.reconstruction, res.kl) == \
+               (res2.value, res2.reconstruction, res2.kl)
+        for name, g in res.gradients.items():
+            assert g.tobytes() == res2.gradients[name].tobytes(), name
+            if name in dead:
+                assert not g.any(), name
+
     def test_gradients_match_finite_differences(self, small_instance):
         p, eg, d = small_instance
         noise = np.random.default_rng(3).standard_normal(eg.n_nodes)

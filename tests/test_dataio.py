@@ -263,6 +263,18 @@ class TestRoundTrip:
                                              r"another bond graph than on line 2$"):
             read_dataset(path)
 
+    def test_second_build_seed_of_a_molecule_names_its_line(self, tmp_path):
+        # was read: the seed picks the extended edges, and `train` measured
+        # the second seed's conformations along the first seed's edges, while
+        # `evaluate f f` reported that the file differs from itself
+        records = build_records(n_molecules=1, n_conf=3)
+        records[2].build_seed += 1
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, records)
+        with pytest.raises(ParseError, match=r":4: bad record: molecule 'mol0' has "
+                                             r"another build seed than on line 2$"):
+            read_dataset(path)
+
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"format": "something-else", "version": 1}\n')
@@ -288,10 +300,11 @@ COORDINATES = (st.floats(-1e4, 1e4) | st.integers(-1000, 1000).map(float)
 @st.composite
 def codec_records(draw):
     """Records of 1-40 atoms whose names, coordinates and build seeds stress
-    the record codec. Graph objects are shared between molecules, and one
-    molecule may carry a second build seed, so that two heads differ only in
-    their name or only in their seed. One name may be drawn for two graphs,
-    which the reader rejects."""
+    the record codec. Each run of records draws its graph, its name and its
+    build seed from pools of one or two, so graph objects are shared between
+    molecules and two heads may differ only in their name or only in their
+    seed. Names repeat often, and a name drawn with two graphs or two seeds
+    breaks a rule that the reader enforces: in about 15% of draws each."""
     graphs = []
     for _ in range(draw(st.integers(1, 2))):
         n = draw(st.integers(1, 40))
@@ -301,11 +314,13 @@ def codec_records(draw):
             elements, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]))
     name = (st.lists(st.sampled_from(NAME_PIECES), max_size=4).map("".join)
             | st.text(max_size=4))
+    names = draw(st.lists(name, min_size=1, max_size=2))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2))
     records = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 4))):
         graph = draw(st.sampled_from(graphs))
-        molecule = draw(name)
-        seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2))
+        molecule = draw(st.sampled_from(names))
+        seed = draw(st.sampled_from(seeds))
         for _ in range(draw(st.integers(1, 3))):
             positions = draw(hnp.arrays(np.float64, (graph.n_atoms, 3),
                                         elements=COORDINATES, unique=True))
@@ -313,15 +328,15 @@ def codec_records(draw):
                 conformation = Conformation(graph.elements, positions)
             except GraphStructureError:
                 reject()
-            records.append(DatasetRecord(molecule, graph, draw(st.sampled_from(seeds)),
-                                         conformation))
+            records.append(DatasetRecord(molecule, graph, seed, conformation))
     return records
 
 
 def oracle_read(path):
     """The reference for read_dataset: each record line parsed whole, as
     before the head fast path, its graph shared by the repr of its entry, and
-    each molecule's graph compared, by value, with that of its first record."""
+    each molecule's graph compared, by value, and then its build seed with
+    those of its first record."""
     records, graphs, firsts = [], {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -344,13 +359,31 @@ def oracle_read(path):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     DomainError) as e:
                 raise ParseError(f"{path}:{lineno}: bad record: {e}") from e
-            first_graph, first_line = firsts.setdefault(record.molecule, (graph, lineno))
+            first_graph, first_seed, first_line = firsts.setdefault(
+                record.molecule, (graph, record.build_seed, lineno))
             if graph != first_graph:
                 raise ParseError(f"{path}:{lineno}: bad record: molecule "
                                  f"{record.molecule!r} has another bond graph than on "
                                  f"line {first_line}")
+            if record.build_seed != first_seed:
+                raise ParseError(f"{path}:{lineno}: bad record: molecule "
+                                 f"{record.molecule!r} has another build seed than on "
+                                 f"line {first_line}")
             records.append(record)
     return records
+
+
+def broken_rule(records):
+    """None, or the one-per-molecule rule that the first record to break one
+    breaks: "bond graph" or "build seed", the graph compared first."""
+    firsts: dict = {}
+    for r in records:
+        graph, seed = firsts.setdefault(r.molecule, (r.graph, r.build_seed))
+        if r.graph != graph:
+            return "bond graph"
+        if r.build_seed != seed:
+            return "build seed"
+    return None
 
 
 def assert_same_records(a, b):
@@ -445,10 +478,9 @@ class TestRecordCodec:
     def test_lines_are_json_dumps_and_read_back(self, records):
         """Each line is json.dumps of its record object, and the file reads
         back as the records, where writing what was read gives the same
-        bytes; or, when a name has two graphs, it fails as the oracle does."""
-        firsts: dict = {}
-        two_graphs = any(firsts.setdefault(r.molecule, r.graph) != r.graph
-                         for r in records)
+        bytes; or, when a name has two graphs or two build seeds, it fails
+        as the oracle does, naming the rule."""
+        rule = broken_rule(records)
         with tempfile.TemporaryDirectory() as root:
             path, again = Path(root) / "a.jsonl", Path(root) / "b.jsonl"
             write_dataset(path, records)
@@ -458,7 +490,9 @@ class TestRecordCodec:
             loaded, error = outcome(read_dataset, path)
             want, want_error = outcome(oracle_read, path)
             assert error == want_error
-            assert (error is not None) == two_graphs
+            assert (error is None) == (rule is None)
+            if rule is not None:
+                assert f"has another {rule} than on line" in error
             if loaded is not None:
                 for a, b in zip(records, loaded):
                     assert (a.molecule, a.graph, a.build_seed) == \
@@ -556,14 +590,20 @@ class TestRecordCodec:
         assert error.startswith(f"{path}:2: bad record: ")
 
     def test_seed_alone_tells_heads_apart(self, tmp_path):
-        """One molecule and graph under two build seeds: each record keeps
-        its own seed through write and read."""
+        """One molecule and graph under two build seeds: the writer gives
+        each record its own seed, and the reader rejects the second seed,
+        as it does when reading the lines whole."""
         [a, b] = build_records(n_molecules=1, n_conf=2)
         b.build_seed = a.build_seed + 1
         path = tmp_path / "data.jsonl"
         write_dataset(path, [a, b, a])
-        assert [r.build_seed for r in read_dataset(path)] == \
+        _, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["build_seed"] for line in lines] == \
                [a.build_seed, b.build_seed, a.build_seed]
+        _, error = outcome(read_dataset, path)
+        assert error == outcome(oracle_read, path)[1]
+        assert error.endswith(":3: bad record: molecule 'mol0' has another build "
+                              "seed than on line 2")
 
 
 class TestSyntheticBenchmark:
