@@ -9,7 +9,6 @@ constant (k_B*T at 500 K is 8.314*500/1000 kJ/mol).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -259,11 +258,9 @@ class MetropolisResult:
         return self.positions.shape[0]
 
 
-# Proposal noise and acceptance thresholds are drawn in blocks of CHUNK steps:
-# a chain's generator yields the block's normals, then its uniforms. REPLAY
-# steps of normals are held at a time (see _ChainState.draw_chunk).
-CHUNK = 4096
-REPLAY = 256
+# A chain's generator is drawn one block of BLOCK steps at a time (fewer at
+# its end): the block's proposal normals, then its acceptance uniforms.
+BLOCK = 256
 TUNE_WINDOW = 50
 # The steric pairs of a lockstep stretch are listed afresh (Verlet 1967)
 # whenever an atom of a proposal lies STERIC_SKIN/2 from where it was at the
@@ -311,32 +308,16 @@ class _ChainState:
         self.kept = np.empty((chain.steps // chain.thin, self.n_atoms, 3))
         self.n_kept = 0
         self.logu = np.empty(0)
-        self.block = np.empty((REPLAY, self.n_atoms, 3))
+        self.block = np.empty((BLOCK, self.n_atoms, 3))
         self.noise = self.block[:0]  # the rows of `block` drawn last
-        self.replay = np.random.Generator(copy.deepcopy(chain.rng.bit_generator))
 
-    def draw_chunk(self, i: int) -> None:
-        """Draw the chunk of steps from `i` as one draw of all its normals,
-        then all its uniforms, would, holding only REPLAY steps of normals.
-
-        The normals are drawn and dropped to reach the uniforms, then
-        replayed from the saved generator state by `draw_block`; the normal
-        sampler keeps no state between calls, so this yields the same
-        numbers.
-        """
-        rng = self.chain.rng
-        length = min(CHUNK, self.total - i)
-        self.replay.bit_generator.state = rng.bit_generator.state
-        for start in range(0, length, REPLAY):
-            rng.standard_normal(out=self.block[: min(REPLAY, length - start)])
-        self.logu = np.log(rng.random(length))
-
-    def draw_block(self, i: int) -> None:
-        """Replay the proposal noise of the steps from `i` to the next edge
-        of a REPLAY block, chunk or the chain's end."""
-        length = min(REPLAY, CHUNK - i % CHUNK, self.total - i)
+    def draw(self, i: int) -> None:
+        """Draw the block of steps from `i`: its proposal normals into
+        `block`, then its acceptance uniforms."""
+        length = min(BLOCK, self.total - i)
         self.noise = self.block[:length]
-        self.replay.standard_normal(out=self.noise)
+        self.chain.rng.standard_normal(out=self.noise)
+        self.logu = np.log(self.chain.rng.random(length))
 
     def result(self) -> MetropolisResult:
         return MetropolisResult(
@@ -352,10 +333,10 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
 
     Each step moves every unfinished chain: one pass of `_TermStack`
     computes all their proposal energies, and accepted chains take their
-    proposals. A chain keeps its own generator, drawn in the order and
-    blocks that `metropolis_sample` draws it, its own step size, tuning
-    window and schedule, and leaves the loop when its own steps are done;
-    so each chain's result is bit for bit the one it gets alone.
+    proposals. A chain keeps its own generator, drawn a block at a time
+    (see BLOCK), its own step size, tuning window and schedule, and leaves
+    the loop when its own steps are done; so each chain's result is bit for
+    bit the one it gets alone.
 
     The energies come from a steric neighbour list: the stack with only the
     steric pairs closer than floor + STERIC_SKIN, listed afresh at each
@@ -385,20 +366,16 @@ def metropolis_chains(chains, cfg: ISConfig) -> list[MetropolisResult]:
         end = min(s.total for s in active)
         noise = None
         for i in range(start, end):
-            j = i % CHUNK
+            j = i % BLOCK
             if j == 0:
                 for s in active:
-                    s.draw_chunk(i)
-            if j % REPLAY == 0:
-                for s in active:
-                    s.draw_block(i)
+                    s.draw(i)
                 noise = None
             if noise is None:
                 # stacked at each block edge, and mid-block after a chain left
-                base = i - j % REPLAY
                 rows = min(len(s.noise) for s in active)
                 noise = np.concatenate([s.noise[:rows] for s in active], axis=1)
-            proposal = pos + step_rows * noise[i - base]
+            proposal = pos + step_rows * noise[j]
             if relist and _row_dots(proposal - listed_at).max() >= reach2:
                 stack, listed_at = full.near(proposal, STERIC_SKIN), proposal
             proposed = stack.energies(proposal).tolist()

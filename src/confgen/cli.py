@@ -196,12 +196,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _is_tsv_field(name: str) -> bool:
+    """Whether `name` can be a field of `evaluate`'s TSV rows: non-empty,
+    with no tab or line break."""
+    return bool(name) and not any(c in name for c in "\t\n\r")
+
+
 def _method_name(arg: str) -> tuple[str, str]:
     """(name, path) of a `name=path` or bare-path argument; the name is a
-    field of PREFIX.tsv's rows, so it must be non-empty and hold no tab or
-    line break."""
+    field of PREFIX.tsv's rows (see _is_tsv_field)."""
     name, path = arg.split("=", 1) if "=" in arg else (Path(arg).stem, arg)
-    if not name or any(c in name for c in "\t\n\r"):
+    if not _is_tsv_field(name):
         raise UsageError(f"method name {name!r} of argument {arg!r} is empty or holds "
                          f"a tab, newline or carriage return")
     return name, path
@@ -220,6 +225,10 @@ def _cmd_evaluate(args) -> int:
     if not truth_records:
         raise UsageError(f"{args.truth}: dataset is empty")
     grouped = dataio.group_records(truth_records)
+    for mol in grouped:  # a field of every report row
+        if not _is_tsv_field(mol):
+            raise UsageError(f"{args.truth}: molecule name {mol!r} is empty or holds "
+                             f"a tab, newline or carriage return")
     graphs = dataio.extended_graphs(grouped)
     truth = dataio.distance_matrix_by_molecule(grouped, graphs)
 

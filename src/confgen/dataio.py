@@ -124,12 +124,16 @@ def _head_from_dict(d: dict, graphs: dict) -> tuple:
     """The (molecule, graph, build seed) of record `d`; its graph is taken
     from `graphs`, keyed by the repr of the graph entry, or built and added
     there. The repr tells 1, 1.0 and true apart, which compare equal but are
-    written back as they were read."""
+    written back as they were read. The build seed must be a JSON integer
+    >= 0: 1.5, "7" and true are not read as seeds."""
     key = repr(d["graph"])
     graph = graphs.get(key)
     if graph is None:
         graph = graphs[key] = graph_from_dict(d["graph"])
-    return str(d["molecule"]), graph, int(d["build_seed"])
+    seed = d["build_seed"]
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"build_seed must be a non-negative integer, got {seed!r}")
+    return str(d["molecule"]), graph, seed
 
 
 def _record_from_dict(d: dict, graphs: dict) -> DatasetRecord:

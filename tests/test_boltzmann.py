@@ -166,9 +166,9 @@ def oracle_energy(m, positions):
 
 
 def oracle_metropolis(m, x0, steps, cfg, rng, *, step_size=0.05, burn_in=0,
-                      thin=1, tune=True, chunk=4096):
-    """metropolis_sample as written before the lockstep loop: one chain, the
-    old energy formula, and each chunk's noise drawn and held whole."""
+                      thin=1, tune=True, block=boltzmann.BLOCK):
+    """metropolis_sample as a plain one-chain loop: the old energy formula,
+    and each block's noise, then its uniforms, drawn as two whole arrays."""
     pos = x0.positions.copy()
     kbt = cfg.kbt
     e = oracle_energy(m, pos)
@@ -180,10 +180,10 @@ def oracle_metropolis(m, x0, steps, cfg, rng, *, step_size=0.05, burn_in=0,
     total = burn_in + steps
     noise = logu = None
     for i in range(total):
-        j = i % chunk
+        j = i % block
         if j == 0:
-            noise = rng.standard_normal((min(chunk, total - i), n_atoms, 3))
-            logu = np.log(rng.random(min(chunk, total - i)))
+            noise = rng.standard_normal((min(block, total - i), n_atoms, 3))
+            logu = np.log(rng.random(min(block, total - i)))
         prop = pos + step_size * noise[j]
         e_prop = oracle_energy(m, prop)
         if logu[j] < -(e_prop - e) / kbt:
@@ -277,17 +277,16 @@ class TestLockstep:
     @settings(max_examples=40, deadline=None)
     @given(n_chains=st.integers(1, 4),
            sizes=st.lists(st.integers(2, 9), min_size=4, max_size=4),
-           constants=st.sampled_from([(4096, 256), (64, 16), (97, 5), (40, 1)]),
+           block=st.sampled_from([256, 16, 97, 1]),
            temperature=st.sampled_from([300.0, 500.0, 5000.0]),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_per_chain_oracle(self, n_chains, sizes, constants,
+    def test_matches_per_chain_oracle(self, n_chains, sizes, block,
                                       temperature, seed):
         """Each chain bit for bit as it runs alone, with per-chain steps,
         burn-in, thinning, step size and tuning; small patched block sizes
-        put chunk and replay edges, and chains leaving, mid-run."""
+        put block edges, and chains leaving, mid-run."""
         rng = np.random.default_rng(seed)
         cfg = ISConfig(temperature=temperature)
-        chunk, replay = constants
         chains, seeds = [], []
         for k in range(n_chains):
             n = 2 if k == 1 else sizes[k]  # chain 1: an angle-less two-atom bond
@@ -301,22 +300,21 @@ class TestLockstep:
                 tune=bool(rng.integers(2)),
             ))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(boltzmann, "CHUNK", chunk)
-            mp.setattr(boltzmann, "REPLAY", replay)
+            mp.setattr(boltzmann, "BLOCK", block)
             results = metropolis_chains(chains, cfg)
         for c, s, r in zip(chains, seeds, results):
             rng = np.random.default_rng(s)
             positions, acceptance, step_size = oracle_metropolis(
                 c.model, c.x0, c.steps, cfg, rng, step_size=c.step_size,
-                burn_in=c.burn_in, thin=c.thin, tune=c.tune, chunk=chunk)
+                burn_in=c.burn_in, thin=c.thin, tune=c.tune, block=block)
             assert r.positions.tobytes() == positions.tobytes()
             assert r.positions.shape == positions.shape
             assert (r.acceptance_rate, r.step_size) == (acceptance, step_size)
             assert c.rng.bit_generator.state == rng.bit_generator.state
 
-    def test_crosses_the_4096_step_chunk(self):
-        """Real block sizes: two chains run past the first chunk while a
-        third leaves mid-block, the two-atom bond among them."""
+    def test_crosses_many_blocks(self):
+        """The real block size: two chains cross sixteen or more block edges
+        while a third leaves mid-block, the two-atom bond among them."""
         rng = np.random.default_rng(8)
         cfg = ISConfig(temperature=500.0)
         bond = EnergyModel(bonds=(BondTerm(0, 1, 0.96, 1700.0),))
@@ -348,8 +346,8 @@ class TestLockstep:
         assert res.positions.tobytes() == positions.tobytes()
         assert (res.acceptance_rate, res.step_size) == (acceptance, step_size)
 
-    def test_noise_is_held_a_replay_block_at_a_time(self):
-        # a whole 4096-step chunk of noise for 40 atoms would be 3.9 MB
+    def test_noise_is_held_a_block_at_a_time(self):
+        # the noise of all 4096 steps for 40 atoms would be 3.9 MB
         rng = np.random.default_rng(5)
         n = 40
         chain = Chain(random_model(n, rng, steric=False), random_start(n, rng), 4096,

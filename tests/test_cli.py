@@ -666,6 +666,23 @@ class TestEvaluate:
                f"newline or carriage return" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.*"))
 
+    @pytest.mark.parametrize("name", ["eth\tanol", "eth\nanol", "eth\ranol", ""],
+                             ids=["tab", "newline", "return", "empty"])
+    def test_molecule_name_breaking_the_tsv_exits_2(self, workspace, tmp_path, capsys,
+                                                    name):
+        # exited 0: with a tab, 240 rows of PREFIX.marginals.tsv had 7 fields
+        _, _, data_path, _, _ = workspace
+        renamed = [dataio.DatasetRecord(name if r.molecule == "ethanol" else r.molecule,
+                                        r.graph, r.build_seed, r.conformation)
+                   for r in dataio.read_dataset(data_path)]
+        truth = tmp_path / "truth.jsonl"
+        dataio.write_dataset(truth, renamed)
+        out = tmp_path / "r"
+        assert main(["evaluate", str(truth), f"m={truth}", "--out", str(out)]) == 2
+        assert f"{truth}: molecule name {name!r} is empty or holds a tab, newline or " \
+               f"carriage return" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
     @pytest.mark.parametrize("change", ["graph", "seed"])
     def test_generated_molecule_must_match_truth(self, workspace, tmp_path, capsys,
                                                  change):

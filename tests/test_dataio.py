@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -275,6 +276,24 @@ class TestRoundTrip:
                                              r"another build seed than on line 2$"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", True])
+    def test_build_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
+        # was read: -3 failed later in build_extended_graph, naming no file,
+        # and 1.5, "7" and true were read as 1, 7 and 1
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=3))
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["build_seed"] = seed
+        lines[2] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        message = (r":3: bad record: build_seed must be a non-negative integer, "
+                   f"got {re.escape(repr(seed))}$")
+        with pytest.raises(ParseError, match=message):
+            read_dataset(path)
+        with pytest.raises(ParseError, match=message):
+            oracle_read(path)
+
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"format": "something-else", "version": 1}\n')
@@ -351,9 +370,12 @@ def oracle_read(path):
                 graph = graphs.get(key)
                 if graph is None:
                     graph = graphs[key] = dataio.graph_from_dict(d["graph"])
+                seed = d["build_seed"]
+                if type(seed) is not int or seed < 0:
+                    raise ValueError("build_seed must be a non-negative integer, "
+                                     f"got {seed!r}")
                 record = DatasetRecord(
-                    molecule=str(d["molecule"]), graph=graph,
-                    build_seed=int(d["build_seed"]),
+                    molecule=str(d["molecule"]), graph=graph, build_seed=seed,
                     conformation=Conformation(graph.elements,
                                               np.asarray(d["positions"])))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
