@@ -203,6 +203,12 @@ class ModelParams:
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self._named)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the weights: float64, except in `train`'s passes,
+        which run on float32 copies."""
+        return next(iter(self._named.values())).data.dtype
+
     def parameters(self) -> list[Tensor]:
         return list(self._named.values())
 
@@ -349,8 +355,9 @@ def kl_standard_normal(mean, var) -> float:
 
 # --- training -------------------------------------------------------------
 
-def _stack_batch(items):
-    """Merge graphs into one disjoint-union graph; per-graph terms just add."""
+def _stack_batch(items, dtype):
+    """Merge graphs into one disjoint-union graph, its features and distances
+    in `dtype`; per-graph terms just add."""
     node_feat, edge_feat, src, dst, dists = [], [], [], [], []
     offset = 0
     for eg, d in items:
@@ -361,18 +368,27 @@ def _stack_batch(items):
         dists.append(d)
         offset += eg.n_nodes
     return (
-        np.concatenate(node_feat, axis=0),
-        np.concatenate(edge_feat, axis=0),
+        np.concatenate(node_feat, axis=0, dtype=dtype),
+        np.concatenate(edge_feat, axis=0, dtype=dtype),
         np.concatenate(src),
         np.concatenate(dst),
         offset,
-        np.concatenate(dists),
+        np.concatenate(dists, dtype=dtype),
     )
 
 
 def _batch_terms(p: ModelParams, items, noise: np.ndarray):
-    """(elbo, recon, kl) tensors of a minibatch, each summed over its records."""
-    node_feat, edge_feat, src, dst, n_nodes, d = _stack_batch(items)
+    """(elbo, recon, kl) tensors of a minibatch, each summed over its records.
+
+    The pass runs in the dtype of `p`'s weights, every input and constant
+    cast to it, so a float32 model promotes no layer to float64; the three
+    sums are float64 scalars."""
+    dtype = p.dtype
+
+    def constant(a):
+        return nnet.constant(np.asarray(a, dtype=dtype))
+
+    node_feat, edge_feat, src, dst, n_nodes, d = _stack_batch(items, dtype)
     v_const = nnet.constant(node_feat)
     e_const = nnet.constant(edge_feat)
     d_col = nnet.constant(d[:, None])
@@ -380,14 +396,14 @@ def _batch_terms(p: ModelParams, items, noise: np.ndarray):
     mean_z, logvar_z = p.enc(v_const, nnet.concat([e_const, d_col], axis=1),
                              src, dst, n_nodes)
     sigma_z = nnet.exp(nnet.scale(logvar_z, 0.5))
-    z = nnet.add(mean_z, nnet.mul(sigma_z, nnet.constant(noise[:, None])))
+    z = nnet.add(mean_z, nnet.mul(sigma_z, constant(noise[:, None])))
     mean_d, logvar_d = p.dec(nnet.concat([v_const, z], axis=-1), e_const,
                              src, dst, n_nodes)
 
     var_d = nnet.exp(logvar_d)
     diff = nnet.sub(d_col, mean_d)
     per_edge = nnet.add(
-        nnet.add(nnet.constant(LOG_TWO_PI), logvar_d),
+        nnet.add(constant(LOG_TWO_PI), logvar_d),
         nnet.div(nnet.square(diff), var_d),
     )
     recon = nnet.scale(nnet.tsum(per_edge), -0.5)
@@ -395,7 +411,7 @@ def _batch_terms(p: ModelParams, items, noise: np.ndarray):
     var_z = nnet.exp(logvar_z)
     per_node = nnet.sub(
         nnet.add(nnet.square(mean_z), var_z),
-        nnet.add(logvar_z, nnet.constant(1.0)),
+        nnet.add(logvar_z, constant(1.0)),
     )
     kl = nnet.scale(nnet.tsum(per_node), 0.5)
     if not np.isfinite(recon.data):
@@ -441,6 +457,10 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
           log_fn=None) -> TrainResult:
     """Minibatch Adam ascent on the ELBO; returns the best-validation weights.
 
+    Every minibatch's forward and backward pass, and the validation ELBO,
+    run in float32, on float32 copies of the float64 master weights that
+    Adam updates (mixed precision); the loss sums are float64. The returned
+    weights, `state["current"]` and the Adam moments are the float64 masters.
     `records` is a list of (molecule_id, ExtendedGraph, distances) tuples.
     Validation holds out a fraction of molecules (by molecular graph, at least
     one when two or more exist); with a single molecule the training set
@@ -466,17 +486,25 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
 
     init_seed = int(np.random.SeedSequence(seed, spawn_key=(102,)).generate_state(1)[0])
     params = ModelParams(config, seed=init_seed)
+    if resume_state is not None:
+        params.set_values(resume_state["current"])
     adam = nnet.Adam(params.parameters(), lr=config.learning_rate)
+    for t in params.parameters():
+        t.data = t.data.astype(np.float32)
+    masters = dict(zip(params.named_parameters(), adam.masters))
+
+    def master_values():
+        return {name: a.copy() for name, a in masters.items()}
+
     train_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(103,)))
 
     start_epoch = 0
     history: list[dict] = []
     best_val = -math.inf
     best_epoch = 0
-    best_values = params.values()
+    best_values = master_values()
 
     if resume_state is not None:
-        params.set_values(resume_state["current"])
         adam.load_state_dict(resume_state["adam"])
         train_rng.bit_generator.state = resume_state["rng"]
         start_epoch = int(resume_state["epoch"])
@@ -511,7 +539,7 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
         if entry["val_elbo"] > best_val:
             best_val = entry["val_elbo"]
             best_epoch = epoch
-            best_values = params.values()
+            best_values = master_values()
         if log_fn is not None:
             log_fn({**entry, "train_reconstruction": recon_sum / len(train_items),
                     "train_kl": kl_sum / len(train_items),
@@ -521,7 +549,7 @@ def train(records, config: CvaeConfig, seed: int, resume_state: dict | None = No
     best_params.set_values(best_values)
     state = {
         "epoch": config.epochs,
-        "current": params.values(),
+        "current": master_values(),
         "adam": adam.state_dict(),
         "rng": train_rng.bit_generator.state,
         "history": history,

@@ -1,8 +1,12 @@
-"""Minimal reverse-mode autodiff on float64 numpy buffers.
+"""Minimal reverse-mode autodiff on numpy buffers, float32 or float64.
 
 Covers exactly what the distance model needs: dense layers, with the ReLU
 fused into the layer's one op (`matmul(..., relu=True)`), elementwise math,
 concatenation, full-sum reduction, and row gather/scatter for message passing.
+A tensor keeps a float32 array as float32 and holds anything else as float64;
+an operation computes in its operands' dtype, except the full sum, which sums
+in float64, and each gradient is cast to its own tensor's dtype. So a pass
+whose weights and inputs are float32 runs in float32 up to its loss sums.
 Every operation whose inputs require gradients records parent links and a
 backward closure on its output; `backward` replays the recording once in
 reverse topological order and spends it as it goes, so afterwards only leaves
@@ -10,10 +14,10 @@ reverse topological order and spends it as it goes, so afterwards only leaves
 closure. Inside `inference()` nothing is recorded. The graph operations
 (`matmul`, `rows`, `scatter_sum`, `concat`) take an optional leading sample
 axis, so one pass runs a stack of inputs through the same weights. An Adam
-optimizer, which updates all its parameters as one flat array, and a JSON
-checkpoint container, whose one array codec is exact, round the module off;
-the optimizer's array update, `adam_update`, is also the step of `edg`'s
-coordinate refinement.
+optimizer, which keeps float64 master weights and updates them as one flat
+array, and a JSON checkpoint container, whose one array codec is exact, round
+the module off; the optimizer's array update, `adam_update`, is also the step
+of `edg`'s coordinate refinement.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class ShapeError(DomainError):
 
 
 class Tensor:
-    """A float64 array plus autodiff bookkeeping.
+    """A float32 or float64 array plus autodiff bookkeeping: a float32 array
+    stays float32, anything else becomes float64.
 
     After `backward`, every reachable leaf with `requires_grad` (a tensor no
     operation produced, such as a parameter) holds the accumulated gradient of
@@ -46,7 +51,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple["Tensor", ...] = ()
@@ -119,13 +125,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
-    """Add `g` into `t.grad`. The first gradient becomes `t.grad` as it is when
-    the caller computed it for `t` alone (`owned`) or unbroadcasting summed it
-    into a new array; another tensor's gradient or a view of one is copied."""
+    """Add `g`, cast to `t`'s dtype, into `t.grad`. The first gradient becomes
+    `t.grad` as it is when the caller computed it for `t` alone (`owned`) or
+    the cast or unbroadcasting made a new array; another tensor's gradient or
+    a view of one is copied."""
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=np.float64)
-    summed = _unbroadcast(g, t.data.shape)
+    summed = _unbroadcast(np.asarray(g, dtype=t.data.dtype), t.data.shape)
     if t.grad is None:
         t.grad = summed if owned or summed is not g else summed.copy()
     else:
@@ -250,13 +256,13 @@ def clip(x, floor: float, ceiling: float) -> Tensor:
 
 
 def tsum(x) -> Tensor:
-    """Sum over all entries, producing a scalar tensor."""
+    """Sum over all entries in float64, producing a float64 scalar tensor."""
     x = _as_tensor(x)
 
     def grad_fn(g):
         _accumulate(x, np.broadcast_to(g, x.data.shape), owned=False)
 
-    return _result(x.data.sum(), (x,), grad_fn)
+    return _result(x.data.sum(dtype=np.float64), (x,), grad_fn)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -299,15 +305,16 @@ def _row_index(x: Tensor, index, op: str, size: int | None = None) -> np.ndarray
 
 def _segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     """Rows of each matrix in `values` (..., len(index), width) summed into
-    `size` rows by `index`. One bincount over index * width + column adds each
-    cell's terms in row order, starting from 0.0, which is np.add.at's order,
-    so the sums are np.add.at's bit for bit."""
+    `size` rows by `index`, in `values`' dtype. One bincount over
+    index * width + column adds each cell's terms in row order, starting from
+    0.0, which is np.add.at's order, so float64 sums are np.add.at's bit for
+    bit; float32 terms are summed in float64 and rounded once."""
     lead, width = values.shape[:-2], values.shape[-1]
     matrices, cells = math.prod(lead), size * width
     keys = ((np.arange(matrices) * cells)[:, None, None] + index[:, None] * width
             + np.arange(width))
     sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=matrices * cells)
-    return sums.reshape(lead + (size, width))
+    return sums.astype(values.dtype, copy=False).reshape(lead + (size, width))
 
 
 def rows(x, index) -> Tensor:
@@ -437,33 +444,41 @@ class Adam:
     """Adam over a list of parameter tensors, from each parameter's `grad` (a
     zero gradient where that is None).
 
-    A step is one `adam_update` over all parameters laid end to end. The
-    moments live in two flat arrays; `m` and `v` are lists of per-parameter
-    views of them. The parameters keep their own arrays (a checkpoint load
-    may rebind them), so a step gathers them and writes them back.
+    The optimizer holds float64 master weights, taken from the parameters
+    when it is made: a step is one `adam_update` of the masters, from the
+    gradients upcast to float64 and laid end to end, and then writes the
+    masters into the parameters' own arrays, rounded to their dtype. So
+    float32 parameters train against float64 masters, and float64 ones keep
+    every bit of the update. The masters and the moments live in three flat
+    arrays; `masters`, `m` and `v` are lists of per-parameter views of them.
+    A step overwrites parameter values set since the last one, so set them
+    before making the optimizer.
     """
 
     def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
         self.t = 0
+        # the trailing empty array lets concatenate take an empty parameter list
+        self._x = np.concatenate([p.data.ravel() for p in self.params] + [np.zeros(0)],
+                                 dtype=np.float64)
+        self._m, self._v = np.zeros(self._x.size), np.zeros(self._x.size)
         ends = np.cumsum([0] + [p.data.size for p in self.params])
-        self._slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-        self._m, self._v = np.zeros(ends[-1]), np.zeros(ends[-1])
-        self.m = [self._m[s].reshape(p.data.shape) for p, s in zip(self.params, self._slices)]
-        self.v = [self._v[s].reshape(p.data.shape) for p, s in zip(self.params, self._slices)]
+        self.masters, self.m, self.v = (
+            [flat[lo:hi].reshape(p.data.shape)
+             for p, lo, hi in zip(self.params, ends[:-1], ends[1:])]
+            for flat in (self._x, self._m, self._v))
 
     def step(self) -> float:
         """One update; returns the L2 norm of the gradient it applied, summed
-        elementwise, so it does not depend on the BLAS thread count."""
+        elementwise in float64, so it does not depend on the BLAS thread
+        count."""
         self.t += 1
-        # the trailing empty array lets concatenate take an empty parameter list
-        x = np.concatenate([p.data.ravel() for p in self.params] + [np.zeros(0)])
         g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
-                            for p in self.params] + [np.zeros(0)])
-        adam_update(x, g, self._m, self._v, self.t, self.lr)
-        for p, s in zip(self.params, self._slices):
-            p.data[...] = x[s].reshape(p.data.shape)
+                            for p in self.params] + [np.zeros(0)], dtype=np.float64)
+        adam_update(self._x, g, self._m, self._v, self.t, self.lr)
+        for p, x in zip(self.params, self.masters):
+            p.data[...] = x
         return float(np.sqrt(np.sum(g * g)))
 
     def state_dict(self) -> dict:

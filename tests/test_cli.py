@@ -209,6 +209,16 @@ class TestTrain:
             assert entry["epoch"] == i
             assert "train_elbo" in entry and "val_elbo" in entry
 
+    def test_same_seed_identical_files(self, workspace, tmp_path):
+        _, _, data_path, config_path, _ = workspace
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["train", str(data_path), str(out),
+                         "--config", str(config_path), "--seed", "5"]) == 0
+        for suffix in ("", ".metrics.jsonl"):
+            a, b = (out.with_name(out.name + suffix).read_bytes() for out in outs)
+            assert a == b, suffix
+
     def test_defaults_fill_missing_config_fields(self, workspace):
         _, _, _, _, ckpt_path = workspace
         doc = json.loads(ckpt_path.read_text())
