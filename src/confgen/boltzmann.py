@@ -5,6 +5,11 @@ properties.
 The energy model is harmonic in bond lengths and bond angles with an optional
 soft steric floor; energies are in kJ/mol, so k_B enters through the gas
 constant (k_B*T at 500 K is 8.314*500/1000 kJ/mol).
+
+The estimator works on each molecule's (K, n, 3) stack of proposals: their
+energies (one molecule's terms broadcast over the stack), the observable's
+values and the overlap diagnostic are each one pass over the stack, bit for
+bit what the conformations give one at a time.
 """
 
 from __future__ import annotations
@@ -110,13 +115,13 @@ class EnergyModel:
     def energy_of(self, positions: np.ndarray) -> float | np.ndarray:
         """The energy at `positions` (n, 3), a float; or, for a stack of K
         conformations (K, n, 3), a (K,) array, bit for bit what K calls on
-        the conformations one at a time give."""
+        the conformations one at a time give: the one-molecule terms
+        broadcast over the stack (see `_TermStack.energies`)."""
         positions = np.asarray(positions, dtype=np.float64)
+        energies = self._terms(positions.shape[-2]).energies(positions)
         if positions.ndim == 2:
-            return float(self._terms(positions.shape[0]).energies(positions)[0])
-        k, n = positions.shape[:2]
-        stack = _TermStack.join([self._terms(n)] * k)
-        return stack.energies(positions.reshape(k * n, 3))
+            return float(energies[0])
+        return energies[:, 0]
 
 
 class _TermStack:
@@ -132,7 +137,8 @@ class _TermStack:
     as bonds + angles + steric stiffness * steric gaps: it does not depend
     on what else is in the stack, and dropping a steric pair whose squared
     gap is exactly +0.0 does not change it (see `near`).
-    `EnergyModel.energy_of` is the one-molecule case.
+    `EnergyModel.energy_of` is the one-molecule case, at one position set or
+    at a stack of them.
     """
 
     # per kind: its atom index fields, then its values, then molecule indices
@@ -189,36 +195,52 @@ class _TermStack:
     def energies(self, positions: np.ndarray) -> np.ndarray:
         """Energy of each molecule in the stack at `positions` (n_atoms, 3).
 
+        At a stack of K position sets (K, n_atoms, 3), a (K, molecules)
+        array whose row k is bit for bit the energies at positions[k]: the
+        term arrays broadcast over the K sets, every term is computed
+        elementwise, and each row sums its own terms in term order.
+
         An angle or steric kind without terms is skipped: it would add
         exactly +0.0 (see `adds_steric`), and bond and angle sums, of terms
         that are never negative, are never -0.0, so the bits are the same.
         """
         nb, na, m = self.nb, self.na, self.stiffness.size
-        diff = positions.take(self.row_i, axis=0) - positions.take(self.row_j, axis=0)
+        diff = positions.take(self.row_i, axis=-2) - positions.take(self.row_j, axis=-2)
         d = np.sqrt(_row_dots(diff))
-        energy = np.bincount(self.bmol, self.bk * (d[:nb] - self.br) ** 2, m)
+        energy = _sum_by(self.bmol, self.bk * (d[..., :nb] - self.br) ** 2, m)
         if na:
             # the norms and the clip of np.linalg.norm and np.clip, without
             # their call overhead
-            cosang = _row_dots(diff[nb:nb + na], diff[nb + na:nb + 2 * na]) / (
-                d[nb:nb + na] * d[nb + na:nb + 2 * na])
+            cosang = _row_dots(diff[..., nb:nb + na, :], diff[..., nb + na:nb + 2 * na, :]) / (
+                d[..., nb:nb + na] * d[..., nb + na:nb + 2 * na])
             theta = np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0))
-            energy = energy + np.bincount(self.amol, self.astiff * (theta - self.ar) ** 2, m)
+            energy = energy + _sum_by(self.amol, self.astiff * (theta - self.ar) ** 2, m)
         if self.adds_steric:
-            gap2 = np.maximum(self.floor - d[nb + 2 * na:], 0.0) ** 2
-            energy = energy + self.stiffness * np.bincount(self.smol, gap2, m)
+            gap2 = np.maximum(self.floor - d[..., nb + 2 * na:], 0.0) ** 2
+            energy = energy + self.stiffness * _sum_by(self.smol, gap2, m)
         return energy
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise dot products of (m, 3) arrays (squared norms without `v`).
+def _sum_by(mol: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Sums of term `values` by molecule index `mol` over `m` molecules, each
+    in term order from +0.0 (`np.bincount`); for (K, terms) values, a (K, m)
+    array with one row of sums per row of values."""
+    if values.ndim == 1:
+        return np.bincount(mol, values, m)
+    k = values.shape[0]
+    rows = (mol + m * np.arange(k)[:, None]).ravel()
+    return np.bincount(rows, values.ravel(), k * m).reshape(k, m)
 
-    Summed left to right, as `(u * v).sum(axis=1)` sums rows of three, so
+
+def _row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise dot products of (..., 3) arrays (squared norms without `v`).
+
+    Summed left to right, as `(u * v).sum(axis=-1)` sums rows of three, so
     the results are the same; only the sign of a zero can differ, and no
     energy depends on it.
     """
     p = u * (u if v is None else v)
-    return (p[:, 0] + p[:, 1]) + p[:, 2]
+    return (p[..., 0] + p[..., 1]) + p[..., 2]
 
 
 @dataclass
@@ -426,23 +448,31 @@ def metropolis_sample(m: EnergyModel, x0: Conformation, steps: int, cfg: ISConfi
 
 @dataclass
 class Observable:
-    """A named scalar function of a conformation."""
+    """A named scalar function of a conformation, computed on a stack:
+    `stacked` maps positions (K, n, 3) to the (K,) values of the K
+    conformations."""
 
     name: str
-    fn: object
+    stacked: object
 
     def __call__(self, x: Conformation) -> float:
-        return float(self.fn(x))
+        return float(self.stacked(x.positions[None])[0])
 
 
 def observable_by_name(spec: str) -> Observable:
-    """Built-ins: "one", "rgyr", and "distance:i-j" for an atom pair."""
+    """Built-ins: "one", "rgyr", and "distance:i-j" for an atom pair.
+
+    Each value is bit for bit the one-conformation formula's: the radius of
+    gyration `sqrt(mean(sum((x - mean(x))**2)))` over atoms, and the
+    distance `np.linalg.norm(x[i] - x[j])`, whose dot product `np.vecdot`
+    computes as it does (a sum of three squares in another order is not).
+    """
     if spec == "one":
-        return Observable("one", lambda x: 1.0)
+        return Observable("one", lambda positions: np.ones(len(positions)))
     if spec == "rgyr":
-        def rgyr(x: Conformation) -> float:
-            centered = x.positions - x.positions.mean(axis=0)
-            return math.sqrt(float((centered**2).sum(axis=1).mean()))
+        def rgyr(positions: np.ndarray) -> np.ndarray:
+            centered = positions - positions.mean(axis=1, keepdims=True)
+            return np.sqrt((centered**2).sum(axis=2).mean(axis=1))
         return Observable("rgyr", rgyr)
     if spec.startswith("distance:"):
         try:
@@ -450,32 +480,30 @@ def observable_by_name(spec: str) -> Observable:
             i, j = int(i_str), int(j_str)
         except ValueError as e:
             raise ValueError(f"bad distance observable {spec!r}; use distance:i-j") from e
-        return Observable(
-            spec, lambda x: float(np.linalg.norm(x.positions[i] - x.positions[j]))
-        )
+
+        def distance(positions: np.ndarray) -> np.ndarray:
+            diff = positions[:, i] - positions[:, j]
+            return np.sqrt(np.vecdot(diff, diff))
+        return Observable(spec, distance)
     raise ValueError(f"unknown observable {spec!r}")
 
 
-def _min_pairwise_conformation_distance(proposals) -> float | None:
-    """Smallest distance between proposals' interatomic-distance vectors,
-    None for fewer than two proposals.
+def _min_pairwise_conformation_distance(positions: np.ndarray) -> float | None:
+    """Smallest distance between the interatomic-distance vectors of a
+    (K, n, 3) stack of proposals, None for fewer than two proposals.
 
     An isometry-invariant overlap diagnostic: tiny values mean near-duplicate
-    conformations.
+    conformations. `take` keeps the (K, pairs) rows C-contiguous, as one row
+    per proposal stacked is, which fixes the order of the later sums.
     """
-    if len(proposals) < 2:
+    if len(positions) < 2:
         return None
-    n = proposals[0].positions.shape[0]
-    iu = np.triu_indices(n, k=1)
-    rows = np.stack(
-        [
-            np.sqrt(((x.positions[iu[0]] - x.positions[iu[1]]) ** 2).sum(axis=1))
-            for x in proposals
-        ]
-    )
+    iu = np.triu_indices(positions.shape[1], k=1)
+    diff = positions.take(iu[0], axis=1) - positions.take(iu[1], axis=1)
+    rows = np.sqrt((diff**2).sum(axis=2))
     sq = (rows**2).sum(axis=1)
     pair_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * rows @ rows.T, 0.0)
-    ku = np.triu_indices(len(proposals), k=1)
+    ku = np.triu_indices(len(positions), k=1)
     return float(np.sqrt(pair_sq[ku].min()))
 
 
@@ -507,14 +535,16 @@ def is_estimate(obs: Observable, proposals, m: EnergyModel, cfg: ISConfig, *,
     exp(-E / k_B T) (shifted by the minimum energy for stability) and the
     observable average is normalized by the weight sum, which makes the
     estimate independent of any constant added to all energies. Precomputed
-    `energies` may be supplied to skip the model evaluation; else all the
-    proposals' energies come from one stacked `energy_of` call.
+    `energies` may be supplied to skip the model evaluation. The proposals'
+    energies, observable values and overlap diagnostic come from their one
+    (K, n, 3) stack of positions.
     """
     proposals = list(proposals)
     if not proposals:
         raise ShapeError("need at least one proposal")
+    positions = np.stack([x.positions for x in proposals])
     if energies is None:
-        energies = m.energy_of(np.stack([x.positions for x in proposals]))
+        energies = m.energy_of(positions)
     else:
         energies = np.asarray(energies, dtype=np.float64)
         if energies.shape != (len(proposals),):
@@ -531,7 +561,7 @@ def is_estimate(obs: Observable, proposals, m: EnergyModel, cfg: ISConfig, *,
     if not (np.isfinite(total) and total > 0.0):
         raise DegenerateWeightsError("importance weights vanished after shifting")
 
-    values = np.array([obs(x) for x in proposals])
+    values = obs.stacked(positions)
     estimate = float((values * weights).sum() / total)
     normalized = weights / total
     ess = float(1.0 / (normalized**2).sum())
@@ -542,5 +572,5 @@ def is_estimate(obs: Observable, proposals, m: EnergyModel, cfg: ISConfig, *,
         n=len(proposals),
         weights=normalized,
         standard_error=se,
-        min_pairwise_distance=_min_pairwise_conformation_distance(proposals),
+        min_pairwise_distance=_min_pairwise_conformation_distance(positions),
     )

@@ -13,6 +13,11 @@ under the fixed element budget _KERNEL_ELEMENTS. `median_bandwidth`,
 `mmd2_unbiased` and `permutation_null` are the same kernel run on one
 comparison or one stack of permutations, and every value is bit for bit
 that of the comparison computed alone.
+
+The marginal histograms for plotting are computed per graph as well: every
+heavy edge's bins and every series' counts at once (`_marginal_densities`),
+bit for bit those of `np.histogram_bin_edges` and `np.histogram` run edge by
+edge, and each graph's lines are written as one block.
 """
 
 from __future__ import annotations
@@ -323,26 +328,64 @@ def format_report(report: MmdReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _marginal_densities(graph_series: list, heavy: list) -> tuple:
+    """The (MARGINAL_BINS + 1, heavy edges) bin edges and (series,
+    MARGINAL_BINS, heavy edges) densities of each heavy edge's marginal, for
+    each series' (rows, edges) distance matrix in `graph_series`: bit for
+    bit `np.histogram_bin_edges` of the edge's pooled values and
+    `np.histogram(..., density=True)` of each series on those edges.
+
+    The bins span the pooled minimum to maximum, widened by 0.5 on each side
+    when the two are equal. A value counts in the last bin whose lower edge
+    it reaches (bins closed on the left), so the maximum falls in the last
+    bin (closed on both sides). A series without rows has NaN densities.
+    """
+    columns = [s[:, heavy] for s in graph_series]
+    pooled = np.concatenate(columns)
+    lo, hi = pooled.min(axis=0), pooled.max(axis=0)
+    infinite = ~(np.isfinite(lo) & np.isfinite(hi))
+    if infinite.any():
+        e = infinite.argmax()
+        raise ValueError(f"autodetected range of [{lo[e]}, {hi[e]}] is not finite")
+    same = lo == hi
+    lo, hi = np.where(same, lo - 0.5, lo), np.where(same, hi + 0.5, hi)
+    edges = np.linspace(lo, hi, MARGINAL_BINS + 1)
+    if (edges[:-1] >= edges[1:]).any():
+        raise ValueError(f"Too many bins for data range. Cannot create "
+                         f"{MARGINAL_BINS} finite-sized bins.")
+    # each value's bin: how many inner edges it reaches
+    bins = (pooled[:, None, :] >= edges[None, 1:-1, :]).sum(axis=1)
+    row_series = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
+    width = len(heavy)
+    flat = (row_series[:, None] * MARGINAL_BINS + bins) * width + np.arange(width)
+    n = np.bincount(flat.ravel(), minlength=len(columns) * MARGINAL_BINS * width)
+    n = n.reshape(len(columns), MARGINAL_BINS, width)
+    db = np.diff(edges, axis=0)
+    return edges, n / db / n.sum(axis=1, keepdims=True)
+
+
 def write_marginal_histograms(path, graphs: dict, truth_samples: dict,
                               method_samples: dict) -> None:
     """Binned marginal distance distributions for external plotting: per heavy
-    edge, MARGINAL_BINS bins over the pooled truth and method samples."""
+    edge, MARGINAL_BINS bins over the pooled truth and method samples
+    (`_marginal_densities`). Each graph's lines are written as one block."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph\tedge\tmethod\tbin_lo\tbin_hi\tdensity\n")
         for gid in sorted(graphs):
-            eg = graphs[gid]
-            heavy = heavy_edge_indices(eg)
-            truth = np.asarray(truth_samples[gid], dtype=np.float64)
-            series = {TRUTH_SERIES: truth}
+            series = {TRUTH_SERIES: np.asarray(truth_samples[gid], dtype=np.float64)}
             for method in sorted(method_samples):
                 sample = method_samples[method].get(gid)
                 if sample is not None:
                     series[method] = np.asarray(sample, dtype=np.float64)
-            for k in heavy:
-                pooled = np.concatenate([s[:, k] for s in series.values()])
-                edges = np.histogram_bin_edges(pooled, bins=MARGINAL_BINS)
-                bins = [f"{lo:.10g}\t{hi:.10g}" for lo, hi in zip(edges[:-1], edges[1:])]
-                for name, s in series.items():
-                    dens, _ = np.histogram(s[:, k], bins=edges, density=True)
-                    for b, d in zip(bins, dens):
-                        fh.write(f"{gid}\tedge{k}\t{name}\t{b}\t{d:.10g}\n")
+            heavy = heavy_edge_indices(graphs[gid])
+            if not heavy:
+                continue
+            edges, density = _marginal_densities(list(series.values()), heavy)
+            lines = []
+            for k, bounds, by_series in zip(heavy, edges.T.tolist(),
+                                            density.transpose(2, 0, 1).tolist()):
+                bins = [f"{lo:.10g}\t{hi:.10g}" for lo, hi in zip(bounds[:-1], bounds[1:])]
+                for name, dens in zip(series, by_series):
+                    head = f"{gid}\tedge{k}\t{name}\t"
+                    lines += [f"{head}{b}\t{d:.10g}\n" for b, d in zip(bins, dens)]
+            fh.write("".join(lines))

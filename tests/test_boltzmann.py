@@ -561,7 +561,62 @@ class TestStackedEnergyOf:
         assert stacked.weights.tobytes() == given_energies.weights.tobytes()
 
 
+def oracle_observable(spec):
+    """The one-conformation formulas of the built-in observables."""
+    if spec == "one":
+        return lambda x: 1.0
+    if spec == "rgyr":
+        def rgyr(x):
+            centered = x.positions - x.positions.mean(axis=0)
+            return math.sqrt(float((centered**2).sum(axis=1).mean()))
+        return rgyr
+    i, j = map(int, spec.split(":")[1].split("-"))
+    return lambda x: float(np.linalg.norm(x.positions[i] - x.positions[j]))
+
+
+def oracle_min_pairwise_distance(proposals):
+    """The overlap diagnostic with one distance row per proposal, stacked."""
+    if len(proposals) < 2:
+        return None
+    n = proposals[0].positions.shape[0]
+    iu = np.triu_indices(n, k=1)
+    rows = np.stack(
+        [np.sqrt(((x.positions[iu[0]] - x.positions[iu[1]]) ** 2).sum(axis=1))
+         for x in proposals])
+    sq = (rows**2).sum(axis=1)
+    pair_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * rows @ rows.T, 0.0)
+    ku = np.triu_indices(len(proposals), k=1)
+    return float(np.sqrt(pair_sq[ku].min()))
+
+
 class TestObservables:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 30), n=st.integers(1, 40), distinct=st.integers(1, 30),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_values_match_one_at_a_time(self, k, n, distinct, log_scale, seed):
+        """Each built-in observable's stacked values, and the overlap
+        diagnostic of the stack, bit for bit those of the one-conformation
+        formulas, on stacks with repeated conformations and coordinates
+        from 1e-3 to 1e3 angstrom. A squared norm summed as (x0^2 + x1^2)
+        + x2^2 misses np.linalg.norm's dot product on about one row in ten;
+        distance rows gathered by `positions[:, idx]` are laid out pairs
+        first, which moves the diagnostic's later sums."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        base = rng.normal(0.0, scale, (min(k, distinct), n, 3)) + rng.normal(0.0, scale, 3)
+        positions = base[rng.integers(0, len(base), k)]
+        proposals = [Conformation(["C"] * n, p) for p in positions]
+        i, j = (int(a) for a in rng.integers(0, n, 2))
+        for spec in ("one", "rgyr", f"distance:{i}-{j}"):
+            obs = observable_by_name(spec)
+            stacked = obs.stacked(positions)
+            oracle = np.array([oracle_observable(spec)(x) for x in proposals])
+            assert stacked.dtype == np.float64 and stacked.shape == (k,)
+            assert stacked.tobytes() == oracle.tobytes()
+            assert np.array([obs(x) for x in proposals]).tobytes() == oracle.tobytes()
+        assert boltzmann._min_pairwise_conformation_distance(positions) == \
+            oracle_min_pairwise_distance(proposals)
+
     def test_builtins(self):
         x = Conformation(("C", "C"), [[0, 0, 0], [2.0, 0, 0]])
         assert observable_by_name("one")(x) == 1.0

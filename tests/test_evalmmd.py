@@ -454,10 +454,43 @@ def missing_molecule_inputs():
     return graphs, truth, samples
 
 
+def equal_edge_inputs():
+    """A heavy edge whose pooled values are all equal, so its bins widen by
+    0.5 on each side."""
+    rng = np.random.default_rng(13)
+    graphs = {"g0": edge_graph("CCH", [(0, 1), (1, 2), (0, 1)])}
+    truth = rng.normal(1.5, 0.3, size=(6, 3))
+    gen = rng.normal(1.5, 0.3, size=(4, 3))
+    truth[:, 0] = gen[:, 0] = 1.53
+    return graphs, {"g0": truth}, {"m0": {"g0": gen}}
+
+
+def one_row_inputs():
+    """A method with one row, and a truth of one row for another graph."""
+    rng = np.random.default_rng(14)
+    graphs = {"g0": edge_graph("CCH", [(0, 1), (0, 1)]), "g1": edge_graph("CC", [(0, 1)])}
+    truth = {"g0": rng.normal(1.5, 0.3, size=(5, 2)), "g1": rng.normal(1.2, 0.1, (1, 1))}
+    samples = {"m0": {"g0": rng.normal(1.4, 0.2, size=(1, 2)),
+                      "g1": rng.normal(1.2, 0.1, (3, 1))}}
+    return graphs, truth, samples
+
+
+def empty_method_inputs():
+    """A method with no rows, whose densities are NaN, beside one with rows."""
+    rng = np.random.default_rng(15)
+    graphs = {"g0": edge_graph("CCH", [(0, 1), (1, 2), (0, 1)])}
+    truth = {"g0": rng.normal(1.5, 0.3, size=(8, 3))}
+    samples = {"m0": {"g0": np.empty((0, 3))}, "m1": {"g0": rng.normal(1.5, 0.3, (3, 3))}}
+    return graphs, truth, samples
+
+
 class TestReportOutputs:
     @settings(max_examples=60, deadline=None)
     @given(inputs=report_inputs())
     @example(inputs=missing_molecule_inputs())
+    @example(inputs=equal_edge_inputs())
+    @example(inputs=one_row_inputs())
+    @example(inputs=empty_method_inputs())
     def test_marginal_histograms_match_oracle(self, inputs):
         with tempfile.TemporaryDirectory() as tmp:
             written = f"{tmp}/marginals.tsv"
