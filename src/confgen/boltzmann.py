@@ -94,12 +94,10 @@ class EnergyModel:
         si = sj = np.empty(0, dtype=np.int64)
         floor, stiffness = np.empty(0), 0.0
         if self.steric is not None:
-            bonded = {frozenset((t.i, t.j)) for t in self.bonds}
+            bonded = np.zeros((n, n), dtype=bool)
+            bonded[bi, bj] = bonded[bj, bi] = True
             iu = np.triu_indices(n, k=1)
-            mask = np.array(
-                [frozenset((int(a), int(b))) not in bonded for a, b in zip(*iu)],
-                dtype=bool,
-            )
+            mask = ~bonded[iu]
             si, sj = iu[0][mask], iu[1][mask]
             floor = np.full(si.size, self.steric.floor)
             stiffness = self.steric.stiffness if si.size else 0.0

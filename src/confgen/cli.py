@@ -167,7 +167,7 @@ def _cmd_generate(args) -> int:
         raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
-    params, _ = cvae.load_model(args.checkpoint)
+    params, _ = cvae.load_model(args.checkpoint, decode_state=False)
     records = dataio.read_dataset(args.data)
     if not records:
         raise UsageError(f"{args.data}: dataset is empty")

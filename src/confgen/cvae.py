@@ -604,10 +604,37 @@ def save_model(path, params: ModelParams, train_state: dict | None = None) -> No
     nnet.save_checkpoint(path, values, extra=extra)
 
 
-def load_model(path) -> tuple[ModelParams, dict | None]:
+def _decodes_to(entry, shape: tuple) -> bool:
+    """Whether `entry` is in the form that encode_arrays writes for an array
+    of `shape`: an object whose `shape` lists `shape` as JSON integers and
+    whose `data` is base64 of exactly that many float64s, with the canonical
+    `=` padding. An entry of that form decodes to an array of `shape`
+    (nnet.decode_arrays); one of any other form may or may not."""
+    if type(entry) is not dict:
+        return False
+    stored, data = entry.get("shape"), entry.get("data")
+    if type(stored) is not list or any(type(x) is not int for x in stored) or \
+            stored != list(shape) or type(data) is not str:
+        return False
+    n_bytes = 8 * math.prod(shape)
+    if len(data) != 4 * -(-n_bytes // 3) or not data.isascii():
+        return False
+    text, padding = data.encode("ascii"), b"=" * (-n_bytes % 3)
+    return text.endswith(padding) and text.translate(
+        None, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/") == padding
+
+
+def load_model(path, decode_state: bool = True) -> tuple[ModelParams, dict | None]:
     """Load a version 2 checkpoint; returns (params, train_state or None),
     where the state's `best` weights are `params`. UsageError names `path`
-    when the file is not a checkpoint of this model."""
+    when the file is not a checkpoint of this model.
+
+    With `decode_state` false, for a caller that uses only the weights, the
+    state's `current` weights and Adam moments are left encoded when each
+    set names every parameter once and each of its entries is in the form
+    that decodes to that parameter's shape (`_decodes_to`). Any other state
+    is decoded as with `decode_state` true, so a checkpoint that fails one
+    way fails the other, with the same message."""
     try:
         arrays, extra = nnet.load_checkpoint(path)
         params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
@@ -615,11 +642,17 @@ def load_model(path) -> tuple[ModelParams, dict | None]:
         state = extra.get("train_state")
         if state is not None:
             state, adam = dict(state), state["adam"]
-            state["current"] = params.checked(nnet.decode_arrays(state["current"]),
-                                              "current weights")
-            state["adam"] = {"t": adam["t"], **{
-                key: list(params.checked(nnet.decode_arrays(adam[key]),
-                                         "Adam moments").values()) for key in "mv"}}
+            shapes = {name: t.data.shape for name, t in params.named_parameters().items()}
+            encoded = not decode_state and type(adam) is dict and all(
+                type(doc) is dict and doc.keys() == shapes.keys() and
+                all(_decodes_to(doc[name], shape) for name, shape in shapes.items())
+                for doc in (state.get("current"), adam.get("m"), adam.get("v")))
+            if not encoded:
+                state["current"] = params.checked(nnet.decode_arrays(state["current"]),
+                                                  "current weights")
+                state["adam"] = {"t": adam["t"], **{
+                    key: list(params.checked(nnet.decode_arrays(adam[key]),
+                                             "Adam moments").values()) for key in "mv"}}
             state["best"] = params.values()
             scalars = {**state, "adam.t": adam["t"]}
             for key, (valid, rule) in _STATE_RULES.items():

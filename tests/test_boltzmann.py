@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confgen import boltzmann
 from confgen.boltzmann import (
@@ -126,6 +126,17 @@ def left_to_right(terms):
     return total
 
 
+def oracle_steric_pairs(m, n):
+    """The atom pairs i < j of `n` atoms that no bond of `m` joins, in
+    np.triu_indices order, found as EnergyModel._terms found them before its
+    bonded matrix: one frozenset per pair."""
+    bonded = {frozenset((t.i, t.j)) for t in m.bonds}
+    iu = np.triu_indices(n, k=1)
+    mask = np.array([frozenset((int(a), int(b))) not in bonded for a, b in zip(*iu)],
+                    dtype=bool)
+    return iu[0][mask], iu[1][mask]
+
+
 def oracle_energy(m, positions):
     """EnergyModel.energy_of as written before the term stack (with a boolean
     steric mask, so that a lone atom has no pairs), each kind of term summed
@@ -141,11 +152,7 @@ def oracle_energy(m, positions):
     ak = np.array([t.k for t in m.angles], dtype=np.int64)
     ar = np.array([t.rest_angle for t in m.angles])
     astiff = np.array([t.stiffness for t in m.angles])
-    bonded = {frozenset((t.i, t.j)) for t in m.bonds}
-    iu = np.triu_indices(n, k=1)
-    mask = np.array([frozenset((int(a), int(b))) not in bonded for a, b in zip(*iu)],
-                    dtype=bool)
-    si, sj = iu[0][mask], iu[1][mask]
+    si, sj = oracle_steric_pairs(m, n)
     e = 0.0
     if bi.size:
         d = np.sqrt(((positions[bi] - positions[bj]) ** 2).sum(axis=1))
@@ -529,6 +536,30 @@ class TestNeighbourList:
             assert near.energies(moved).tobytes() == full.energies(moved).tobytes()
             assert near.energies(moved).tobytes() == \
                 np.array([oracle_energy(model, moved)]).tobytes()
+
+
+class TestStericPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 1.0),
+           steric=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=7, density=0.0, steric=True, seed=0)  # no bonds: every pair
+    @example(n=7, density=0.5, steric=False, seed=0)  # no steric term: no pairs
+    def test_match_the_frozenset_oracle(self, n, density, steric, seed):
+        """On a random bond graph, bonds in either order, repeated or from
+        an atom to itself: the same pairs in the same order, and energy_of
+        the same bits."""
+        rng = np.random.default_rng(seed)
+        pairs = [(int(a), int(b)) for a, b in rng.integers(0, n, (int(density * n * n), 2))]
+        model = EnergyModel(
+            bonds=[BondTerm(i, j, float(rng.uniform(0.9, 1.6)), 500.0) for i, j in pairs],
+            steric=StericTerm(1.5, 100.0) if steric else None)
+        si, sj, _, _ = model._terms(n).steric
+        expected = oracle_steric_pairs(model, n) if steric else ([], [])
+        assert si.dtype == sj.dtype == np.int64
+        assert si.tolist() == list(expected[0]) and sj.tolist() == list(expected[1])
+        positions = rng.normal(0.0, 1.5, (3, n, 3))
+        assert model.energy_of(positions).tobytes() == np.array(
+            [oracle_energy(model, p) for p in positions]).tobytes()
 
 
 class TestStackedEnergyOf:

@@ -420,6 +420,66 @@ class TestGenerate:
         assert f"{bad}: not a usable checkpoint: " in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, where", [
+        *[(case, where) for case in (
+            "short data", "non-alphabet", "= inside", "non-ascii", "data number",
+            "entry list", "shape reversed", "shape 10.0", "shape true")
+          for where in ("current", "m", "v")],
+        ("renamed", "current"), ("renamed", "m"), ("no t", None),
+        ("adam list", None),
+    ])
+    def test_damaged_train_state_fails_as_on_resume(self, workspace, tmp_path, capsys,
+                                                    case, where):
+        """generate checks the train state's arrays by form, not by decoding
+        them, yet each damage exits 2 with the message that `train --resume`
+        prints for the same file, and writes nothing."""
+        _, _, data_path, _, ckpt_path = workspace
+        doc = json.loads(ckpt_path.read_text())
+        state = doc["extra"]["train_state"]
+        adam = state["adam"]
+        arrays = state["current"] if where == "current" else adam.get(where, {})
+        name = "enc.node_embed.0.weight"  # shape (12, 10): 960 bytes, no padding
+        entry = arrays.get(name, {})
+        data = entry.get("data", "")
+        mid = len(data) // 2
+        if case == "short data":
+            entry["data"] = data[:-4]
+        elif case == "non-alphabet":
+            entry["data"] = data[:mid] + "*" + data[mid + 1:]
+        elif case == "= inside":
+            entry["data"] = data[:mid] + "=" + data[mid + 1:]
+        elif case == "non-ascii":
+            entry["data"] = data[:mid] + "é" + data[mid + 1:]
+        elif case == "data number":
+            entry["data"] = 5
+        elif case == "entry list":
+            arrays[name] = [entry["shape"], data]
+        elif case == "shape reversed":
+            entry["shape"] = entry["shape"][::-1]
+        elif case == "shape 10.0":
+            entry["shape"] = [12, 10.0]
+        elif case == "shape true":
+            entry["shape"] = [True, 10]
+        elif case == "renamed":  # one name missing, one extra
+            arrays["enc.node_embed.0.weights"] = arrays.pop(name)
+        elif case == "no t":
+            del adam["t"]
+        elif case == "adam list":
+            state["adam"] = [adam["t"], adam["m"], adam["v"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", str(bad), str(data_path), str(out), "--n", "2"]) == 2
+        generate_err = capsys.readouterr().err
+        assert not out.exists()
+        resumed = tmp_path / "resumed.json"
+        assert main(["train", str(data_path), str(resumed), "--resume", str(bad),
+                     "--epochs", "4"]) == 2
+        assert capsys.readouterr().err == generate_err
+        assert generate_err.startswith(f"error: {bad}: not a usable checkpoint: ")
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_seed_reproducible_and_thread_invariant(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace
         a = tmp_path / "a.jsonl"

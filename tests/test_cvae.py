@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -761,3 +762,78 @@ class TestModelParams:
     def test_config_accepts_edge_values(self):
         cvae.CvaeConfig(message_passes=0, validation_fraction=0.0, learning_rate=1,
                         variance_floor=1e-300, variance_ceiling=1e300)
+
+
+def tiny_checkpoint(path) -> cvae.ModelParams:
+    """A small model saved with a train state; returns its weights."""
+    params = cvae.ModelParams(cvae.CvaeConfig(hidden=2, readout_hidden=2,
+                                              node_state=1, edge_state=1), seed=3)
+    adam = nnet.Adam(params.parameters())
+    state = {"epoch": 1, "current": params.values(), "adam": adam.state_dict(),
+             "rng": np.random.default_rng(0).bit_generator.state, "history": [],
+             "best": params.values(), "best_val_elbo": -1.0, "best_epoch": 1}
+    cvae.save_model(path, params, train_state=state)
+    return params
+
+
+class TestTrainStateForm:
+    """load_model(decode_state=False) leaves the train state's arrays
+    encoded when their form shows that they decode (`_decodes_to`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.lists(st.integers(0, 5), max_size=3), data=st.data())
+    def test_accepts_only_entries_that_decode(self, shape, data):
+        shape = tuple(shape)
+        entry = nnet.encode_arrays({"x": np.arange(math.prod(shape),
+                                                   dtype=np.float64).reshape(shape)})["x"]
+        assert cvae._decodes_to(entry, shape)
+        text = entry["data"]
+        at = data.draw(st.integers(0, len(text)), label="at")
+        mutation = data.draw(st.sampled_from(
+            ["truncate", "insert", "move =", "add =", "shape"]), label="mutation")
+        if mutation == "truncate":
+            entry["data"] = text[:at]
+        elif mutation == "insert":
+            entry["data"] = text[:at] + chr(data.draw(st.integers(0, 255))) + text[at:]
+        elif mutation == "move =":
+            bare = text.rstrip("=")
+            at = min(at, len(bare))
+            entry["data"] = bare[:at] + "=" * (len(text) - len(bare)) + bare[at:]
+        elif mutation == "add =":
+            entry["data"] = text[:at] + "=" + text[at:]
+        else:
+            entry["shape"] = data.draw(st.lists(st.one_of(
+                st.integers(-1, 6), st.floats(0, 6), st.booleans()), max_size=3))
+        entry = json.loads(json.dumps(entry))  # as the checkpoint file holds it
+        if cvae._decodes_to(entry, shape):
+            assert nnet.decode_arrays({"x": entry})["x"].shape == shape
+
+    def test_canonical_state_stays_encoded(self, tmp_path):
+        path = tmp_path / "model.json"
+        params = tiny_checkpoint(path)
+        loaded, state = cvae.load_model(path, decode_state=False)
+        stored = json.loads(path.read_text())["extra"]["train_state"]
+        assert state["current"] == stored["current"]
+        assert state["adam"] == stored["adam"]
+        for name, t in params.named_parameters().items():
+            assert loaded.named_parameters()[name].data.tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize("case", ["shape -1", "extra name"])
+    def test_valid_entry_of_another_form_loads(self, tmp_path, case):
+        """A state that decodes but is not in encode_arrays' form is decoded
+        and checked, as with decode_state true."""
+        path = tmp_path / "model.json"
+        tiny_checkpoint(path)
+        doc = json.loads(path.read_text())
+        state = doc["extra"]["train_state"]
+        name, entry = next((n, e) for n, e in state["current"].items()
+                           if len(e["shape"]) == 2 and e["shape"][1] > 1)
+        if case == "shape -1":
+            entry["shape"] = [-1, entry["shape"][1]]
+        else:
+            state["adam"]["m"]["unused"] = entry
+        path.write_text(json.dumps(doc))
+        _, decoded = cvae.load_model(path)
+        _, state = cvae.load_model(path, decode_state=False)
+        assert isinstance(state["current"][name], np.ndarray)
+        assert state["current"][name].tobytes() == decoded["current"][name].tobytes()
