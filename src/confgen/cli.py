@@ -128,7 +128,8 @@ def _cmd_train(args) -> int:
         if args.config is not None:
             raise UsageError("--config cannot be combined with --resume, which keeps "
                              "the checkpoint's config")
-        params, resume_state = cvae.load_model(args.resume)
+        params = cvae.load_model(args.resume)
+        resume_state = cvae.load_train_state(args.resume, params)
         if resume_state is None:
             raise UsageError(f"{args.resume}: checkpoint has no training state")
         config = params.config
@@ -167,7 +168,7 @@ def _cmd_generate(args) -> int:
         raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
-    params, _ = cvae.load_model(args.checkpoint, decode_state=False)
+    params = cvae.load_model(args.checkpoint)
     records = dataio.read_dataset(args.data)
     if not records:
         raise UsageError(f"{args.data}: dataset is empty")

@@ -13,6 +13,7 @@ draw z = mean + std * noise is part of the taped pass (`_batch_terms`).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import reprlib
 from dataclasses import dataclass, field, fields
@@ -584,13 +585,14 @@ _STATE_RULES = {
 
 
 def save_model(path, params: ModelParams, train_state: dict | None = None) -> None:
-    """Write the weights plus optional resumable training state (version 2).
-    The state's `best` weights must be bitwise `params` (ValueError otherwise)
-    and are not stored again; Adam moments are stored by parameter name."""
+    """Write the weights as line 1 of a version 3 checkpoint and an optional
+    resumable training state as line 2. The state's `best` weights must be
+    bitwise `params` (ValueError otherwise) and are not stored again; Adam
+    moments are stored by parameter name."""
     values = params.values()
-    extra = {"config": params.config.to_dict()}
+    state = None
     if train_state is not None:
-        state = extra["train_state"] = dict(train_state)
+        state = dict(train_state)
         best = state.pop("best")
         # bitwise, so a NaN payload or the sign of a zero counts
         if best.keys() != values.keys() or any(
@@ -601,65 +603,48 @@ def save_model(path, params: ModelParams, train_state: dict | None = None) -> No
         state["current"] = nnet.encode_arrays(state["current"])
         state["adam"] = {"t": state["adam"]["t"], **{
             key: nnet.encode_arrays(dict(zip(values, state["adam"][key]))) for key in "mv"}}
-    nnet.save_checkpoint(path, values, extra=extra)
+    nnet.save_checkpoint(path, values, extra={"config": params.config.to_dict()},
+                         train_state=state)
 
 
-def _decodes_to(entry, shape: tuple) -> bool:
-    """Whether `entry` is in the form that encode_arrays writes for an array
-    of `shape`: an object whose `shape` lists `shape` as JSON integers and
-    whose `data` is base64 of exactly that many float64s, with the canonical
-    `=` padding. An entry of that form decodes to an array of `shape`
-    (nnet.decode_arrays); one of any other form may or may not."""
-    if type(entry) is not dict:
-        return False
-    stored, data = entry.get("shape"), entry.get("data")
-    if type(stored) is not list or any(type(x) is not int for x in stored) or \
-            stored != list(shape) or type(data) is not str:
-        return False
-    n_bytes = 8 * math.prod(shape)
-    if len(data) != 4 * -(-n_bytes // 3) or not data.isascii():
-        return False
-    text, padding = data.encode("ascii"), b"=" * (-n_bytes % 3)
-    return text.endswith(padding) and text.translate(
-        None, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/") == padding
-
-
-def load_model(path, decode_state: bool = True) -> tuple[ModelParams, dict | None]:
-    """Load a version 2 checkpoint; returns (params, train_state or None),
-    where the state's `best` weights are `params`. UsageError names `path`
-    when the file is not a checkpoint of this model.
-
-    With `decode_state` false, for a caller that uses only the weights, the
-    state's `current` weights and Adam moments are left encoded when each
-    set names every parameter once and each of its entries is in the form
-    that decodes to that parameter's shape (`_decodes_to`). Any other state
-    is decoded as with `decode_state` true, so a checkpoint that fails one
-    way fails the other, with the same message."""
+@contextlib.contextmanager
+def _checkpoint_errors(path):
     try:
-        arrays, extra = nnet.load_checkpoint(path)
-        params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
-        params.set_values(arrays)
-        state = extra.get("train_state")
-        if state is not None:
-            state, adam = dict(state), state["adam"]
-            shapes = {name: t.data.shape for name, t in params.named_parameters().items()}
-            encoded = not decode_state and type(adam) is dict and all(
-                type(doc) is dict and doc.keys() == shapes.keys() and
-                all(_decodes_to(doc[name], shape) for name, shape in shapes.items())
-                for doc in (state.get("current"), adam.get("m"), adam.get("v")))
-            if not encoded:
-                state["current"] = params.checked(nnet.decode_arrays(state["current"]),
-                                                  "current weights")
-                state["adam"] = {"t": adam["t"], **{
-                    key: list(params.checked(nnet.decode_arrays(adam[key]),
-                                             "Adam moments").values()) for key in "mv"}}
-            state["best"] = params.values()
-            scalars = {**state, "adam.t": adam["t"]}
-            for key, (valid, rule) in _STATE_RULES.items():
-                if not valid(scalars[key], state):
-                    raise ValueError(f"train_state.{key} must be {rule}, "
-                                     f"got {reprlib.repr(scalars[key])}")
+        yield
     except (KeyError, TypeError, ValueError, ShapeError) as e:
         detail = f"no {e}" if isinstance(e, KeyError) else e
         raise UsageError(f"{path}: not a usable checkpoint: {detail}") from e
-    return params, state
+
+
+def load_model(path) -> ModelParams:
+    """The weights on line 1 of a version 3 checkpoint, the only line read;
+    UsageError names `path` when line 1 is not a checkpoint of this model."""
+    with _checkpoint_errors(path):
+        arrays, extra = nnet.load_checkpoint(path)
+        params = ModelParams(CvaeConfig.from_dict(extra["config"]), seed=0)
+        params.set_values(arrays)
+    return params
+
+
+def load_train_state(path, params: ModelParams) -> dict | None:
+    """The training state on line 2 of the checkpoint whose weights are
+    `params` (load_model), decoded and checked, or None if it has none; the
+    state's `best` weights are `params`. UsageError names `path` when the
+    state is damaged or a third line follows it."""
+    with _checkpoint_errors(path):
+        state = nnet.load_checkpoint_state(path)
+        if state is None:
+            return None
+        state, adam = dict(state), state["adam"]
+        state["current"] = params.checked(nnet.decode_arrays(state["current"]),
+                                          "current weights")
+        state["adam"] = {"t": adam["t"], **{
+            key: list(params.checked(nnet.decode_arrays(adam[key]),
+                                     "Adam moments").values()) for key in "mv"}}
+        state["best"] = params.values()
+        scalars = {**state, "adam.t": adam["t"]}
+        for key, (valid, rule) in _STATE_RULES.items():
+            if not valid(scalars[key], state):
+                raise ValueError(f"train_state.{key} must be {rule}, "
+                                 f"got {reprlib.repr(scalars[key])}")
+    return state

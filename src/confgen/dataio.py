@@ -197,7 +197,7 @@ def _fast_line(line: str, heads: dict, graphs: dict) -> tuple | None:
 
 
 def read_dataset(path) -> list[DatasetRecord]:
-    """Read records back; an empty file is an empty dataset. Records whose
+    """Read records back; a file of blank lines is an empty dataset. Records whose
     graph entries are identical share one MolGraph. All records of a
     molecule must have equal graphs and one build seed: the first record
     whose graph differs, by value, from that of its molecule's first record,
@@ -219,13 +219,13 @@ def read_dataset(path) -> list[DatasetRecord]:
     failed = None  # (line number, error) of the first line that fails
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
-        if not header.strip():
+        if not header.strip() and not any(line.strip() for line in fh):
             return records
         try:
-            head = json.loads(header)
+            head = json.loads(header) if header.strip() else None
             if not isinstance(head, dict) or head.get("format") != DATASET_FORMAT:
                 raise ValueError(f"expected format {DATASET_FORMAT!r}")
-            if head.get("version") != DATASET_VERSION:
+            if type(head.get("version")) is not int or head["version"] != DATASET_VERSION:
                 raise ValueError(f"unsupported version {head.get('version')}")
         except (json.JSONDecodeError, ValueError) as e:
             raise ParseError(f"{path}:1: bad dataset header: {e}") from e

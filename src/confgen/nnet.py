@@ -15,9 +15,10 @@ closure. Inside `inference()` nothing is recorded. The graph operations
 (`matmul`, `rows`, `scatter_sum`, `concat`) take an optional leading sample
 axis, so one pass runs a stack of inputs through the same weights. An Adam
 optimizer, which keeps float64 master weights and updates them as one flat
-array, and a JSON checkpoint container, whose one array codec is exact, round
-the module off; the optimizer's array update, `adam_update`, is also the step
-of `edg`'s coordinate refinement.
+array, and a JSON checkpoint container (line 1 the weights, line 2 an optional
+training state), whose one array codec is exact, round the module off; the
+optimizer's array update, `adam_update`, is also the step of `edg`'s
+coordinate refinement.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import contextlib
 import json
 import math
 import threading
-from pathlib import Path
 
 import numpy as np
 
@@ -500,7 +500,7 @@ class Adam:
 
 
 CHECKPOINT_FORMAT = "confgen-params"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def encode_arrays(arrays: dict) -> dict:
@@ -526,23 +526,34 @@ def decode_arrays(doc: dict) -> dict:
     return arrays
 
 
-def save_checkpoint(path, arrays: dict, extra: dict | None = None) -> None:
-    """Write named parameter arrays (plus free-form metadata) as JSON."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "params": encode_arrays(arrays),
-        "extra": extra or {},
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+def save_checkpoint(path, arrays: dict, extra: dict | None = None, train_state=None) -> None:
+    """Write arrays and free-form metadata as line 1, and train_state, if given, as line 2."""
+    docs = [{"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+             "params": encode_arrays(arrays), "extra": extra or {}}]
+    if train_state is not None:
+        docs.append({"train_state": train_state})
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:  # line by line: no copy of the whole file's text
+            fh.write(json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """(arrays, extra) of a version 2 checkpoint; ValueError if the file is
-    not one."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """(arrays, extra) from line 1 of a version 3 checkpoint, which is all
+    that is read; ValueError if it is not one."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.loads(fh.readline())
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     return decode_arrays(doc["params"]), doc.get("extra", {})
+
+
+def load_checkpoint_state(path):
+    """The training state of line 2 as stored, or None if there is no line
+    2; ValueError if a third line follows it. Line 1 is not checked."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()[1:]
+    if len(lines) > 1:
+        raise ValueError("a third line follows the training state")
+    return json.loads(lines[0])["train_state"] if lines else None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -37,6 +38,16 @@ def workspace(tmp_path_factory):
     assert main(["train", str(data_path), str(ckpt_path),
                  "--config", str(config_path), "--seed", "4"]) == 0
     return root, spec_path, data_path, config_path, ckpt_path
+
+
+def checkpoint_docs(path) -> list:
+    """The JSON documents of a checkpoint's lines: the weights, then the
+    train state if there is one."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_docs(path, docs) -> None:
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
 
 
 @pytest.mark.parametrize("command", ["make-data", "train", "generate"])
@@ -221,8 +232,7 @@ class TestTrain:
 
     def test_defaults_fill_missing_config_fields(self, workspace):
         _, _, _, _, ckpt_path = workspace
-        doc = json.loads(ckpt_path.read_text())
-        config = doc["extra"]["config"]
+        config = checkpoint_docs(ckpt_path)[0]["extra"]["config"]
         assert config["batch_size"] == 16  # from the file
         assert config["learning_rate"] == 0.001  # default
         assert config["message_passes"] == 3  # default
@@ -243,21 +253,21 @@ class TestTrain:
                      "--resume", str(half), "--epochs", "4",
                      "--seed", "9"]) == 0
 
-        a = json.loads(straight.read_text())["params"]
-        b = json.loads(resumed.read_text())["params"]
+        a = checkpoint_docs(straight)[0]["params"]
+        b = checkpoint_docs(resumed)[0]["params"]
         assert a.keys() == b.keys()
         for name in a:
             assert a[name]["data"] == b[name]["data"], name
 
     def test_resume_rejects_truncated_adam_state(self, workspace, tmp_path, capsys):
         _, _, data_path, _, ckpt_path = workspace
-        doc = json.loads(ckpt_path.read_text())
-        adam = doc["extra"]["train_state"]["adam"]
+        docs = checkpoint_docs(ckpt_path)
+        adam = docs[1]["train_state"]["adam"]
         assert len(adam["m"]) > 3
         for key in ("m", "v"):  # moments are stored by parameter name
             adam[key] = dict(list(adam[key].items())[:3])
         cut = tmp_path / "cut.json"
-        cut.write_text(json.dumps(doc))
+        write_docs(cut, docs)
         out = tmp_path / "resumed.json"
         code = main(["train", str(data_path), str(out), "--resume", str(cut),
                      "--epochs", "4"])
@@ -295,11 +305,11 @@ class TestTrain:
     def test_resume_rejects_bad_state_field(self, workspace, tmp_path, capsys, key,
                                             value, rule):
         _, _, data_path, _, ckpt_path = workspace
-        doc = json.loads(ckpt_path.read_text())
-        state = doc["extra"]["train_state"]
+        docs = checkpoint_docs(ckpt_path)
+        state = docs[1]["train_state"]
         (state["adam"] if key == "adam.t" else state)[key.removeprefix("adam.")] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        write_docs(bad, docs)
         out = tmp_path / "resumed.json"
         code = main(["train", str(data_path), str(out), "--resume", str(bad),
                      "--epochs", "4"])
@@ -367,6 +377,20 @@ class TestTrain:
         assert not out.exists()
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def intact_samples(workspace, tmp_path_factory):
+    """sha256 of the samples and of the report that `generate --n 2` writes
+    from the workspace checkpoint."""
+    _, _, data_path, _, ckpt_path = workspace
+    out = tmp_path_factory.mktemp("intact") / "gen.jsonl"
+    assert main(["generate", str(ckpt_path), str(data_path), str(out), "--n", "2"]) == 0
+    return sha256(out), sha256(out.with_name(out.name + ".report.json"))
+
+
 class TestGenerate:
     def test_default_n_is_50_and_report_rates(self, workspace, capsys):
         root, _, data_path, _, ckpt_path = workspace
@@ -385,7 +409,12 @@ class TestGenerate:
         ("not json", "Expecting value"),
         ("foreign", "not a confgen-params file"),
         ("version 1", "unsupported checkpoint version 1"),
-        ("version 3", "unsupported checkpoint version 3"),
+        # one document holding the train state in `extra`
+        ("version 2", "unsupported checkpoint version 2"),
+        ("version 4", "unsupported checkpoint version 4"),
+        # not the JSON integer 3 (a version 2.0 file loaded as version 2)
+        ("version 3.0", "unsupported checkpoint version 3.0"),
+        ("version true", "unsupported checkpoint version True"),
         ("no config", "no 'config'"),
         ("bad config", "hidden must be an integer >= 1, got 0"),
         ("missing array", "weights lack parameters: ['enc.node_embed.0.weight']"),
@@ -394,13 +423,19 @@ class TestGenerate:
     ])
     def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, capsys, case,
                                           message):
+        """Damage to line 1, the weights, stops `generate` and `train
+        --resume` alike, with one message, and neither writes anything."""
         _, _, data_path, _, ckpt_path = workspace
-        doc = json.loads(ckpt_path.read_text())
+        docs = checkpoint_docs(ckpt_path)
+        doc = docs[0]
         first = doc["params"]["enc.node_embed.0.weight"]
         if case == "foreign":
             doc["format"] = "something-else"
-        elif case in ("version 1", "version 3"):
-            doc["version"] = int(case[-1])
+        elif case == "version 2":
+            doc["version"] = 2
+            doc["extra"].update(docs.pop())
+        elif case.startswith("version "):
+            doc["version"] = json.loads(case.removeprefix("version "))
         elif case == "no config":
             del doc["extra"]["config"]
         elif case == "bad config":
@@ -412,13 +447,20 @@ class TestGenerate:
         elif case == "short data":
             first["data"] = first["data"][:-32]  # 24 bytes: 3 values short
         bad = tmp_path / "bad.json"
-        bad.write_text("not json" if case == "not json" else json.dumps(doc))
+        if case == "not json":
+            bad.write_text("not json")
+        else:
+            write_docs(bad, docs)
         out = tmp_path / "gen.jsonl"
         code = main(["generate", str(bad), str(data_path), str(out), "--n", "2"])
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}: not a usable checkpoint: " in err and message in err
-        assert not out.exists()
+        resumed = tmp_path / "resumed.json"
+        assert main(["train", str(data_path), str(resumed), "--resume", str(bad),
+                     "--epochs", "4"]) == 2
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("case, where", [
         *[(case, where) for case in (
@@ -428,14 +470,14 @@ class TestGenerate:
         ("renamed", "current"), ("renamed", "m"), ("no t", None),
         ("adam list", None),
     ])
-    def test_damaged_train_state_fails_as_on_resume(self, workspace, tmp_path, capsys,
-                                                    case, where):
-        """generate checks the train state's arrays by form, not by decoding
-        them, yet each damage exits 2 with the message that `train --resume`
-        prints for the same file, and writes nothing."""
+    def test_damaged_train_state_fails_as_on_resume(self, workspace, intact_samples,
+                                                    tmp_path, capsys, case, where):
+        """Damage to line 2, the train state, fails `train --resume` alone:
+        it exits 2 and writes nothing, while `generate`, which reads only
+        line 1, writes what the intact checkpoint gives."""
         _, _, data_path, _, ckpt_path = workspace
-        doc = json.loads(ckpt_path.read_text())
-        state = doc["extra"]["train_state"]
+        docs = checkpoint_docs(ckpt_path)
+        state = docs[1]["train_state"]
         adam = state["adam"]
         arrays = state["current"] if where == "current" else adam.get(where, {})
         name = "enc.node_embed.0.weight"  # shape (12, 10): 960 bytes, no padding
@@ -467,18 +509,18 @@ class TestGenerate:
         elif case == "adam list":
             state["adam"] = [adam["t"], adam["m"], adam["v"]]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        write_docs(bad, docs)
 
-        out = tmp_path / "gen.jsonl"
-        assert main(["generate", str(bad), str(data_path), str(out), "--n", "2"]) == 2
-        generate_err = capsys.readouterr().err
-        assert not out.exists()
         resumed = tmp_path / "resumed.json"
         assert main(["train", str(data_path), str(resumed), "--resume", str(bad),
                      "--epochs", "4"]) == 2
-        assert capsys.readouterr().err == generate_err
-        assert generate_err.startswith(f"error: {bad}: not a usable checkpoint: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not a usable checkpoint: ")
         assert list(tmp_path.iterdir()) == [bad]
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", str(bad), str(data_path), str(out), "--n", "2"]) == 0
+        assert sha256(out) == intact_samples[0]
+        assert sha256(out.with_name(out.name + ".report.json")) == intact_samples[1]
 
     def test_seed_reproducible_and_thread_invariant(self, workspace, tmp_path):
         _, _, data_path, _, ckpt_path = workspace

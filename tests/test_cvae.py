@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confgen import cvae, molgraph, nnet
-from confgen.errors import NumericalError
+from confgen.errors import NumericalError, UsageError
 from confgen.molgraph import MolGraph, build_extended_graph, extract_distances
 from confgen.nnet import ShapeError
 
@@ -536,8 +537,8 @@ class TestModelParams:
         p, eg, d = small_instance
         path = tmp_path / "model.json"
         cvae.save_model(path, p)
-        loaded, state = cvae.load_model(path)
-        assert state is None
+        loaded = cvae.load_model(path)
+        assert cvae.load_train_state(path, loaded) is None
         for name, t in p.named_parameters().items():
             assert np.array_equal(loaded.named_parameters()[name].data, t.data)
         ng_a = cvae.encode(p, eg, d)
@@ -592,7 +593,8 @@ class TestModelParams:
             path = Path(root) / "model.json"
             again = Path(root) / "again.json"
             cvae.save_model(path, params, train_state=state)
-            loaded, loaded_state = cvae.load_model(path)
+            loaded = cvae.load_model(path)
+            loaded_state = cvae.load_train_state(path, loaded)
             cvae.save_model(again, loaded, train_state=loaded_state)
             assert again.read_bytes() == path.read_bytes()
             if state is not None:
@@ -628,31 +630,12 @@ class TestModelParams:
         of them special (NaN payloads, -0.0, subnormals, infinities): save,
         load and save again write the same bytes, and every array comes back
         bit for bit."""
-        params = cvae.ModelParams(cvae.CvaeConfig(hidden=2, readout_hidden=2,
-                                                  node_state=1, edge_state=1), seed=0)
-        rng = np.random.default_rng(seed)
-
-        def draw_values():
-            values = {}
-            for name, t in params.named_parameters().items():
-                bits = rng.integers(0, 2**64 - 1, t.data.shape, dtype=np.uint64,
-                                    endpoint=True)
-                special = rng.random(t.data.shape) < 0.5
-                bits[special] = rng.choice(SPECIAL_BITS, special.sum())
-                values[name] = bits.view(np.float64)
-            return values
-
-        params.set_values(draw_values())
-        adam = nnet.Adam(params.parameters())
-        adam.load_state_dict({"t": 3, "m": list(draw_values().values()),
-                              "v": list(draw_values().values())})
-        state = {"epoch": 1, "current": draw_values(), "adam": adam.state_dict(),
-                 "rng": np.random.default_rng(0).bit_generator.state, "history": [],
-                 "best": params.values(), "best_val_elbo": -1.0, "best_epoch": 1}
+        params, state = bit_pattern_model(seed)
         with tempfile.TemporaryDirectory() as root:
             path, again = Path(root) / "model.json", Path(root) / "again.json"
             cvae.save_model(path, params, train_state=state)
-            loaded, loaded_state = cvae.load_model(path)
+            loaded = cvae.load_model(path)
+            loaded_state = cvae.load_train_state(path, loaded)
             cvae.save_model(again, loaded, train_state=loaded_state)
             assert again.read_bytes() == path.read_bytes()
         for name, t in params.named_parameters().items():
@@ -686,7 +669,8 @@ class TestModelParams:
         with pytest.raises(ValueError, match="best weights"):
             cvae.save_model(tmp_path / "model.json", p, train_state=state)
         cvae.save_model(tmp_path / "model.json", p, train_state={**state, "best": values})
-        _, loaded = cvae.load_model(tmp_path / "model.json")
+        path = tmp_path / "model.json"
+        loaded = cvae.load_train_state(path, cvae.load_model(path))
         assert loaded["best"][name].tobytes() == values[name].tobytes()
 
     def test_copy_is_independent(self, small_instance):
@@ -764,6 +748,34 @@ class TestModelParams:
                         variance_floor=1e-300, variance_ceiling=1e300)
 
 
+def bit_pattern_model(seed: int):
+    """(params, train state) of a small model whose weights, current weights
+    and Adam moments are random 64 bits, half of them special (NaN payloads,
+    -0.0, subnormals, infinities)."""
+    params = cvae.ModelParams(cvae.CvaeConfig(hidden=2, readout_hidden=2,
+                                              node_state=1, edge_state=1), seed=0)
+    rng = np.random.default_rng(seed)
+
+    def draw_values():
+        values = {}
+        for name, t in params.named_parameters().items():
+            bits = rng.integers(0, 2**64 - 1, t.data.shape, dtype=np.uint64,
+                                endpoint=True)
+            special = rng.random(t.data.shape) < 0.5
+            bits[special] = rng.choice(SPECIAL_BITS, special.sum())
+            values[name] = bits.view(np.float64)
+        return values
+
+    params.set_values(draw_values())
+    adam = nnet.Adam(params.parameters())
+    adam.load_state_dict({"t": 3, "m": list(draw_values().values()),
+                          "v": list(draw_values().values())})
+    state = {"epoch": 1, "current": draw_values(), "adam": adam.state_dict(),
+             "rng": np.random.default_rng(0).bit_generator.state, "history": [],
+             "best": params.values(), "best_val_elbo": -1.0, "best_epoch": 1}
+    return params, state
+
+
 def tiny_checkpoint(path) -> cvae.ModelParams:
     """A small model saved with a train state; returns its weights."""
     params = cvae.ModelParams(cvae.CvaeConfig(hidden=2, readout_hidden=2,
@@ -777,63 +789,63 @@ def tiny_checkpoint(path) -> cvae.ModelParams:
 
 
 class TestTrainStateForm:
-    """load_model(decode_state=False) leaves the train state's arrays
-    encoded when their form shows that they decode (`_decodes_to`)."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(shape=st.lists(st.integers(0, 5), max_size=3), data=st.data())
-    def test_accepts_only_entries_that_decode(self, shape, data):
-        shape = tuple(shape)
-        entry = nnet.encode_arrays({"x": np.arange(math.prod(shape),
-                                                   dtype=np.float64).reshape(shape)})["x"]
-        assert cvae._decodes_to(entry, shape)
-        text = entry["data"]
-        at = data.draw(st.integers(0, len(text)), label="at")
-        mutation = data.draw(st.sampled_from(
-            ["truncate", "insert", "move =", "add =", "shape"]), label="mutation")
-        if mutation == "truncate":
-            entry["data"] = text[:at]
-        elif mutation == "insert":
-            entry["data"] = text[:at] + chr(data.draw(st.integers(0, 255))) + text[at:]
-        elif mutation == "move =":
-            bare = text.rstrip("=")
-            at = min(at, len(bare))
-            entry["data"] = bare[:at] + "=" * (len(text) - len(bare)) + bare[at:]
-        elif mutation == "add =":
-            entry["data"] = text[:at] + "=" + text[at:]
-        else:
-            entry["shape"] = data.draw(st.lists(st.one_of(
-                st.integers(-1, 6), st.floats(0, 6), st.booleans()), max_size=3))
-        entry = json.loads(json.dumps(entry))  # as the checkpoint file holds it
-        if cvae._decodes_to(entry, shape):
-            assert nnet.decode_arrays({"x": entry})["x"].shape == shape
-
-    def test_canonical_state_stays_encoded(self, tmp_path):
-        path = tmp_path / "model.json"
-        params = tiny_checkpoint(path)
-        loaded, state = cvae.load_model(path, decode_state=False)
-        stored = json.loads(path.read_text())["extra"]["train_state"]
-        assert state["current"] == stored["current"]
-        assert state["adam"] == stored["adam"]
-        for name, t in params.named_parameters().items():
-            assert loaded.named_parameters()[name].data.tobytes() == t.data.tobytes()
+    """load_train_state decodes and checks the state, whatever form of a
+    valid entry it is stored in."""
 
     @pytest.mark.parametrize("case", ["shape -1", "extra name"])
     def test_valid_entry_of_another_form_loads(self, tmp_path, case):
-        """A state that decodes but is not in encode_arrays' form is decoded
-        and checked, as with decode_state true."""
+        """A state that decodes but is not in encode_arrays' form loads."""
         path = tmp_path / "model.json"
-        tiny_checkpoint(path)
-        doc = json.loads(path.read_text())
-        state = doc["extra"]["train_state"]
+        params = tiny_checkpoint(path)
+        weights, line = path.read_text().splitlines()
+        doc = json.loads(line)
+        state = doc["train_state"]
         name, entry = next((n, e) for n, e in state["current"].items()
                            if len(e["shape"]) == 2 and e["shape"][1] > 1)
         if case == "shape -1":
             entry["shape"] = [-1, entry["shape"][1]]
         else:
             state["adam"]["m"]["unused"] = entry
-        path.write_text(json.dumps(doc))
-        _, decoded = cvae.load_model(path)
-        _, state = cvae.load_model(path, decode_state=False)
-        assert isinstance(state["current"][name], np.ndarray)
-        assert state["current"][name].tobytes() == decoded["current"][name].tobytes()
+        path.write_text(f"{weights}\n{json.dumps(doc)}\n")
+        state = cvae.load_train_state(path, cvae.load_model(path))
+        assert state["current"][name].tobytes() == params.values()[name].tobytes()
+
+
+class TestCheckpointLines:
+    """Line 1 of a checkpoint holds the weights, line 2 the train state."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_state=st.booleans(), data=st.data())
+    def test_weights_line_stands_alone(self, seed, with_state, data):
+        """Save, load and save again write the same bytes; load_model gives
+        the weights bit for bit whatever follows line 1, and load_train_state
+        rejects, naming the file, a line 2 that is cut short or garbage, and
+        a third line."""
+        params, state = bit_pattern_model(seed)
+        garbage = data.draw(st.text(min_size=1), label="garbage")
+        with tempfile.TemporaryDirectory() as root:
+            path, again = Path(root) / "model.json", Path(root) / "again.json"
+            cvae.save_model(path, params, train_state=state if with_state else None)
+            loaded = cvae.load_model(path)
+            loaded_state = cvae.load_train_state(path, loaded)
+            assert (loaded_state is not None) == with_state
+            cvae.save_model(again, loaded, train_state=loaded_state)
+            assert again.read_bytes() == path.read_bytes()
+
+            cvae.save_model(again, params, train_state=state)
+            weights, state_line, end = again.read_text(encoding="utf-8").split("\n")
+            assert end == ""
+            cut = data.draw(st.integers(1, len(state_line) - 1), label="cut")
+            tails = {"nothing": "", "truncated": state_line[:cut], "garbage": garbage,
+                     "third line": f"{state_line}\n{garbage}"}
+            for tail, text in tails.items():
+                path.write_text(f"{weights}\n{text}", encoding="utf-8")
+                got = cvae.load_model(path).named_parameters()
+                for name, t in params.named_parameters().items():
+                    assert got[name].data.tobytes() == t.data.tobytes(), tail
+                if tail == "nothing":
+                    assert cvae.load_train_state(path, params) is None
+                    continue
+                with pytest.raises(UsageError, match=re.escape(
+                        f"{path}: not a usable checkpoint: ")):
+                    cvae.load_train_state(path, params)

@@ -308,6 +308,34 @@ class TestRoundTrip:
         with pytest.raises(ParseError, match=r":1: bad dataset header: expected format"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_header_version_must_be_the_integer_1(self, tmp_path, version):
+        # true and 1.0 were read as version 1, since they compare equal to it
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=1))
+        header = json.dumps({"format": dataio.DATASET_FORMAT, "version": version})
+        path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ParseError, match=r":1: bad dataset header: unsupported "
+                                             f"version {version}$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", " \n\t\n"])
+    def test_blank_lines_are_an_empty_dataset(self, tmp_path, text):
+        path = tmp_path / "blank.jsonl"
+        path.write_text(text)
+        assert read_dataset(path) == []
+        assert oracle_read(path) == []
+
+    def test_blank_first_line_is_a_bad_header(self, tmp_path):
+        # the file was read as an empty dataset
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, build_records(n_molecules=1, n_conf=2))
+        path.write_text("\n" + path.read_text())
+        for read in (read_dataset, oracle_read):
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: "
+                                                 "bad dataset header: expected format"):
+                read(path)
+
 
 # molecule-name pieces that JSON escapes or that look like record syntax
 NAME_PIECES = ['"', "\\", "é", "分子", "\u00a0", "\u2028", ", \"positions\": ", "}", "a"]
@@ -355,11 +383,15 @@ def oracle_read(path):
     """The reference for read_dataset: each record line parsed whole, as
     before the head fast path, its graph shared by the repr of its entry, and
     each molecule's graph compared, by value, and then its build seed with
-    those of its first record."""
+    those of its first record. A file of blank lines is empty; in any other
+    file a blank line 1 is a bad header."""
     records, graphs, firsts = [], {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
+            if any(line.strip() for line in fh):
+                raise ParseError(f"{path}:1: bad dataset header: expected format "
+                                 f"{dataio.DATASET_FORMAT!r}")
             return records
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

@@ -470,7 +470,8 @@ class TestCheckpoint:
         nnet.save_checkpoint(path, arrays, extra={"note": 1})
         loaded, extra = nnet.load_checkpoint(path)
         assert extra == {"note": 1}
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
+        assert nnet.load_checkpoint_state(path) is None
         for name, a in arrays.items():
             assert np.array_equal(loaded[name], a)
 
